@@ -11,6 +11,13 @@ executable checks over programs and traces:
     the recorded answers fed back, reproduces itself exactly (see
     semantics.replay).
 
+Bounded exploration and isomorphism invariance compare one observed step:
+its update set and interactions, or its error kind and the interactions made
+before the failure. Observations compare with the equality replay uses
+(update values by `values_equal`, so geometry within the kernel EPS), and
+the isomorphism check renames the original step with `state.renaming`, the
+map `transport` applies to the state.
+
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same
 way. Two runs that change state identically but talk to their oracles
@@ -24,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BasmError
-from .literals import render_value
-from .oracles import OracleSession, ScriptedPolicy, ScriptEntry, UniformRandomPolicy
+from .oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
 from .semantics import Trace, step
 from .state import (
     BOOLEAN,
@@ -33,7 +39,10 @@ from .state import (
     INTEGER,
     Location,
     State,
+    Update,
+    UpdateSet,
     Vocabulary,
+    renaming,
     transport,
 )
 from .syntax import Program, Rule, Term, iter_subterms, rule_terms
@@ -78,25 +87,31 @@ class CheckReport:
         )
 
 
-def _observe(state: State, rule: Rule, session: OracleSession):
-    """One step summarised for comparison: updates, interactions, or the error kind."""
+def _observe(state: State, rule: Rule, session: OracleSession,
+             step_fn: Optional[Callable] = None):
+    """One step as ("ok", updates, interactions), or as ("error", kind, the
+    interactions made before the failure)."""
     start = session.begin_step()
     try:
-        updates, interactions = step(state, rule, session)
+        # `step` is looked up per call, so a patched module global is seen.
+        updates, interactions = (step_fn or step)(state, rule, session)
     except BasmError as e:
-        partial = [
-            (i.oracle, tuple(render_value(a) for a in i.args), render_value(i.answer))
-            for i in session.log[start:]
-        ]
-        return ("error", e.kind, tuple(partial))
-    ups = tuple(
-        (loc.render(), render_value(v)) for loc, v in updates.items()
+        return ("error", e.kind, tuple(session.log[start:]))
+    return ("ok", updates, tuple(interactions))
+
+
+def _rename(observation, move: Callable):
+    """An observed step with every value in it renamed by `move`."""
+    outcome, result, interactions = observation
+    if outcome == "ok":
+        result = UpdateSet(
+            Update(Location(loc.symbol, tuple(map(move, loc.args))), move(v))
+            for loc, v in result.items()
+        )
+    moved = tuple(
+        Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer)) for i in interactions
     )
-    inter = tuple(
-        (i.oracle, tuple(render_value(a) for a in i.args), render_value(i.answer))
-        for i in interactions
-    )
-    return ("ok", ups, inter)
+    return (outcome, result, moved)
 
 
 def junk_state_sampler(program: Program, base_state: State, *, junk_symbols: int = 3,
@@ -160,9 +175,8 @@ def check_bounded_exploration(program: Program, sampler, trials: int, seed: int,
         trial_seed = rng.getrandbits(63)
         sx = OracleSession(UniformRandomPolicy(trial_seed), x.vocabulary)
         sy = OracleSession(UniformRandomPolicy(trial_seed), y.vocabulary)
-        runner = step_fn if step_fn is not None else step
-        ox = _observe_with(runner, x, program.step_rule, sx)
-        oy = _observe_with(runner, y, program.step_rule, sy)
+        ox = _observe(x, program.step_rule, sx, step_fn)
+        oy = _observe(y, program.step_rule, sy, step_fn)
         if ox != oy:
             failures.append(
                 f"trial {trial} (seed {trial_seed}): steps differ: {ox!r} vs {oy!r}"
@@ -170,93 +184,31 @@ def check_bounded_exploration(program: Program, sampler, trials: int, seed: int,
     return CheckReport("bexp", trials, failures)
 
 
-def _observe_with(step_fn, state, rule, session):
-    if step_fn is step:
-        return _observe(state, rule, session)
-    start = session.begin_step()
-    try:
-        updates, interactions = step_fn(state, rule, session)
-    except BasmError as e:
-        return ("error", e.kind, ())
-    ups = tuple((loc.render(), render_value(v)) for loc, v in updates.items())
-    inter = tuple(
-        (i.oracle, tuple(render_value(a) for a in i.args), render_value(i.answer))
-        for i in interactions
-    )
-    return ("ok", ups, inter)
-
-
-def _move_value(value, maps: dict, vocab: Vocabulary):
-    from .state import EnumValue
-
-    if isinstance(value, EnumValue) and value.sort_name in maps:
-        return EnumValue(value.sort_name, maps[value.sort_name][value.member])
-    return value
-
-
 def check_iso_invariance(program: Program, state: State, bijection: dict,
                          scripted_answers: Iterable = ()) -> CheckReport:
     """Stepping commutes with renaming enum members.
 
     Runs one step from `state` and one from its transported twin, both under
-    scripted answers (the twin's answers are transported too), and compares
-    the twin's step against the transported original step.
+    scripted answers (the twin's answers are renamed too), and compares the
+    twin's step against the renamed original step.
     """
     vocab = program.vocabulary
-    for sort_name in bijection:
-        sort = vocab.sorts.get(sort_name)
-        if sort is not None and not sort.is_enum:
-            raise BasmError("unsupported-iso", f"bijection touches builtin sort {sort_name}")
-    maps = {name: dict(perm) for name, perm in bijection.items()}
+    move = renaming(vocab, bijection)
     moved_state = transport(state, bijection)
-
     answers = list(scripted_answers)
-    moved_answers = [_move_value(a, maps, vocab) for a in answers]
     sx = OracleSession(ScriptedPolicy.from_answers(answers), vocab)
-    sy = OracleSession(ScriptedPolicy.from_answers(moved_answers), vocab)
-
-    failures = []
-    obs_x = _observe(state, program.step_rule, sx)
-    obs_y = _observe(moved_state, program.step_rule, sy)
-    if obs_x[0] != obs_y[0]:
-        failures.append(f"outcomes differ under {bijection!r}: {obs_x[0]} vs {obs_y[0]}")
-        return CheckReport("iso", 1, failures)
-    if obs_x[0] == "error":
-        if obs_x != obs_y:
-            failures.append(f"errors differ under {bijection!r}: {obs_x!r} vs {obs_y!r}")
-        return CheckReport("iso", 1, failures)
-
-    def move_rendered(value_text: str) -> str:
-        for perm in maps.values():
-            if value_text in perm:
-                return perm[value_text]
-        return value_text
-
-    def move_loc(loc_text: str) -> str:
-        if "(" not in loc_text:
-            return loc_text
-        head, body = loc_text.split("(", 1)
-        parts = body[:-1].split(",")
-        return f"{head}({','.join(move_rendered(p) for p in parts)})"
-
-    expected_updates = tuple(
-        sorted((move_loc(l), move_rendered(v)) for l, v in obs_x[1])
-    )
-    got_updates = tuple(sorted(obs_y[1]))
-    if expected_updates != got_updates:
-        failures.append(
-            f"updates do not commute with {bijection!r}: "
-            f"expected {expected_updates!r}, got {got_updates!r}"
-        )
-    expected_inter = tuple(
-        (o, tuple(move_rendered(a) for a in args), move_rendered(ans))
-        for o, args, ans in obs_x[2]
-    )
-    if expected_inter != obs_y[2]:
-        failures.append(
-            f"interactions do not commute with {bijection!r}: "
-            f"expected {expected_inter!r}, got {obs_y[2]!r}"
-        )
+    sy = OracleSession(ScriptedPolicy.from_answers([move(a) for a in answers]), vocab)
+    expected = _rename(_observe(state, program.step_rule, sx), move)
+    got = _observe(moved_state, program.step_rule, sy)
+    if expected[0] != got[0]:
+        failures = [f"outcomes differ under {bijection!r}: {expected[0]} vs {got[0]}"]
+    else:
+        fields = ("updates" if got[0] == "ok" else "error kind", "interactions")
+        failures = [
+            f"{name} do not commute with {bijection!r}: expected {want!r}, got {have!r}"
+            for name, want, have in zip(fields, expected[1:], got[1:])
+            if want != have
+        ]
     return CheckReport("iso", 1, failures)
 
 

@@ -83,23 +83,34 @@ class Interaction:
     answer: object
 
 
-def _is_intersection_query(q: Query) -> bool:
-    sym = q.symbol
-    return sym.arg_sorts == (CIRCLE, CIRCLE) and sym.result_sort is POINT
+# Query shapes the builtin and uniform policies answer: (argument sorts, result sort).
+_INTERSECTION = ((CIRCLE, CIRCLE), POINT)
+_SEGMENT = ((INTEGER, INTEGER), INTEGER)
 
 
-def _is_segment_query(q: Query) -> bool:
-    sym = q.symbol
-    return sym.arg_sorts == (INTEGER, INTEGER) and sym.result_sort is INTEGER
+def _static_or_candidates(query: Query, policy: str):
+    """(True, answer) for a reclassified static, else (False, candidates).
 
-
-def _reclassified_static(q: Query):
-    return STATIC_IMPL.get(q.symbol.name)
-
-
-def _check_defined_args(q: Query):
-    if any(a is UNDEF for a in q.args):
-        raise BasmError("oracle-domain", f"oracle query with undef argument: {q.render()}")
+    The candidates are the ordered intersection pair of a circle-intersection
+    query, or the segment [b, c] of a segment query as range(b, c + 1).
+    """
+    impl = STATIC_IMPL.get(query.symbol.name)
+    if impl is not None:
+        fn, strict = impl
+        if strict and any(a is UNDEF for a in query.args):
+            return True, UNDEF
+        return True, fn(*query.args)
+    if any(a is UNDEF for a in query.args):
+        raise BasmError("oracle-domain", f"oracle query with undef argument: {query.render()}")
+    shape = (query.symbol.arg_sorts, query.symbol.result_sort)
+    if shape == _INTERSECTION:
+        return False, geometry.intersect_circles(*query.args)
+    if shape == _SEGMENT:
+        b, c = query.args
+        if b > c:
+            raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
+        return False, range(b, c + 1)
+    raise BasmError("oracle-domain", f"no {policy} rule for oracle {query.symbol.name}")
 
 
 class BuiltinPolicy:
@@ -115,21 +126,10 @@ class BuiltinPolicy:
         self.intersection_choice = intersection_choice
 
     def answer(self, session: "OracleSession", query: Query):
-        impl = _reclassified_static(query)
-        if impl is not None:
-            fn, strict = impl
-            if strict and any(a is UNDEF for a in query.args):
-                return UNDEF
-            return fn(*query.args)
-        _check_defined_args(query)
-        if _is_intersection_query(query):
-            return geometry.intersect_circles(*query.args)[self.intersection_choice]
-        if _is_segment_query(query):
-            b, c = query.args
-            if b > c:
-                raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
-            return b
-        raise BasmError("oracle-domain", f"no builtin rule for oracle {query.symbol.name}")
+        static, found = _static_or_candidates(query, "builtin")
+        if static:
+            return found
+        return found[0 if isinstance(found, range) else self.intersection_choice]
 
 
 class UniformRandomPolicy:
@@ -139,20 +139,12 @@ class UniformRandomPolicy:
         self.seed = seed
 
     def answer(self, session: "OracleSession", query: Query):
-        impl = _reclassified_static(query)
-        if impl is not None:
-            fn, strict = impl
-            if strict and any(a is UNDEF for a in query.args):
-                return UNDEF
-            return fn(*query.args)
-        _check_defined_args(query)
-        if _is_intersection_query(query):
-            candidates = geometry.intersect_circles(*query.args)
-            return candidates[session.prng.uniform_int(0, 1)]
-        if _is_segment_query(query):
-            b, c = query.args
-            return session.prng.uniform_int(b, c)
-        raise BasmError("oracle-domain", f"no uniform rule for oracle {query.symbol.name}")
+        static, found = _static_or_candidates(query, "uniform")
+        if static:
+            return found
+        # len() of a range stops at 2**63 - 1; a segment may be wider.
+        size = found.stop - found.start if isinstance(found, range) else len(found)
+        return found[session.prng.uniform_int(0, size - 1)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,8 @@ class InteractivePolicy:
         inp = self.input if self.input is not None else sys.stdin
         out = self.output if self.output is not None else sys.stderr
         candidates = None
-        if _is_intersection_query(query) and not any(a is UNDEF for a in query.args):
+        shape = (query.symbol.arg_sorts, query.symbol.result_sort)
+        if shape == _INTERSECTION and not any(a is UNDEF for a in query.args):
             candidates = geometry.intersect_circles(*query.args)
         out.write(f"oracle {query.render()}\n")
         if candidates is not None:
@@ -283,7 +276,3 @@ class OracleSession:
 
 _MISS = object()
 
-
-def uniform_random(session: OracleSession, b: int, c: int) -> int:
-    """Uniform integer from [b, c] using the session's PRNG stream."""
-    return session.prng.uniform_int(b, c)

@@ -517,16 +517,15 @@ def changes_nothing(state: State, updates: UpdateSet) -> bool:
     return all(values_equal(state.read(loc), value) for loc, value in updates.items())
 
 
-def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
-    """Rename enum universe members throughout a state.
+def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]]) -> Callable:
+    """The value map of an enum-member renaming, checked against the vocabulary.
 
     `bijection` maps enum sort names to total member-to-member bijections.
     Sorts not mentioned are left alone; builtin sorts cannot be moved.
     """
-    vocab = state.vocabulary
     maps: dict[str, dict[str, str]] = {}
     for sort_name, perm in bijection.items():
-        sort = vocab.sorts.get(sort_name)
+        sort = vocabulary.sorts.get(sort_name)
         if sort is None:
             raise BasmError("iso", f"unknown sort in bijection: {sort_name}")
         if not sort.is_enum:
@@ -541,8 +540,14 @@ def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State
             return EnumValue(value.sort_name, maps[value.sort_name][value.member])
         return value
 
+    return move
+
+
+def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
+    """Rename enum universe members throughout a state (see `renaming`)."""
+    move = renaming(state.vocabulary, bijection)
     interp = {
         Location(loc.symbol, tuple(move(a) for a in loc.args)): move(v)
         for loc, v in state.interp.items()
     }
-    return State(vocab, interp, validate=False)
+    return State(state.vocabulary, interp, validate=False)

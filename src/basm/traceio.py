@@ -86,29 +86,47 @@ def _parse_interaction(obj: dict, vocabulary: Vocabulary) -> Interaction:
     return Interaction(sym.name, args, answer)
 
 
-def read_trace_raw(lines: Iterable[str]) -> tuple[dict, list[dict], dict]:
-    """Header, step records, and final record as plain JSON objects."""
-    rows = [json.loads(line) for line in lines if line.strip()]
-    if len(rows) < 2 or "programId" not in rows[0] or "outcome" not in rows[-1]:
-        raise ParseError("not a trace: expected a header line and a final outcome line")
-    return rows[0], rows[1:-1], rows[-1]
+class _RowGuard:
+    """Inside the block, a malformed row (bad JSON, a missing or ill-typed
+    field) raises ParseError at line `lineno`, which the parser keeps current."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.lineno = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, e, tb):
+        if isinstance(e, (KeyError, TypeError, ValueError)):
+            raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
+        return False
 
 
 def read_trace(lines: Iterable[str], program: Program) -> Trace:
-    header, step_rows, final = read_trace_raw(lines)
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    if len(rows) < 2:
+        raise ParseError("not a trace: expected a header line and a final outcome line")
     vocab = program.vocabulary
-    initial = state_from_bindings(header["initialState"], vocab)
     steps = []
-    for row in step_rows:
-        updates = UpdateSet()
-        for u in row["updates"]:
-            loc = parse_location(u["loc"], vocab)
-            updates.add(loc, parse_value(u["value"], loc.symbol.result_sort, vocab))
-        interactions = tuple(_parse_interaction(i, vocab) for i in row["interactions"])
-        steps.append(StepRecord(row["index"], updates, interactions, row["halted"]))
-    outcome = Outcome(final["outcome"], final.get("error"))
-    final_state = state_from_bindings(final["finalState"], vocab)
-    return Trace(header["programId"], initial, steps, final_state, outcome)
+    with _RowGuard("trace") as guard:
+        guard.lineno, line = rows[0]
+        header = json.loads(line)
+        program_id = header["programId"]
+        initial = state_from_bindings(header["initialState"], vocab)
+        for guard.lineno, line in rows[1:-1]:
+            row = json.loads(line)
+            updates = UpdateSet()
+            for u in row["updates"]:
+                loc = parse_location(u["loc"], vocab)
+                updates.add(loc, parse_value(u["value"], loc.symbol.result_sort, vocab))
+            interactions = tuple(_parse_interaction(i, vocab) for i in row["interactions"])
+            steps.append(StepRecord(row["index"], updates, interactions, row["halted"]))
+        guard.lineno, line = rows[-1]
+        final = json.loads(line)
+        outcome = Outcome(final["outcome"], final.get("error"))
+        final_state = state_from_bindings(final["finalState"], vocab)
+    return Trace(program_id, initial, steps, final_state, outcome)
 
 
 def script_lines(trace: Trace) -> list[str]:
@@ -120,15 +138,11 @@ def script_lines(trace: Trace) -> list[str]:
 
 def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "strict") -> ScriptedPolicy:
     entries = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            interaction = _parse_interaction(obj, vocabulary)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad script line: {e}", line=lineno, column=1) from None
-        entries.append(ScriptEntry(interaction.oracle, interaction.args, interaction.answer))
+    with _RowGuard("script") as guard:
+        for guard.lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                i = _parse_interaction(json.loads(line), vocabulary)
+                entries.append(ScriptEntry(i.oracle, i.args, i.answer))
     if mode == "by-symbol":
         entries = [ScriptEntry(e.oracle, None, e.answer) for e in entries]
     return ScriptedPolicy(entries, mode=mode)

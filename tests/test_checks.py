@@ -16,7 +16,7 @@ from basm.errors import BasmError
 from basm.literals import load_state
 from basm.oracles import OracleSession, UniformRandomPolicy
 from basm.semantics import StepStats, step
-from basm.state import Location, UpdateSet, Vocabulary
+from basm.state import Location, Query, UpdateSet, Vocabulary
 from basm.syntax import parse_program, parse_term_in
 
 
@@ -72,6 +72,24 @@ def test_bounded_exploration_catches_a_peeking_step():
     assert len(report.failures) > 10
 
 
+def test_bounded_exploration_compares_the_interactions_of_a_failing_step():
+    """X and Y fail the same way, but only after asking a question that
+    depends on a junk location; the partial interactions tell them apart."""
+    prog = load_entry_program("primality")
+    sampler = junk_state_sampler(prog, load_entry_state("primality"))
+
+    def asks_junk_then_fails(state, rule, session):
+        vocab = state.vocabulary
+        j = state.read(Location(vocab.symbol("zz_junk0"), (0,)))
+        session.ask(Query(vocab.symbol("Random"), (j, j)))
+        raise BasmError("arith", "fails after asking")
+
+    report = check_bounded_exploration(prog, sampler, trials=60, seed=5,
+                                       step_fn=asks_junk_then_fails)
+    assert not report.passed
+    assert len(report.failures) > 10
+
+
 def test_enum_bijections_enumerates_all_permutations():
     v = Vocabulary()
     v.declare_enum("A", ["x", "y"])
@@ -101,6 +119,24 @@ def test_member_naming_program_breaks_invariance():
     assert check_iso_invariance(prog, state, {"Node": {"u": "u", "v": "v"}}).passed
     report = check_iso_invariance(prog, state, swap)
     assert not report.passed
+
+
+def test_iso_renames_the_interactions_of_a_failing_step():
+    """The step asks Pick(cur) and then fails on mod by zero; the twin asks
+    Pick of the renamed member, which is the same behaviour renamed."""
+    prog = parse_program(
+        "vocab {\n"
+        "  enum Node { u, v }\n"
+        "  var cur : Node\n"
+        "  var n, z : Integer\n"
+        "  oracle Pick(Node) : Integer\n"
+        "}\n"
+        "do until false { par { n := Pick(cur); z := n mod z } }\n"
+    )
+    state = load_state("cur := u\nn := 1\nz := 0", prog.vocabulary, source="<test>")
+    swap = {"Node": {"u": "v", "v": "u"}}
+    report = check_iso_invariance(prog, state, swap, scripted_answers=[4])
+    assert report.passed, report.failures
 
 
 def test_bijection_on_builtin_sort_is_unsupported():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 EUCLID = "corpus/euclid/program.basm"
@@ -57,6 +59,29 @@ def test_replay_detects_tampering(tmp_path):
     r = cli("replay", "--program", EUCLID, "--trace", str(trace))
     assert r.returncode == 1
     assert "mismatch" in r.stderr
+
+
+def _truncate_line(row: str) -> str:
+    return row[: len(row) // 2]
+
+
+def _drop_halted(row: str) -> str:
+    obj = json.loads(row)
+    del obj["halted"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("damage", [_truncate_line, _drop_halted])
+def test_malformed_trace_step_line_exits_2(tmp_path, damage):
+    trace = tmp_path / "t.jsonl"
+    cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    lines[1] = damage(lines[1])
+    trace.write_text("\n".join(lines) + "\n")
+    r = cli("replay", "--program", EUCLID, "--trace", str(trace))
+    assert r.returncode == 2
+    assert "error[parse]: bad trace line" in r.stderr
+    assert "(line 2, column 1)" in r.stderr
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):

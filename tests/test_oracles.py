@@ -142,6 +142,19 @@ def test_uniform_policy_is_seed_deterministic():
     assert draws(5) != draws(6)
 
 
+@pytest.mark.parametrize("b, c", [(0, 100), (-7, -7), (0, 2**63), (1, 2**64)])
+def test_uniform_policy_segment_draws_like_uniform_int(b, c):
+    """Same answers and the same PRNG draws as uniform_int(b, c), also for
+    segments wider than len() of a range allows."""
+    v = _vocab()
+    s = OracleSession(UniformRandomPolicy(9), v)
+    ref = SplitMix64(9)
+    for _ in range(5):
+        s.begin_step()
+        assert s.ask(Query(v.symbol("Random"), (b, c))) == ref.uniform_int(b, c)
+    assert s.prng.state == ref.state
+
+
 def test_session_cache_one_query_one_log_entry():
     v = _vocab()
     s = OracleSession(UniformRandomPolicy(1), v)
