@@ -8,7 +8,6 @@ replayed bit for bit.
 """
 from .checks import (
     CheckReport,
-    Witness,
     behaviorally_equivalent,
     check_bounded_exploration,
     check_iso_invariance,
@@ -72,7 +71,6 @@ __all__ = [
     "UniformRandomPolicy",
     "UpdateSet",
     "Vocabulary",
-    "Witness",
     "apply_updates",
     "behaviorally_equivalent",
     "check_bounded_exploration",

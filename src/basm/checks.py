@@ -39,7 +39,6 @@ from .state import (
     INTEGER,
     Location,
     State,
-    Update,
     UpdateSet,
     Vocabulary,
     renaming,
@@ -48,27 +47,14 @@ from .state import (
 from .syntax import Program, Rule, Term, iter_subterms, rule_terms
 
 
-@dataclass(frozen=True)
-class Witness:
+def exploration_witness(program: Program) -> frozenset:
     """The syntactic closure of every term occurring in a program's step."""
-
-    terms: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: Term) -> bool:
-        return term in self.terms
-
-
-def exploration_witness(program: Program) -> Witness:
     acc: set[Term] = set()
     if program.halt is not None:
         acc.update(iter_subterms(program.halt))
     for t in rule_terms(program.step_rule):
         acc.update(iter_subterms(t))
-    return Witness(frozenset(acc))
+    return frozenset(acc)
 
 
 @dataclass
@@ -104,10 +90,10 @@ def _rename(observation, move: Callable):
     """An observed step with every value in it renamed by `move`."""
     outcome, result, interactions = observation
     if outcome == "ok":
-        result = UpdateSet(
-            Update(Location(loc.symbol, tuple(map(move, loc.args))), move(v))
-            for loc, v in result.items()
-        )
+        moved_updates = UpdateSet()
+        for loc, v in result.items():
+            moved_updates.add(Location(loc.symbol, tuple(map(move, loc.args))), move(v))
+        result = moved_updates
     moved = tuple(
         Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer)) for i in interactions
     )

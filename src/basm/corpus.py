@@ -131,7 +131,7 @@ def _coerce(value, sort, vocabulary):
         value = Circle(*value) if sort is CIRCLE else Line(*value)
     if value is None:
         return UNDEF
-    if not value_conforms(value, sort, vocabulary):
+    if not value_conforms(value, sort):
         raise BasmError("sort", f"override value {value!r} does not fit sort {sort.name}")
     return value
 

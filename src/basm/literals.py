@@ -33,7 +33,6 @@ from .state import (
     Sort,
     State,
     Vocabulary,
-    value_conforms,
 )
 
 _INT_RE = re.compile(r"[-+]?\d+$")

@@ -7,7 +7,7 @@ records nothing new. The cache is cleared at step boundaries by the run loop.
 Answer policies:
 
   BuiltinPolicy        fixed deterministic rules per query shape (see below)
-  ScriptedPolicy       replays a prepared list or table of answers
+  ScriptedPolicy       replays a prepared list of answers
   UniformRandomPolicy  seeded uniform choices from a SplitMix64 stream
   InteractivePolicy    prints each query on stderr and reads a literal answer
 
@@ -17,9 +17,10 @@ deterministic rule picks a candidate index into the lexicographically ordered
 intersection pair (default 0, the smaller point), the uniform rule draws the
 index. A query with signature (Integer, Integer) -> Integer is treated as a
 range pick from [b, c]: the deterministic rule answers b, the uniform rule
-draws uniformly via rejection sampling. A reclassified static symbol is
-answered by computing its static interpretation. Anything else can only be
-answered by a script or interactively.
+draws uniformly via rejection sampling. The builtin, uniform and interactive
+policies answer a reclassified static symbol by computing its static
+interpretation; a script replays it. Anything else can only be answered by a
+script or interactively.
 
 The PRNG is SplitMix64, fixed exactly so traces reproduce across machines and
 languages (constants and the rejection scheme are spelled out in
@@ -69,6 +70,9 @@ class SplitMix64:
         if b > c:
             raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
         n = c - b + 1
+        # Past 2**64 the threshold below is 0 and every draw would be rejected.
+        if n > 1 << 64:
+            raise BasmError("oracle-domain", f"segment [{b}, {c}] is wider than 2^64")
         threshold = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
@@ -88,18 +92,26 @@ _INTERSECTION = ((CIRCLE, CIRCLE), POINT)
 _SEGMENT = ((INTEGER, INTEGER), INTEGER)
 
 
+def _reclassified_static(query: Query):
+    """The static interpretation of a query to a reclassified static, else _MISS."""
+    impl = STATIC_IMPL.get(query.symbol.name)
+    if impl is None:
+        return _MISS
+    fn, strict = impl
+    if strict and any(a is UNDEF for a in query.args):
+        return UNDEF
+    return fn(*query.args)
+
+
 def _static_or_candidates(query: Query, policy: str):
     """(True, answer) for a reclassified static, else (False, candidates).
 
     The candidates are the ordered intersection pair of a circle-intersection
     query, or the segment [b, c] of a segment query as range(b, c + 1).
     """
-    impl = STATIC_IMPL.get(query.symbol.name)
-    if impl is not None:
-        fn, strict = impl
-        if strict and any(a is UNDEF for a in query.args):
-            return True, UNDEF
-        return True, fn(*query.args)
+    value = _reclassified_static(query)
+    if value is not _MISS:
+        return True, value
     if any(a is UNDEF for a in query.args):
         raise BasmError("oracle-domain", f"oracle query with undef argument: {query.render()}")
     shape = (query.symbol.arg_sorts, query.symbol.result_sort)
@@ -157,36 +169,24 @@ class ScriptEntry:
 class ScriptedPolicy:
     """Replays prepared answers.
 
-    List form: entries are consumed in order. In "strict" mode each entry must
-    match the query's oracle name and arguments, in "by-symbol" mode only the
-    name; an entry with oracle None matches anything. Table form: a mapping
-    from rendered queries (e.g. "Random(2,13)") to answers, never consumed.
+    Entries are consumed in order. In "strict" mode each entry must match the
+    query's oracle name and arguments, in "by-symbol" mode only the name; an
+    entry with oracle None matches anything.
     """
 
-    def __init__(self, entries: Iterable[ScriptEntry] = (), mode: str = "strict",
-                 table: Optional[dict] = None):
+    def __init__(self, entries: Iterable[ScriptEntry] = (), mode: str = "strict"):
         if mode not in ("strict", "by-symbol"):
             raise BasmError("script", f"unknown script mode: {mode}")
         self.entries = list(entries)
         self.mode = mode
-        self.table = table
         self.cursor = 0
 
     @classmethod
-    def from_answers(cls, answers: Iterable, oracle: Optional[str] = None) -> "ScriptedPolicy":
-        entries = [ScriptEntry(oracle, None, a) for a in answers]
-        return cls(entries, mode="by-symbol" if oracle else "strict")
-
-    @classmethod
-    def from_table(cls, table: dict) -> "ScriptedPolicy":
-        return cls((), table=dict(table))
+    def from_answers(cls, answers: Iterable) -> "ScriptedPolicy":
+        """Answers in order, each given to whatever query comes next."""
+        return cls([ScriptEntry(None, None, a) for a in answers])
 
     def answer(self, session: "OracleSession", query: Query):
-        if self.table is not None:
-            key = query.render()
-            if key not in self.table:
-                raise BasmError("script", f"no scripted answer for {key}")
-            return self.table[key]
         if self.cursor >= len(self.entries):
             raise BasmError("script", f"script exhausted at {query.render()}")
         entry = self.entries[self.cursor]
@@ -205,7 +205,8 @@ class InteractivePolicy:
     """Prompts on stderr, reads one literal per line from stdin.
 
     Circle-intersection queries also print the two ordered candidates; a bare
-    0 or 1 picks one. A closed input stream aborts the run.
+    0 or 1 picks one. A closed input stream aborts the run. A reclassified
+    static is computed, not asked.
     """
 
     def __init__(self, input_stream: Optional[TextIO] = None,
@@ -214,6 +215,9 @@ class InteractivePolicy:
         self.output = output_stream
 
     def answer(self, session: "OracleSession", query: Query):
+        value = _reclassified_static(query)
+        if value is not _MISS:
+            return value
         inp = self.input if self.input is not None else sys.stdin
         out = self.output if self.output is not None else sys.stderr
         candidates = None
@@ -244,12 +248,10 @@ class OracleSession:
 
     __slots__ = ("policy", "vocabulary", "prng", "per_step_cache", "log")
 
-    def __init__(self, policy, vocabulary: Vocabulary, seed: Optional[int] = None):
+    def __init__(self, policy, vocabulary: Vocabulary):
         self.policy = policy
         self.vocabulary = vocabulary
-        if seed is None:
-            seed = getattr(policy, "seed", 0)
-        self.prng = SplitMix64(seed if seed is not None else 0)
+        self.prng = SplitMix64(getattr(policy, "seed", 0))
         self.per_step_cache: dict[Query, object] = {}
         self.log: list[Interaction] = []
 
@@ -263,7 +265,7 @@ class OracleSession:
         if cached is not _MISS:
             return cached
         answer = self.policy.answer(self, query)
-        if not value_conforms(answer, query.symbol.result_sort, self.vocabulary):
+        if not value_conforms(answer, query.symbol.result_sort):
             raise BasmError(
                 "sort",
                 f"oracle answer {render_value(answer)} is not a "

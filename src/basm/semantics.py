@@ -16,14 +16,13 @@ so an errored trace still replays exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BasmError
 from .oracles import Interaction, OracleSession, ScriptedPolicy, ScriptEntry
 from .state import (
     DYNAMIC,
-    ORACLE,
     STATIC,
     STATIC_IMPL,
     UNDEF,
@@ -37,7 +36,6 @@ from .state import (
 from .syntax import (
     DO_UNTIL,
     ITERATE,
-    App,
     Assign,
     Cond,
     Lit,
@@ -52,90 +50,68 @@ from .syntax import (
 DEFAULT_MAX_STEPS = 10**6
 
 
-@dataclass
-class StepStats:
-    """Distinct locations read and distinct oracle queries made during a step."""
-
-    locations_read: set = field(default_factory=set)
-    queries: set = field(default_factory=set)
-
-    @property
-    def explored(self) -> int:
-        return len(self.locations_read) + len(self.queries)
-
-
-def _eval(state: State, term: Term, session: Optional[OracleSession], stats):
+def _eval(state: State, term: Term, session: Optional[OracleSession]):
     if isinstance(term, Lit):
         return term.value
     if isinstance(term, Var):
-        loc = Location(term.symbol, ())
-        if stats is not None:
-            stats.locations_read.add(loc)
-        return state.read(loc)
+        return state.read(Location(term.symbol, ()))
     sym = term.symbol
-    args = tuple(_eval(state, a, session, stats) for a in term.args)
+    args = tuple(_eval(state, a, session) for a in term.args)
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
         if strict and any(a is UNDEF for a in args):
             return UNDEF
         return fn(*args)
     if sym.kind == DYNAMIC:
-        loc = Location(sym, args)
-        if stats is not None:
-            stats.locations_read.add(loc)
-        return state.read(loc)
+        return state.read(Location(sym, args))
     # oracle
     query = Query(sym, args)
     if session is None:
         raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
-    if stats is not None:
-        stats.queries.add(query)
     return session.ask(query)
 
 
-def eval_term(state: State, term: Term, session: Optional[OracleSession] = None,
-              stats: Optional[StepStats] = None):
+def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):
     """Evaluate a term; returns (value, interactions made by this evaluation)."""
     start = len(session.log) if session is not None else 0
-    value = _eval(state, term, session, stats)
+    value = _eval(state, term, session)
     interactions = list(session.log[start:]) if session is not None else []
     return value, interactions
 
 
-def _exec(state: State, rule: Rule, updates: UpdateSet,
-          session: Optional[OracleSession], stats):
+def _exec(state: State, rule: Rule, updates: UpdateSet, session: Optional[OracleSession]):
     if isinstance(rule, Skip):
         return
     if isinstance(rule, Assign):
-        value = _eval(state, rule.rhs, session, stats)
+        value = _eval(state, rule.rhs, session)
         target = rule.target
         if isinstance(target, Var):
             loc = Location(target.symbol, ())
         else:
-            loc_args = tuple(_eval(state, a, session, stats) for a in target.args)
+            loc_args = tuple(_eval(state, a, session) for a in target.args)
             loc = Location(target.symbol, loc_args)
         updates.add(loc, value)
         return
     if isinstance(rule, Cond):
-        guard = _eval(state, rule.guard, session, stats)
+        guard = _eval(state, rule.guard, session)
         if guard is True:
-            _exec(state, rule.then_rule, updates, session, stats)
+            _exec(state, rule.then_rule, updates, session)
         elif rule.else_rule is not None:
-            _exec(state, rule.else_rule, updates, session, stats)
+            _exec(state, rule.else_rule, updates, session)
         return
     if isinstance(rule, Par):
         for r in rule.rules:
-            _exec(state, r, updates, session, stats)
+            _exec(state, r, updates, session)
         return
     raise TypeError(f"not a rule: {rule!r}")
 
 
-def step(state: State, rule: Rule, session: Optional[OracleSession] = None,
-         stats: Optional[StepStats] = None) -> tuple[UpdateSet, list[Interaction]]:
+def step(state: State, rule: Rule,
+         session: Optional[OracleSession] = None) -> tuple[UpdateSet, list[Interaction]]:
     """Run one step of the rule. The caller clears the session's per-step cache."""
     start = len(session.log) if session is not None else 0
     updates = UpdateSet()
-    _exec(state, rule, updates, session, stats)
+    _exec(state, rule, updates, session)
     interactions = list(session.log[start:]) if session is not None else []
     return updates, interactions
 

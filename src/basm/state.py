@@ -17,7 +17,7 @@ three-valued reading (false absorbs `and`, true absorbs `or`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping
 
 from . import geometry
 from .errors import BasmError
@@ -90,29 +90,7 @@ class EnumValue:
         return self.member
 
 
-def sort_of_value(value, vocabulary: "Vocabulary | None" = None) -> Sort:
-    if value is UNDEF:
-        return ANY
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, int):
-        return INTEGER
-    if isinstance(value, Point):
-        return POINT
-    if isinstance(value, Circle):
-        return CIRCLE
-    if isinstance(value, Line):
-        return LINE
-    if isinstance(value, EnumValue):
-        if vocabulary is not None:
-            sort = vocabulary.sorts.get(value.sort_name)
-            if sort is not None:
-                return sort
-        return Sort(value.sort_name, "Enum", (value.member,))
-    raise BasmError("sort", f"not a value: {value!r}")
-
-
-def value_conforms(value, sort: Sort, vocabulary: "Vocabulary | None" = None) -> bool:
+def value_conforms(value, sort: Sort) -> bool:
     if value is UNDEF or sort is ANY:
         return True
     if sort is BOOLEAN:
@@ -315,10 +293,6 @@ class Vocabulary:
     def dynamic_symbols(self) -> list[Symbol]:
         return [s for s in self.symbols.values() if s.kind == DYNAMIC]
 
-    @property
-    def universes(self) -> dict[str, tuple[str, ...]]:
-        return {s.name: s.members for s in self.sorts.values() if s.is_enum}
-
     def copy(self) -> "Vocabulary":
         clone = Vocabulary(self.oracle_statics)
         clone.sorts = dict(self.sorts)
@@ -392,21 +366,13 @@ class Query:
         return self.render()
 
 
-@dataclass(frozen=True)
-class Update:
-    location: Location
-    value: object
-
-
 class UpdateSet:
     """A consistent set of updates; inserting a conflicting value raises "clash"."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, updates: Iterable[Update] = ()):
+    def __init__(self):
         self._entries: dict[Location, object] = {}
-        for u in updates:
-            self.add(u.location, u.value)
 
     def add(self, location: Location, value):
         present = self._entries.get(location, _MISSING)
@@ -415,21 +381,11 @@ class UpdateSet:
         elif not values_equal(present, value):
             raise BasmError("clash", f"clash at {location.render()}")
 
-    def get(self, location: Location, default=None):
-        return self._entries.get(location, default)
-
     def items(self) -> list[tuple[Location, object]]:
         return sorted(self._entries.items(), key=lambda kv: kv[0].render())
 
-    def locations(self) -> set[Location]:
-        return set(self._entries)
-
     def __len__(self):
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[Update]:
-        for loc, value in self.items():
-            yield Update(loc, value)
 
     def __eq__(self, other):
         if not isinstance(other, UpdateSet):
@@ -470,17 +426,13 @@ class State:
         if len(loc.args) != sym.arity:
             raise BasmError("sort", f"arity mismatch at {loc.render()}")
         for a, s in zip(loc.args, sym.arg_sorts):
-            if not value_conforms(a, s, self.vocabulary):
+            if not value_conforms(a, s):
                 raise BasmError("sort", f"ill-sorted argument in {loc.render()}")
-        if not value_conforms(value, sym.result_sort, self.vocabulary):
+        if not value_conforms(value, sym.result_sort):
             raise BasmError("sort", f"ill-sorted value for {loc.render()}")
 
     def read(self, location: Location):
         return self.interp.get(location, UNDEF)
-
-    @property
-    def universes(self) -> dict[str, tuple[str, ...]]:
-        return self.vocabulary.universes
 
     def __eq__(self, other):
         if not isinstance(other, State):

@@ -35,13 +35,10 @@ from .state import (
     DYNAMIC,
     INTEGER,
     ORACLE,
-    STATIC,
     UNDEF,
-    EnumValue,
     Sort,
     Symbol,
     Vocabulary,
-    sort_of_value,
 )
 
 # --- AST ---------------------------------------------------------------------
@@ -108,20 +105,18 @@ class Program:
 
     @property
     def program_id(self) -> str:
-        """Content hash of the canonical program text."""
+        """Content hash of the canonical program text.
+
+        The text omits which statics are reclassified as oracles, so a line
+        naming them is hashed too; with none, the hash is of the text alone.
+        """
         if self._pid is None:
-            self._pid = hashlib.sha256(pretty(self).encode("utf-8")).hexdigest()
+            text = pretty(self)
+            statics = sorted(self.vocabulary.oracle_statics)
+            if statics:
+                text += "oracle-static " + " ".join(statics) + "\n"
+            self._pid = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._pid
-
-
-def term_sort(term: Term) -> Sort:
-    if isinstance(term, Lit):
-        return sort_of_value(term.value)
-    if isinstance(term, Var):
-        return term.symbol.result_sort
-    if isinstance(term, App):
-        return term.symbol.result_sort
-    raise TypeError(f"not a term: {term!r}")
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:

@@ -12,14 +12,16 @@ values use the shared literal syntax. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}.
 
 A script file is JSON-lines too, one {"oracle", "args", "answer"} object per
-line, which is exactly the shape of a trace's interaction records.
+line, which is exactly the shape of a trace's interaction records. A trace is
+accepted as a script: its step rows give their interactions in order, and its
+header and outcome rows give none.
 """
 from __future__ import annotations
 
 import json
 from typing import Iterable, TextIO
 
-from .errors import BasmError, ParseError
+from .errors import ParseError
 from .literals import parse_location, parse_value, state_bindings, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy, ScriptEntry
 from .semantics import Outcome, StepRecord, Trace
@@ -140,8 +142,13 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
     entries = []
     with _RowGuard("script") as guard:
         for guard.lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                i = _parse_interaction(json.loads(line), vocabulary)
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if "programId" in row or "outcome" in row:
+                continue
+            for obj in row["interactions"] if "interactions" in row else [row]:
+                i = _parse_interaction(obj, vocabulary)
                 entries.append(ScriptEntry(i.oracle, i.args, i.answer))
     if mode == "by-symbol":
         entries = [ScriptEntry(e.oracle, None, e.answer) for e in entries]

@@ -15,8 +15,8 @@ from basm.corpus import corpus_run, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state
 from basm.oracles import OracleSession, UniformRandomPolicy
-from basm.semantics import StepStats, step
-from basm.state import Location, Query, UpdateSet, Vocabulary
+from basm.semantics import step
+from basm.state import Location, Query, State, UpdateSet, Vocabulary
 from basm.syntax import parse_program, parse_term_in
 
 
@@ -24,22 +24,39 @@ def test_euclid_witness_is_the_program_subterm_closure():
     prog = load_entry_program("euclid")
     w = exploration_witness(prog)
     v = prog.vocabulary
-    assert w.size == 7  # d=a, d, a, b=0, b, 0, a mod b
+    assert len(w) == 7  # d=a, d, a, b=0, b, 0, a mod b
     for text in ("a", "b", "d", "0", "a mod b", "d = a", "b = 0"):
         assert parse_term_in(text, v) in w
     assert parse_term_in("a + b", v) not in w
 
 
+class _ReadCountingState(State):
+    """A state that remembers every location a step reads."""
+
+    __slots__ = ("locations_read",)
+
+    def __init__(self, state: State):
+        super().__init__(state.vocabulary, state.interp, validate=False)
+        self.locations_read = set()
+
+    def read(self, location):
+        self.locations_read.add(location)
+        return super().read(location)
+
+
 def test_step_work_is_bounded_by_the_witness():
-    for name in ("euclid", "enumgraph", "primality"):
+    """Distinct locations read plus distinct queries asked stay within the
+    witness. The per-step cache logs each distinct query once, so the step's
+    interactions are its distinct queries."""
+    counts = {"euclid": (2, 0), "enumgraph": (3, 0), "primality": (2, 1), "tangent": (5, 0)}
+    for name, (reads, queries) in counts.items():
         prog = load_entry_program(name)
-        state = load_entry_state(name)
-        w = exploration_witness(prog)
+        state = _ReadCountingState(load_entry_state(name))
         session = OracleSession(UniformRandomPolicy(3), prog.vocabulary)
         session.begin_step()
-        stats = StepStats()
-        step(state, prog.step_rule, session, stats)
-        assert stats.explored <= w.size, name
+        _, interactions = step(state, prog.step_rule, session)
+        assert (len(state.locations_read), len(interactions)) == (reads, queries), name
+        assert reads + queries <= len(exploration_witness(prog)), name
 
 
 @pytest.mark.parametrize("name", ["euclid", "enumgraph", "primality", "tangent"])

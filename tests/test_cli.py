@@ -195,15 +195,38 @@ def test_interactive_policy_reads_answers_from_stdin():
 
 
 def test_oracle_static_round_trip(tmp_path):
-    trace = tmp_path / "t.jsonl"
+    trace, plain = tmp_path / "t.jsonl", tmp_path / "plain.jsonl"
     r = cli("run", "--program", EUCLID, "--init", EUCLID_INIT,
             "--oracle-static", "mod", "--trace", str(trace))
     assert r.returncode == 0
     assert '"interactions": [{"oracle": "mod"' in trace.read_text()
     assert cli("replay", "--program", EUCLID, "--trace", str(trace),
                "--oracle-static", "mod").returncode == 0
-    # without the flag the rerun never queries, so the records cannot match
-    assert cli("replay", "--program", EUCLID, "--trace", str(trace)).returncode == 1
+    # the reclassification is part of the program id
+    cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(plain))
+    header = [json.loads(p.read_text().splitlines()[0]) for p in (trace, plain)]
+    assert header[0]["programId"] != header[1]["programId"]
+    r = cli("replay", "--program", EUCLID, "--trace", str(trace))
+    assert r.returncode == 1
+    assert "error[program-id]" in r.stderr
+
+
+def test_interactive_policy_computes_a_reclassified_static():
+    r = cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--oracle-static", "mod",
+            "--policy", "interactive", stdin="")
+    assert r.returncode == 0
+    assert "d = 4" in r.stdout
+    assert "oracle" not in r.stderr
+
+
+def test_a_trace_is_accepted_as_a_script(tmp_path):
+    t, u = tmp_path / "t.jsonl", tmp_path / "u.jsonl"
+    assert cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--seed", "42",
+               "--trace", str(t)).returncode == 0
+    assert '"interactions": [{' in t.read_text()
+    assert cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT,
+               "--script", str(t), "--trace", str(u)).returncode == 0
+    assert u.read_bytes() == t.read_bytes()
 
 
 def test_unknown_subcommand_exits_2():

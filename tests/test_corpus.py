@@ -146,3 +146,8 @@ def test_default_state_files_load():
         for init in entry.init_files:
             state = load_entry_state(name, init)
             assert state.vocabulary == load_entry_program(name).vocabulary
+
+
+def test_uniform_draw_from_a_segment_wider_than_2_to_the_64_is_an_error():
+    t = corpus_run("primality", n=2**89 - 1, k=3, seed=7)
+    assert (t.outcome.kind, t.outcome.error) == ("error", "oracle-domain")

@@ -72,6 +72,11 @@ def test_uniform_int_edges():
     with pytest.raises(BasmError) as e:
         g.uniform_int(4, 3)
     assert e.value.kind == "oracle-domain"
+    # A 2^64-wide segment rejects nothing; a wider one would reject every draw.
+    assert SplitMix64(0).uniform_int(0, 2**64 - 1) == SEED0_VECTOR[0]
+    with pytest.raises(BasmError) as e:
+        g.uniform_int(0, 2**64)
+    assert e.value.kind == "oracle-domain"
 
 
 @settings(max_examples=100)
@@ -201,17 +206,6 @@ def test_scripted_policy_by_symbol_ignores_args():
     assert s.ask(Query(v.symbol("Random"), (2, 13))) == 4
     s.begin_step()
     assert s.ask(Query(v.symbol("Random"), (0, 1))) == 11
-
-
-def test_scripted_policy_table_form():
-    v = _vocab()
-    policy = ScriptedPolicy.from_table({"Random(2,13)": 7})
-    s = OracleSession(policy, v)
-    assert s.ask(Query(v.symbol("Random"), (2, 13))) == 7
-    s.begin_step()
-    assert s.ask(Query(v.symbol("Random"), (2, 13))) == 7  # table is not consumed
-    with pytest.raises(BasmError):
-        s.ask(Query(v.symbol("Random"), (0, 1)))
 
 
 def test_session_rejects_ill_sorted_answers():

@@ -88,14 +88,14 @@ def test_values_equal_geometry_uses_eps():
 
 def test_value_conforms():
     v = Vocabulary()
-    assert value_conforms(UNDEF, INTEGER, v)
-    assert value_conforms(3, INTEGER, v)
-    assert not value_conforms(True, INTEGER, v)
-    assert not value_conforms(3, BOOLEAN, v)
+    assert value_conforms(UNDEF, INTEGER)
+    assert value_conforms(3, INTEGER)
+    assert not value_conforms(True, INTEGER)
+    assert not value_conforms(3, BOOLEAN)
     node = v.declare_enum("Node", ["u", "w"])
-    assert value_conforms(EnumValue("Node", "u"), node, v)
-    assert not value_conforms(EnumValue("Node", "z"), node, v)
-    assert not value_conforms(EnumValue("Other", "u"), node, v)
+    assert value_conforms(EnumValue("Node", "u"), node)
+    assert not value_conforms(EnumValue("Node", "z"), node)
+    assert not value_conforms(EnumValue("Other", "u"), node)
 
 
 def _vocab():
