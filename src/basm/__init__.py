@@ -18,21 +18,19 @@ from .checks import (
 from .corpus import ENTRIES, corpus_run, liar_rate, load_entry_program, load_entry_state
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
-from .literals import load_state, parse_value, render_state, render_value, state_bindings
+from .literals import load_state, parse_value, render_value, state_bindings
 from .oracles import (
     BuiltinPolicy,
     Interaction,
     InteractivePolicy,
     OracleSession,
     ScriptedPolicy,
-    ScriptEntry,
     SplitMix64,
     UniformRandomPolicy,
 )
 from .semantics import Outcome, StepRecord, Trace, eval_term, replay, run, step
 from .state import (
     Location,
-    Query,
     State,
     UNDEF,
     UpdateSet,
@@ -60,8 +58,6 @@ __all__ = [
     "ParseError",
     "Point",
     "Program",
-    "Query",
-    "ScriptEntry",
     "ScriptedPolicy",
     "SplitMix64",
     "State",
@@ -89,7 +85,6 @@ __all__ = [
     "parse_term_in",
     "parse_value",
     "read_trace",
-    "render_state",
     "render_trace",
     "render_value",
     "replay",

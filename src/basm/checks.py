@@ -20,8 +20,9 @@ map `transport` applies to the state.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same
-way. Two runs that change state identically but talk to their oracles
-differently are distinct behaviors on purpose.
+way; `semantics.same_steps` decides it, as it does for replay. Two runs that
+change state identically but talk to their oracles differently are distinct
+behaviors on purpose.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BasmError
 from .oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
-from .semantics import Trace, step
+from .semantics import Trace, same_steps, step
 from .state import (
     BOOLEAN,
     DYNAMIC,
@@ -217,13 +218,4 @@ def behaviorally_equivalent(a: Trace, b: Trace) -> bool:
     """Stepwise equality of update sets and interaction sequences, same outcome."""
     if a.initial_state.vocabulary != b.initial_state.vocabulary:
         raise BasmError("vocab", "traces are over different vocabularies")
-    if not a.outcome.same_as(b.outcome):
-        return False
-    if len(a.steps) != len(b.steps):
-        return False
-    for ra, rb in zip(a.steps, b.steps):
-        if ra.updates != rb.updates:
-            return False
-        if list(ra.interactions) != list(rb.interactions):
-            return False
-    return True
+    return same_steps(a, b)

@@ -27,7 +27,7 @@ from .checks import (
 from .corpus import ENTRIES, corpus_run
 from .errors import BasmError, ParseError
 from .literals import load_state, state_bindings
-from .oracles import BuiltinPolicy, InteractivePolicy, UniformRandomPolicy
+from .oracles import UniformRandomPolicy, choose_policy
 from .semantics import Trace, replay, run
 from .syntax import Program, parse_program
 from .traceio import load_script, read_trace, write_trace
@@ -42,25 +42,12 @@ def _load_init(path: str, program: Program):
 
 
 def _build_policy(args, program: Program):
-    name = getattr(args, "policy", None)
-    script = getattr(args, "script", None)
-    if name is None:
-        if script is not None:
-            name = "scripted"
-        elif args.seed is not None:
-            name = "uniform"
-        else:
-            name = "builtin"
-    if name == "builtin":
-        return BuiltinPolicy(intersection_choice=args.choice or 0)
-    if name == "uniform":
-        return UniformRandomPolicy(args.seed or 0)
-    if name == "interactive":
-        return InteractivePolicy()
-    if script is None:
-        raise BasmError("script", "--policy scripted needs --script FILE")
-    lines = Path(script).read_text().splitlines()
-    return load_script(lines, program.vocabulary, mode=args.script_mode)
+    def script():
+        lines = Path(args.script).read_text().splitlines()
+        return load_script(lines, program.vocabulary, mode=args.script_mode)
+
+    return choose_policy(args.policy, args.seed, args.choice,
+                         None if args.script is None else script)
 
 
 def _emit_trace(trace: Trace, dest: Optional[str]):
@@ -180,8 +167,6 @@ def _cmd_corpus(args) -> int:
             inits = ", ".join(entry.init_files)
             print(f"{name}: init [{inits}] policy {entry.policy}")
         return 0
-    if args.name not in ENTRIES:
-        raise BasmError("corpus", f"unknown corpus entry: {args.name}")
     bindings = {}
     for item in args.set or []:
         if "=" not in item:

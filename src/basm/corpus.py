@@ -36,7 +36,7 @@ from typing import Optional
 from .errors import BasmError
 from .geometry import Circle, Line, Point
 from .literals import load_state, parse_value
-from .oracles import BuiltinPolicy, ScriptedPolicy, ScriptEntry, UniformRandomPolicy
+from .oracles import ScriptedPolicy, choose_policy
 from .semantics import Trace, run
 from .state import Location, State, UNDEF, UpdateSet, value_conforms
 from .syntax import Program, parse_program
@@ -136,22 +136,21 @@ def _coerce(value, sort, vocabulary):
     return value
 
 
-def corpus_run(name: str, *, init_file: Optional[str] = None, policy=None,
-               seed: Optional[int] = None, choice: Optional[int] = None,
-               script=None, max_steps: Optional[int] = None, **bindings) -> Trace:
+def corpus_run(name: str, *, init_file: Optional[str] = None, seed: Optional[int] = None,
+               choice: Optional[int] = None, script=None, max_steps: Optional[int] = None,
+               **bindings) -> Trace:
     """Run a corpus entry.
 
     Keyword `bindings` override initial-state variables by name (python ints,
     bools, (x, y) pairs for points, geometry objects, or literal strings).
     `choice` forces the deterministic intersection pick, `seed` selects the
-    uniform policy, and `script` replays answers: a list of values, a list of
-    (oracle, args, answer) triples, or the name of a file under the entry's
-    scripts/ directory.
+    uniform policy, and `script` replays answers: a list of values, given in
+    order to whatever query comes next, or the name of a file under the
+    entry's scripts/ directory, replayed strictly. With none of them the
+    entry's default policy runs; a seed and a choice together raise "corpus".
     """
-    entry = ENTRIES.get(name)
-    if entry is None:
-        raise BasmError("corpus", f"unknown corpus entry: {name}")
-    program = load_entry_program(name)
+    program = load_entry_program(name)  # raises "corpus" for an unknown name
+    entry = ENTRIES[name]
     state = load_entry_state(name, init_file)
     if bindings:
         updates = UpdateSet()
@@ -163,17 +162,11 @@ def corpus_run(name: str, *, init_file: Optional[str] = None, policy=None,
         from .state import apply_updates
 
         state = apply_updates(state, updates)
-    if policy is None:
-        if script is not None:
-            policy = _script_policy(entry, program, script)
-        elif choice is not None:
-            policy = BuiltinPolicy(intersection_choice=choice)
-        elif seed is not None:
-            policy = UniformRandomPolicy(seed)
-        elif entry.policy == "uniform":
-            policy = UniformRandomPolicy(entry.seed if seed is None else seed)
-        else:
-            policy = BuiltinPolicy()
+    policy = choose_policy(
+        None, seed, choice,
+        None if script is None else lambda: _script_policy(entry, program, script),
+        default=(entry.policy, entry.seed),
+    )
     return run(program, state, policy, max_steps=max_steps)
 
 
@@ -181,13 +174,7 @@ def _script_policy(entry: CorpusEntry, program: Program, script) -> ScriptedPoli
     if isinstance(script, str):
         path = entry_dir(entry.name) / "scripts" / script
         return load_script(path.read_text().splitlines(), program.vocabulary, mode="strict")
-    entries = []
-    for item in script:
-        if isinstance(item, tuple) and len(item) == 3:
-            entries.append(ScriptEntry(item[0], tuple(item[1]), item[2]))
-        else:
-            entries.append(ScriptEntry(None, None, item))
-    return ScriptedPolicy(entries, mode="by-symbol")
+    return ScriptedPolicy.from_answers(script)
 
 
 def liar_rate(n: int) -> Fraction:

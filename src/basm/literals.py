@@ -216,11 +216,6 @@ def state_bindings(state: State) -> dict[str, str]:
     }
 
 
-def render_state(state: State) -> str:
-    lines = [f"{loc} := {lit}" for loc, lit in state_bindings(state).items()]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def state_from_bindings(bindings: dict[str, str], vocabulary: Vocabulary) -> State:
     interp = {}
     for loc_text, lit in bindings.items():

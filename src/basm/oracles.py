@@ -7,7 +7,7 @@ records nothing new. The cache is cleared at step boundaries by the run loop.
 Answer policies:
 
   BuiltinPolicy        fixed deterministic rules per query shape (see below)
-  ScriptedPolicy       replays a prepared list of answers
+  ScriptedPolicy       replays a prepared list of interactions
   UniformRandomPolicy  seeded uniform choices from a SplitMix64 stream
   InteractivePolicy    prints each query on stderr and reads a literal answer
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from . import geometry
 from .errors import BasmError, ParseError
@@ -41,7 +41,7 @@ from .state import (
     POINT,
     STATIC_IMPL,
     UNDEF,
-    Query,
+    Location,
     Vocabulary,
     value_conforms,
 )
@@ -82,8 +82,11 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class Interaction:
-    oracle: str
-    args: tuple
+    """One query and its answer. In a script, an oracle or args of None
+    matches any oracle or any arguments."""
+
+    oracle: Optional[str]
+    args: Optional[tuple]
     answer: object
 
 
@@ -92,7 +95,7 @@ _INTERSECTION = ((CIRCLE, CIRCLE), POINT)
 _SEGMENT = ((INTEGER, INTEGER), INTEGER)
 
 
-def _reclassified_static(query: Query):
+def _reclassified_static(query: Location):
     """The static interpretation of a query to a reclassified static, else _MISS."""
     impl = STATIC_IMPL.get(query.symbol.name)
     if impl is None:
@@ -103,7 +106,7 @@ def _reclassified_static(query: Query):
     return fn(*query.args)
 
 
-def _static_or_candidates(query: Query, policy: str):
+def _static_or_candidates(query: Location, policy: str):
     """(True, answer) for a reclassified static, else (False, candidates).
 
     The candidates are the ordered intersection pair of a circle-intersection
@@ -137,7 +140,7 @@ class BuiltinPolicy:
             raise BasmError("oracle-domain", "intersection choice must be 0 or 1")
         self.intersection_choice = intersection_choice
 
-    def answer(self, session: "OracleSession", query: Query):
+    def answer(self, session: "OracleSession", query: Location):
         static, found = _static_or_candidates(query, "builtin")
         if static:
             return found
@@ -150,7 +153,7 @@ class UniformRandomPolicy:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def answer(self, session: "OracleSession", query: Query):
+    def answer(self, session: "OracleSession", query: Location):
         static, found = _static_or_candidates(query, "uniform")
         if static:
             return found
@@ -159,34 +162,23 @@ class UniformRandomPolicy:
         return found[session.prng.uniform_int(0, size - 1)]
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
-    oracle: Optional[str]  # None matches any oracle symbol
-    args: Optional[tuple]  # None matches any arguments
-    answer: object
-
-
 class ScriptedPolicy:
     """Replays prepared answers.
 
-    Entries are consumed in order. In "strict" mode each entry must match the
-    query's oracle name and arguments, in "by-symbol" mode only the name; an
-    entry with oracle None matches anything.
+    The script is a list of interactions, consumed in order. Each must match
+    the query's oracle name and arguments, where None matches anything.
     """
 
-    def __init__(self, entries: Iterable[ScriptEntry] = (), mode: str = "strict"):
-        if mode not in ("strict", "by-symbol"):
-            raise BasmError("script", f"unknown script mode: {mode}")
+    def __init__(self, entries: Iterable[Interaction] = ()):
         self.entries = list(entries)
-        self.mode = mode
         self.cursor = 0
 
     @classmethod
     def from_answers(cls, answers: Iterable) -> "ScriptedPolicy":
         """Answers in order, each given to whatever query comes next."""
-        return cls([ScriptEntry(None, None, a) for a in answers])
+        return cls([Interaction(None, None, a) for a in answers])
 
-    def answer(self, session: "OracleSession", query: Query):
+    def answer(self, session: "OracleSession", query: Location):
         if self.cursor >= len(self.entries):
             raise BasmError("script", f"script exhausted at {query.render()}")
         entry = self.entries[self.cursor]
@@ -195,7 +187,7 @@ class ScriptedPolicy:
                 "script",
                 f"script expected {entry.oracle}, program asked {query.render()}",
             )
-        if self.mode == "strict" and entry.args is not None and entry.args != query.args:
+        if entry.args is not None and entry.args != query.args:
             raise BasmError("script", f"script arguments do not match {query.render()}")
         self.cursor += 1
         return entry.answer
@@ -214,7 +206,7 @@ class InteractivePolicy:
         self.input = input_stream
         self.output = output_stream
 
-    def answer(self, session: "OracleSession", query: Query):
+    def answer(self, session: "OracleSession", query: Location):
         value = _reclassified_static(query)
         if value is not _MISS:
             return value
@@ -243,6 +235,40 @@ class InteractivePolicy:
                 out.write(f"  cannot read answer: {e.message}\n")
 
 
+def choose_policy(name: Optional[str] = None, seed: Optional[int] = None,
+                  choice: Optional[int] = None,
+                  script: Optional[Callable[[], ScriptedPolicy]] = None,
+                  default: tuple[str, int] = ("builtin", 0)):
+    """The policy of a run.
+
+    A policy `name` wins. Without one, a script makes the run scripted, a seed
+    uniform and a choice builtin; with none of them the `default` policy name
+    and seed apply. A seed and a choice with no name are ambiguous. `script`
+    reads the script, and is called only for a scripted run.
+    """
+    if name is None:
+        if seed is not None and choice is not None:
+            raise BasmError("corpus", "a seed picks the uniform policy and a choice the "
+                                      "builtin one; give one of them, or name the policy")
+        if script is not None:
+            name = "scripted"
+        elif seed is not None:
+            name = "uniform"
+        elif choice is not None:
+            name = "builtin"
+        else:
+            name, seed = default
+    if name == "builtin":
+        return BuiltinPolicy(choice or 0)
+    if name == "uniform":
+        return UniformRandomPolicy(seed or 0)
+    if name == "interactive":
+        return InteractivePolicy()
+    if script is None:
+        raise BasmError("script", "--policy scripted needs --script FILE")
+    return script()
+
+
 class OracleSession:
     """Per-run oracle state: policy, PRNG, per-step cache, and the full log."""
 
@@ -252,7 +278,7 @@ class OracleSession:
         self.policy = policy
         self.vocabulary = vocabulary
         self.prng = SplitMix64(getattr(policy, "seed", 0))
-        self.per_step_cache: dict[Query, object] = {}
+        self.per_step_cache: dict[Location, object] = {}
         self.log: list[Interaction] = []
 
     def begin_step(self) -> int:
@@ -260,7 +286,7 @@ class OracleSession:
         self.per_step_cache.clear()
         return len(self.log)
 
-    def ask(self, query: Query):
+    def ask(self, query: Location):
         cached = self.per_step_cache.get(query, _MISS)
         if cached is not _MISS:
             return cached

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BasmError
-from .oracles import Interaction, OracleSession, ScriptedPolicy, ScriptEntry
+from .oracles import Interaction, OracleSession, ScriptedPolicy
 from .state import (
     DYNAMIC,
     STATIC,
     STATIC_IMPL,
     UNDEF,
     Location,
-    Query,
     State,
     UpdateSet,
     apply_updates,
@@ -65,7 +64,7 @@ def _eval(state: State, term: Term, session: Optional[OracleSession]):
     if sym.kind == DYNAMIC:
         return state.read(Location(sym, args))
     # oracle
-    query = Query(sym, args)
+    query = Location(sym, args)
     if session is None:
         raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
     return session.ask(query)
@@ -195,34 +194,22 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     return Trace(program.program_id, init, steps, state, outcome)
 
 
-def _records_equal(a: StepRecord, b: StepRecord) -> bool:
-    return (
-        a.index == b.index
-        and a.halted_after == b.halted_after
-        and a.updates == b.updates
-        and list(a.interactions) == list(b.interactions)
-    )
+def same_steps(a: Trace, b: Trace) -> bool:
+    """Step-by-step equality of two traces: the same outcome kind and error,
+    and equal step records in order, each compared on its index, update set,
+    interactions and halted mark. Replay and behavioural equivalence both
+    decide by it."""
+    return a.outcome.same_as(b.outcome) and a.steps == b.steps
 
 
 def replay(trace: Trace, program: Program) -> bool:
     """Re-run a trace feeding back its recorded answers; true iff it reproduces."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
-    entries = [
-        ScriptEntry(i.oracle, i.args, i.answer)
-        for record in trace.steps
-        for i in record.interactions
-    ]
-    policy = ScriptedPolicy(entries, mode="strict")
+    policy = ScriptedPolicy(i for record in trace.steps for i in record.interactions)
     if trace.outcome.kind == "step-limit":
         max_steps = len(trace.steps)
     else:
         max_steps = len(trace.steps) + 1
     rerun = run(program, trace.initial_state, policy, max_steps=max_steps)
-    if not rerun.outcome.same_as(trace.outcome):
-        return False
-    if len(rerun.steps) != len(trace.steps):
-        return False
-    if any(not _records_equal(a, b) for a, b in zip(trace.steps, rerun.steps)):
-        return False
-    return rerun.final_state == trace.final_state
+    return same_steps(trace, rerun) and rerun.final_state == trace.final_state

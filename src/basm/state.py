@@ -316,6 +316,9 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class Location:
+    """A symbol applied to evaluated arguments. With a dynamic symbol it names
+    a place in the state; with an oracle symbol it is a query."""
+
     symbol: Symbol
     args: tuple
 
@@ -334,32 +337,6 @@ class Location:
 
         if not self.args:
             return self.symbol.name
-        return f"{self.symbol.name}({','.join(render_value(a) for a in self.args)})"
-
-    def __repr__(self):
-        return self.render()
-
-
-@dataclass(frozen=True, eq=False)
-class Query:
-    """One oracle question: an oracle symbol applied to evaluated arguments."""
-
-    symbol: Symbol
-    args: tuple
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Query)
-            and self.symbol.name == other.symbol.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return hash((self.symbol.name, self.args))
-
-    def render(self) -> str:
-        from .literals import render_value
-
         return f"{self.symbol.name}({','.join(render_value(a) for a in self.args)})"
 
     def __repr__(self):

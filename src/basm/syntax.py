@@ -236,11 +236,18 @@ def tokenize(source: str) -> list[Token]:
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+# How deep subterms and subrules may nest. The parser recurses through 13
+# Python frames per parenthesis and 15 per argument, so 48 levels take at most
+# 720 of the interpreter's default 1000 and leave room for the caller's stack;
+# every corpus program is at most 5 deep.
+MAX_NESTING = 48
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], oracle_statics=()):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.vocab = Vocabulary(oracle_statics)
 
     def peek(self) -> Token:
@@ -254,6 +261,15 @@ class _Parser:
     def fail(self, message: str, tok: Token | None = None, kind: str = "parse"):
         tok = tok or self.peek()
         raise ParseError(message, line=tok.line, column=tok.column, kind=kind)
+
+    def nested(self, parse):
+        """`parse()` one nesting level deeper, failing past MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
@@ -402,12 +418,12 @@ class _Parser:
         if self.at_kw("par"):
             self.next()
             self.expect_punct("{")
-            rules = [self.parse_rule()]
+            rules = [self.nested(self.parse_rule)]
             while self.at_punct(";"):
                 self.next()
                 if self.at_punct("}"):
                     break
-                rules.append(self.parse_rule())
+                rules.append(self.nested(self.parse_rule))
             self.expect_punct("}")
             return Par(tuple(rules))
         if self.at_kw("if"):
@@ -416,15 +432,15 @@ class _Parser:
             guard, guard_sort = self.parse_term()
             self._check_sort(guard_sort, BOOLEAN, guard_tok, "guard")
             self.expect_kw("then")
-            then_rule = self.parse_rule()
+            then_rule = self.nested(self.parse_rule)
             else_rule = None
             if self.at_kw("else"):
                 self.next()
-                else_rule = self.parse_rule()
+                else_rule = self.nested(self.parse_rule)
             return Cond(guard, then_rule, else_rule)
         if self.at_punct("{"):  # transparent grouping
             self.next()
-            inner = self.parse_rule()
+            inner = self.nested(self.parse_rule)
             self.expect_punct("}")
             return inner
         return self.parse_assign()
@@ -465,7 +481,7 @@ class _Parser:
             )
 
     def parse_term(self) -> tuple[Term, Sort]:
-        return self.parse_or()
+        return self._binary_chain(self.parse_and, ("or",))
 
     def _binary_chain(self, sub, ops) -> tuple[Term, Sort]:
         term, sort = sub()
@@ -478,9 +494,6 @@ class _Parser:
             term, sort = App(sym, (term, rhs)), sym.result_sort
         return term, sort
 
-    def parse_or(self):
-        return self._binary_chain(self.parse_and, ("or",))
-
     def parse_and(self):
         return self._binary_chain(self.parse_not, ("and",))
 
@@ -488,7 +501,7 @@ class _Parser:
         if self.at_kw("not"):
             op_tok = self.next()
             sym = self.vocab.symbols["not"]
-            arg, arg_sort = self.parse_not()
+            arg, arg_sort = self.nested(self.parse_not)
             self._check_sort(arg_sort, BOOLEAN, op_tok, "operand of not")
             return App(sym, (arg,)), BOOLEAN
         return self.parse_cmp()
@@ -520,7 +533,7 @@ class _Parser:
     def parse_unary(self):
         if self.at_punct("-"):
             op_tok = self.next()
-            operand, sort = self.parse_unary()
+            operand, sort = self.nested(self.parse_unary)
             self._check_sort(sort, INTEGER, op_tok, "operand of unary minus")
             if isinstance(operand, Lit) and isinstance(operand.value, int):
                 return Lit(-operand.value), INTEGER
@@ -550,7 +563,7 @@ class _Parser:
             self.fail(f"unexpected keyword {tok.text!r} in a term", tok)
         if tok.kind == "punct" and tok.text == "(":
             self.next()
-            term, sort = self.parse_term()
+            term, sort = self.nested(self.parse_term)
             self.expect_punct(")")
             return term, sort
         if tok.kind == "ident":
@@ -590,7 +603,7 @@ class _Parser:
 
     def _parse_arg(self, sym: Symbol, index: int, name_tok: Token) -> Term:
         arg_tok = self.peek()
-        term, sort = self.parse_term()
+        term, sort = self.nested(self.parse_term)
         if index < sym.arity:
             self._check_sort(sort, sym.arg_sorts[index], arg_tok, f"argument of {sym.name}")
         return term

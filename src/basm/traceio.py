@@ -12,7 +12,8 @@ values use the shared literal syntax. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}.
 
 A script file is JSON-lines too, one {"oracle", "args", "answer"} object per
-line, which is exactly the shape of a trace's interaction records. A trace is
+line, which is exactly the shape of a trace's interaction records; in
+"by-symbol" mode "args" may be null. A trace is
 accepted as a script: its step rows give their interactions in order, and its
 header and outcome rows give none.
 """
@@ -21,9 +22,9 @@ from __future__ import annotations
 import json
 from typing import Iterable, TextIO
 
-from .errors import ParseError
+from .errors import BasmError, ParseError
 from .literals import parse_location, parse_value, state_bindings, state_from_bindings
-from .oracles import Interaction, ScriptedPolicy, ScriptEntry
+from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
 from .state import UpdateSet, Vocabulary
 from .literals import render_value
@@ -75,22 +76,27 @@ def render_trace(trace: Trace) -> str:
     return "\n".join(trace_lines(trace)) + "\n"
 
 
-def _parse_interaction(obj: dict, vocabulary: Vocabulary) -> Interaction:
+def _parse_interaction(obj: dict, vocabulary: Vocabulary, by_symbol: bool = False) -> Interaction:
+    """An interaction row. With `by_symbol` its args, which may then be null,
+    become None and match any arguments."""
     sym = vocabulary.symbol(obj["oracle"])
     if sym is None:
         raise ParseError(f"unknown oracle in trace: {obj['oracle']}", kind="sort")
+    answer = parse_value(obj["answer"], sym.result_sort, vocabulary)
+    if by_symbol and obj["args"] is None:
+        return Interaction(sym.name, None, answer)
     args = tuple(
         parse_value(text, sort, vocabulary) for text, sort in zip(obj["args"], sym.arg_sorts)
     )
     if len(obj["args"]) != sym.arity:
         raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
-    answer = parse_value(obj["answer"], sym.result_sort, vocabulary)
-    return Interaction(sym.name, args, answer)
+    return Interaction(sym.name, None if by_symbol else args, answer)
 
 
 class _RowGuard:
-    """Inside the block, a malformed row (bad JSON, a missing or ill-typed
-    field) raises ParseError at line `lineno`, which the parser keeps current."""
+    """Inside the block, a malformed row (bad JSON, JSON nested too deep to
+    decode, a missing or ill-typed field) raises ParseError at line `lineno`,
+    which the parser keeps current."""
 
     def __init__(self, what: str):
         self.what = what
@@ -100,7 +106,7 @@ class _RowGuard:
         return self
 
     def __exit__(self, kind, e, tb):
-        if isinstance(e, (KeyError, TypeError, ValueError)):
+        if isinstance(e, (KeyError, TypeError, ValueError, RecursionError)):
             raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
         return False
 
@@ -139,6 +145,10 @@ def script_lines(trace: Trace) -> list[str]:
 
 
 def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "strict") -> ScriptedPolicy:
+    """A script file (or a trace) as a scripted policy. In "by-symbol" mode
+    every entry matches its oracle with any arguments."""
+    if mode not in ("strict", "by-symbol"):
+        raise BasmError("script", f"unknown script mode: {mode}")
     entries = []
     with _RowGuard("script") as guard:
         for guard.lineno, line in enumerate(lines, start=1):
@@ -148,8 +158,5 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
             if "programId" in row or "outcome" in row:
                 continue
             for obj in row["interactions"] if "interactions" in row else [row]:
-                i = _parse_interaction(obj, vocabulary)
-                entries.append(ScriptEntry(i.oracle, i.args, i.answer))
-    if mode == "by-symbol":
-        entries = [ScriptEntry(e.oracle, None, e.answer) for e in entries]
-    return ScriptedPolicy(entries, mode=mode)
+                entries.append(_parse_interaction(obj, vocabulary, mode == "by-symbol"))
+    return ScriptedPolicy(entries)

@@ -15,9 +15,10 @@ from basm.corpus import corpus_run, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state
 from basm.oracles import OracleSession, UniformRandomPolicy
-from basm.semantics import step
-from basm.state import Location, Query, State, UpdateSet, Vocabulary
+from basm.semantics import replay, step
+from basm.state import Location, State, UpdateSet, Vocabulary
 from basm.syntax import parse_program, parse_term_in
+from basm.traceio import read_trace, render_trace
 
 
 def test_euclid_witness_is_the_program_subterm_closure():
@@ -98,7 +99,7 @@ def test_bounded_exploration_compares_the_interactions_of_a_failing_step():
     def asks_junk_then_fails(state, rule, session):
         vocab = state.vocabulary
         j = state.read(Location(vocab.symbol("zz_junk0"), (0,)))
-        session.ask(Query(vocab.symbol("Random"), (j, j)))
+        session.ask(Location(vocab.symbol("Random"), (j, j)))
         raise BasmError("arith", "fails after asking")
 
     report = check_bounded_exploration(prog, sampler, trials=60, seed=5,
@@ -185,6 +186,18 @@ def test_equivalence_sees_interaction_differences():
     hi = corpus_run("tangent", choice=1)
     assert behaviorally_equivalent(lo, corpus_run("tangent", choice=0))
     assert not behaviorally_equivalent(lo, hi)
+
+
+def test_replay_and_equivalence_both_see_a_flipped_halted_mark():
+    program = load_entry_program("euclid")
+    trace = corpus_run("euclid")
+    lines = render_trace(trace).splitlines()
+    assert '"halted": false' in lines[1]
+    lines[1] = lines[1].replace('"halted": false', '"halted": true')
+    flipped = read_trace(lines, program)
+    assert not replay(flipped, program)
+    assert not behaviorally_equivalent(trace, flipped)
+    assert behaviorally_equivalent(trace, read_trace(render_trace(trace).splitlines(), program))
 
 
 def test_equivalence_requires_a_shared_vocabulary():

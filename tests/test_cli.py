@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from basm.syntax import MAX_NESTING
+
 REPO = Path(__file__).resolve().parents[1]
 
 EUCLID = "corpus/euclid/program.basm"
@@ -227,6 +229,61 @@ def test_a_trace_is_accepted_as_a_script(tmp_path):
     assert cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT,
                "--script", str(t), "--trace", str(u)).returncode == 0
     assert u.read_bytes() == t.read_bytes()
+
+
+def test_by_symbol_script_accepts_null_args(tmp_path):
+    script = tmp_path / "s.jsonl"
+    script.write_text('{"oracle": "Random", "args": null, "answer": "4"}\n'
+                      '{"oracle": "Random", "args": null, "answer": "11"}\n')
+    run = ("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--script", str(script))
+    r = cli(*run, "--script-mode", "by-symbol")
+    assert r.returncode == 0
+    assert "prime = true" in r.stdout  # 4 and 11 are both liars of 15
+    r = cli(*run)
+    assert r.returncode == 2
+    assert "error[parse]: bad script line" in r.stderr
+
+
+def test_seed_with_choice_and_no_policy_is_an_error():
+    for r in (cli("run", "--program", TANGENT, "--init", TANGENT_INIT,
+                  "--seed", "2", "--choice", "1"),
+              cli("corpus", "tangent", "--seed", "2", "--choice", "1")):
+        assert r.returncode == 1
+        assert "error[corpus]" in r.stderr
+    r = cli("run", "--program", TANGENT, "--init", TANGENT_INIT,
+            "--seed", "2", "--choice", "1", "--policy", "builtin")
+    assert r.returncode == 0
+
+
+def _nested_program(levels: int) -> str:
+    return ("vocab {\n  var x : Integer\n}\ndo until x > 0 {\n  x := "
+            + "x + (" * levels + "1" + ")" * levels + "\n}\n")
+
+
+@pytest.mark.parametrize("text", [_nested_program(MAX_NESTING + 1),
+                                  _nested_program(0).replace("1", "(" * 80 + "1" + ")" * 80)],
+                         ids=["one level past the bound", "80 parentheses"])
+def test_nesting_past_the_bound_exits_2(tmp_path, text):
+    src = tmp_path / "deep.basm"
+    src.write_text(text)
+    r = cli("run", "--program", str(src), "--init", EUCLID_INIT)
+    assert r.returncode == 2
+    assert f"error[parse]: nested deeper than {MAX_NESTING} levels" in r.stderr
+
+
+def test_deeply_nested_json_line_exits_2(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--seed", "42",
+        "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    lines[1] = "[" * 100_000
+    trace.write_text("\n".join(lines) + "\n")
+    r = cli("replay", "--program", PRIMALITY, "--trace", str(trace))
+    assert r.returncode == 2
+    assert "error[parse]: bad trace line" in r.stderr
+    r = cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--script", str(trace))
+    assert r.returncode == 2
+    assert "error[parse]: bad script line" in r.stderr
 
 
 def test_unknown_subcommand_exits_2():

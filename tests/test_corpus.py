@@ -134,6 +134,12 @@ def test_scripted_answer_list():
     assert state_bindings(t.final_state)["prime"] == "false"
 
 
+def test_seed_with_choice_is_an_error():
+    with pytest.raises(BasmError) as e:
+        corpus_run("tangent", seed=2, choice=1)
+    assert e.value.kind == "corpus"
+
+
 def test_small_inputs_never_query_the_oracle():
     for n in (2, 3):
         t = corpus_run("primality", n=n, k=3, seed=1)

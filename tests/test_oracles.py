@@ -12,12 +12,12 @@ from basm.oracles import (
     Interaction,
     InteractivePolicy,
     OracleSession,
-    ScriptEntry,
     ScriptedPolicy,
     SplitMix64,
     UniformRandomPolicy,
+    choose_policy,
 )
-from basm.state import CIRCLE, INTEGER, POINT, Query, UNDEF, Vocabulary
+from basm.state import CIRCLE, INTEGER, POINT, UNDEF, Location, Vocabulary
 
 MASK = (1 << 64) - 1
 
@@ -100,7 +100,7 @@ C_AUX = Circle(Point(5.0, 0.0), Point(10.0, 0.0))
 
 
 def _intersection_query(v):
-    return Query(v.symbol("I"), (C_MAIN, C_AUX))
+    return Location(v.symbol("I"), (C_MAIN, C_AUX))
 
 
 def test_builtin_policy_intersection_choice():
@@ -117,23 +117,23 @@ def test_builtin_policy_intersection_choice():
 def test_builtin_policy_segment_answers_lower_endpoint():
     v = _vocab()
     s = OracleSession(BuiltinPolicy(), v)
-    assert s.ask(Query(v.symbol("Random"), (2, 13))) == 2
+    assert s.ask(Location(v.symbol("Random"), (2, 13))) == 2
 
 
 def test_builtin_policy_rejects_unknown_signature_and_undef():
     v = _vocab()
     s = OracleSession(BuiltinPolicy(), v)
     with pytest.raises(BasmError) as e:
-        s.ask(Query(v.symbol("Ask"), ()))
+        s.ask(Location(v.symbol("Ask"), ()))
     assert e.value.kind == "oracle-domain"
     with pytest.raises(BasmError) as e:
-        s.ask(Query(v.symbol("I"), (C_MAIN, UNDEF)))
+        s.ask(Location(v.symbol("I"), (C_MAIN, UNDEF)))
     assert e.value.kind == "oracle-domain"
 
 
 def test_uniform_policy_is_seed_deterministic():
     v = _vocab()
-    q = Query(v.symbol("Random"), (0, 100))
+    q = Location(v.symbol("Random"), (0, 100))
 
     def draws(seed):
         s = OracleSession(UniformRandomPolicy(seed), v)
@@ -156,14 +156,14 @@ def test_uniform_policy_segment_draws_like_uniform_int(b, c):
     ref = SplitMix64(9)
     for _ in range(5):
         s.begin_step()
-        assert s.ask(Query(v.symbol("Random"), (b, c))) == ref.uniform_int(b, c)
+        assert s.ask(Location(v.symbol("Random"), (b, c))) == ref.uniform_int(b, c)
     assert s.prng.state == ref.state
 
 
 def test_session_cache_one_query_one_log_entry():
     v = _vocab()
     s = OracleSession(UniformRandomPolicy(1), v)
-    q = Query(v.symbol("Random"), (0, 1000))
+    q = Location(v.symbol("Random"), (0, 1000))
     s.begin_step()
     a1 = s.ask(q)
     a2 = s.ask(q)
@@ -174,15 +174,15 @@ def test_session_cache_one_query_one_log_entry():
     assert len(s.log) == 2
     assert s.log[0] == Interaction("Random", (0, 1000), a1)
     # distinct queries in one step are distinct log entries
-    s.ask(Query(v.symbol("Random"), (0, 999)))
+    s.ask(Location(v.symbol("Random"), (0, 999)))
     assert len(s.log) == 3
     assert a3 in range(0, 1001)
 
 
 def test_scripted_policy_strict_order_and_exhaustion():
     v = _vocab()
-    q = Query(v.symbol("Random"), (2, 13))
-    entries = [ScriptEntry("Random", (2, 13), 4)]
+    q = Location(v.symbol("Random"), (2, 13))
+    entries = [Interaction("Random", (2, 13), 4)]
     s = OracleSession(ScriptedPolicy(entries), v)
     s.begin_step()
     assert s.ask(q) == 4
@@ -191,7 +191,7 @@ def test_scripted_policy_strict_order_and_exhaustion():
         s.ask(q)
     assert e.value.kind == "script"
 
-    wrong_args = OracleSession(ScriptedPolicy([ScriptEntry("Random", (9, 9), 4)]), v)
+    wrong_args = OracleSession(ScriptedPolicy([Interaction("Random", (9, 9), 4)]), v)
     with pytest.raises(BasmError) as e:
         wrong_args.ask(q)
     assert e.value.kind == "script"
@@ -199,20 +199,40 @@ def test_scripted_policy_strict_order_and_exhaustion():
 
 def test_scripted_policy_by_symbol_ignores_args():
     v = _vocab()
-    policy = ScriptedPolicy([ScriptEntry("Random", None, 4), ScriptEntry("Random", None, 11)],
-                            mode="by-symbol")
+    policy = ScriptedPolicy([Interaction("Random", None, 4), Interaction("Random", None, 11)])
     s = OracleSession(policy, v)
     s.begin_step()
-    assert s.ask(Query(v.symbol("Random"), (2, 13))) == 4
+    assert s.ask(Location(v.symbol("Random"), (2, 13))) == 4
     s.begin_step()
-    assert s.ask(Query(v.symbol("Random"), (0, 1))) == 11
+    assert s.ask(Location(v.symbol("Random"), (0, 1))) == 11
+
+
+def test_choose_policy_rules():
+    def script():
+        return ScriptedPolicy.from_answers([1])
+
+    assert type(choose_policy()) is BuiltinPolicy
+    assert choose_policy(choice=1).intersection_choice == 1
+    assert choose_policy(seed=5).seed == 5
+    assert type(choose_policy(seed=5, script=script)) is ScriptedPolicy
+    assert choose_policy(default=("uniform", 42)).seed == 42
+    assert choose_policy(choice=0, default=("uniform", 42)).intersection_choice == 0
+    # A named policy wins, and is built from the flags that apply to it.
+    assert choose_policy("uniform", seed=3, choice=1, script=script).seed == 3
+    assert choose_policy("builtin", seed=3, choice=1).intersection_choice == 1
+    with pytest.raises(BasmError) as e:
+        choose_policy(seed=2, choice=1)
+    assert e.value.kind == "corpus"
+    with pytest.raises(BasmError) as e:
+        choose_policy("scripted")
+    assert e.value.kind == "script"
 
 
 def test_session_rejects_ill_sorted_answers():
     v = _vocab()
-    s = OracleSession(ScriptedPolicy([ScriptEntry("Random", None, True)], mode="by-symbol"), v)
+    s = OracleSession(ScriptedPolicy([Interaction("Random", None, True)]), v)
     with pytest.raises(BasmError) as e:
-        s.ask(Query(v.symbol("Random"), (0, 1)))
+        s.ask(Location(v.symbol("Random"), (0, 1)))
     assert e.value.kind == "sort"
 
 
@@ -230,7 +250,7 @@ def test_interactive_policy_parses_literals_and_retries():
     v = _vocab()
     out = io.StringIO()
     policy = InteractivePolicy(io.StringIO("garbage\n17\n"), out)
-    assert OracleSession(policy, v).ask(Query(v.symbol("Random"), (0, 100))) == 17
+    assert OracleSession(policy, v).ask(Location(v.symbol("Random"), (0, 100))) == 17
     assert "cannot read answer" in out.getvalue()
 
 
@@ -238,5 +258,5 @@ def test_interactive_policy_eof_aborts():
     v = _vocab()
     policy = InteractivePolicy(io.StringIO(""), io.StringIO())
     with pytest.raises(BasmError) as e:
-        OracleSession(policy, v).ask(Query(v.symbol("Random"), (0, 100)))
+        OracleSession(policy, v).ask(Location(v.symbol("Random"), (0, 100)))
     assert e.value.kind == "aborted"

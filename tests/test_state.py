@@ -10,7 +10,6 @@ from basm.state import (
     UNDEF,
     EnumValue,
     Location,
-    Query,
     State,
     UpdateSet,
     Vocabulary,
@@ -180,7 +179,7 @@ def test_location_and_query_identity():
     f = v.symbol("f")
     assert Location(f, (1,)) == Location(f, (1,))
     assert Location(f, (1,)) != Location(f, (2,))
-    assert len({Query(f, (1,)), Query(f, (1,))}) == 1
+    assert len({Location(f, (1,)), Location(f, (1,))}) == 1
     assert Location(f, (1,)).render() == "f(1)"
 
 

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basm.errors import ParseError
+from basm.literals import load_state
+from basm.oracles import BuiltinPolicy
+from basm.semantics import run
 from basm.state import BOOLEAN, INTEGER, UNDEF, EnumValue, Vocabulary
 from basm.syntax import (
+    MAX_NESTING,
     App,
     Assign,
     Cond,
@@ -191,6 +195,39 @@ def test_pretty_round_trip_euclid():
     again = parse_program(pretty(prog))
     assert again == prog
     assert pretty(again) == pretty(prog)
+
+
+# Each builds a program body nesting one construct `n` levels deep.
+NESTED = {
+    "parentheses": lambda n: "x := " + "x + (" * n + "1" + ")" * n,
+    "arguments": lambda n: "x := " + "f(" * n + "1" + ")" * n,
+    "not": lambda n: "p := " + "not " * n + "p",
+    "unary minus": lambda n: "x := " + "- " * n + "x",
+    "par": lambda n: "par { " * n + "x := 1" + " }" * n,
+    "if": lambda n: "if p then " * n + "x := 1",
+}
+
+
+def _nested(body: str) -> Program:
+    return _program("do until x > 0 {\n  " + body + "\n}",
+                    "var x : Integer\n  var p : Boolean\n  var f(Integer) : Integer")
+
+
+@pytest.mark.parametrize("construct", NESTED)
+def test_nesting_at_the_bound_parses_runs_and_round_trips(construct):
+    prog = _nested(NESTED[construct](MAX_NESTING))
+    assert parse_program(pretty(prog)) == prog
+    state = load_state("x := 0\np := true\n", prog.vocabulary)
+    trace = run(prog, state, BuiltinPolicy(), max_steps=1)
+    assert trace.outcome.kind in ("halted", "step-limit")
+
+
+@pytest.mark.parametrize("construct", NESTED)
+def test_nesting_past_the_bound_is_a_parse_error(construct):
+    with pytest.raises(ParseError) as e:
+        _nested(NESTED[construct](MAX_NESTING + 1))
+    assert e.value.kind == "parse"
+    assert f"nested deeper than {MAX_NESTING} levels" in e.value.message
 
 
 # --- a small random program generator for the round-trip property -----------
