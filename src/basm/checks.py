@@ -140,8 +140,8 @@ def junk_state_sampler(program: Program, base_state: State, *, junk_symbols: int
 
     def sample(rng: random.Random) -> tuple[State, State]:
         core = randomize_core(rng)
-        x = State(vocab, {**core, **junk_bindings(rng)}, validate=False)
-        y = State(vocab, {**core, **junk_bindings(rng)}, validate=False)
+        x = State(vocab, {**core, **junk_bindings(rng)})
+        y = State(vocab, {**core, **junk_bindings(rng)})
         return x, y
 
     return sample

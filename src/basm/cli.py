@@ -69,7 +69,7 @@ def _report_outcome(trace: Trace, quiet: bool) -> int:
     if not quiet:
         print(f"outcome: {out.kind}")
         print(f"steps: {len(trace.steps)}")
-        for loc, value in sorted(state_bindings(trace.final_state).items()):
+        for loc, value in state_bindings(trace.final_state).items():
             print(f"  {loc} = {value}")
     return 0 if out.kind == "halted" else 3
 

@@ -38,7 +38,7 @@ from .geometry import Circle, Line, Point
 from .literals import load_state, parse_value
 from .oracles import ScriptedPolicy, choose_policy
 from .semantics import Trace, run
-from .state import Location, State, UNDEF, UpdateSet, value_conforms
+from .state import CIRCLE, UNDEF, Location, State, UpdateSet, apply_updates, value_conforms
 from .syntax import Program, parse_program
 from .traceio import load_script
 
@@ -126,8 +126,6 @@ def _coerce(value, sort, vocabulary):
     if isinstance(value, tuple) and len(value) == 2 and all(
         isinstance(c, Point) for c in value
     ):
-        from .state import CIRCLE
-
         value = Circle(*value) if sort is CIRCLE else Line(*value)
     if value is None:
         return UNDEF
@@ -159,8 +157,6 @@ def corpus_run(name: str, *, init_file: Optional[str] = None, seed: Optional[int
             if sym is None or sym.kind != "dynamic" or sym.arity != 0:
                 raise BasmError("corpus", f"{name} has no variable named {var}")
             updates.add(Location(sym, ()), _coerce(value, sym.result_sort, program.vocabulary))
-        from .state import apply_updates
-
         state = apply_updates(state, updates)
     policy = choose_policy(
         None, seed, choice,

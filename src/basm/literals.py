@@ -121,22 +121,15 @@ def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
         raise ParseError(f"expected true or false, got {text!r}")
     if sort is POINT:
         return _parse_point(text)
-    if sort is CIRCLE:
-        body = _call_body(text, "circle")
+    if sort is CIRCLE or sort is LINE:
+        head, make = ("circle", Circle) if sort is CIRCLE else ("line", Line)
+        body = _call_body(text, head)
         if body is None:
-            raise ParseError(f"expected circle(point(..),point(..)), got {text!r}")
+            raise ParseError(f"expected {head}(point(..),point(..)), got {text!r}")
         args = _split_args(body, text)
         if len(args) != 2:
-            raise ParseError(f"circle takes two points, got {text!r}")
-        return Circle(_parse_point(args[0]), _parse_point(args[1]))
-    if sort is LINE:
-        body = _call_body(text, "line")
-        if body is None:
-            raise ParseError(f"expected line(point(..),point(..)), got {text!r}")
-        args = _split_args(body, text)
-        if len(args) != 2:
-            raise ParseError(f"line takes two points, got {text!r}")
-        return Line(_parse_point(args[0]), _parse_point(args[1]))
+            raise ParseError(f"{head} takes two points, got {text!r}")
+        return make(_parse_point(args[0]), _parse_point(args[1]))
     if sort.is_enum:
         if text in sort.members:
             return EnumValue(sort.name, text)
@@ -173,18 +166,12 @@ def parse_location(text: str, vocabulary: Vocabulary) -> Location:
         raise ParseError(f"unknown symbol: {name}", kind="sort")
     if sym.kind != DYNAMIC:
         raise ParseError(f"not a dynamic symbol: {name}", kind="sort")
-    if argtext is None:
-        args: tuple = ()
-    else:
-        parts = _split_args(argtext, text) if argtext.strip() else []
-        args = tuple(
-            parse_value(part, s, vocabulary) for part, s in zip(parts, sym.arg_sorts)
-        )
-        if len(parts) != sym.arity:
-            raise ParseError(f"arity mismatch at {text!r}", kind="sort")
-    if sym.arity != len(args):
+    parts = _split_args(argtext, text) if argtext and argtext.strip() else []
+    if len(parts) != sym.arity:
         raise ParseError(f"arity mismatch at {text!r}", kind="sort")
-    return Location(sym, args)
+    if not parts:
+        return Location(sym, ())
+    return Location(sym, tuple(parse_value(p, s, vocabulary) for p, s in zip(parts, sym.arg_sorts)))
 
 
 def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> State:
@@ -210,10 +197,7 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
 
 def state_bindings(state: State) -> dict[str, str]:
     """Rendered location -> literal map, sorted by location text."""
-    return {
-        loc.render(): render_value(v)
-        for loc, v in sorted(state.interp.items(), key=lambda kv: kv[0].render())
-    }
+    return dict(sorted((loc.render(), render_value(v)) for loc, v in state.interp.items()))
 
 
 def state_from_bindings(bindings: dict[str, str], vocabulary: Vocabulary) -> State:

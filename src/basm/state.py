@@ -358,8 +358,9 @@ class UpdateSet:
         elif not values_equal(present, value):
             raise BasmError("clash", f"clash at {location.render()}")
 
-    def items(self) -> list[tuple[Location, object]]:
-        return sorted(self._entries.items(), key=lambda kv: kv[0].render())
+    def items(self):
+        """The updates in the order they were added."""
+        return self._entries.items()
 
     def __len__(self):
         return len(self._entries)
@@ -367,46 +368,39 @@ class UpdateSet:
     def __eq__(self, other):
         if not isinstance(other, UpdateSet):
             return NotImplemented
-        if set(self._entries) != set(other._entries):
+        if self._entries.keys() != other._entries.keys():
             return False
         return all(values_equal(v, other._entries[loc]) for loc, v in self._entries.items())
 
     def __repr__(self):
-        from .literals import render_value
-
-        inner = ", ".join(f"{loc.render()}:={render_value(v)}" for loc, v in self.items())
-        return f"{{{inner}}}"
+        return "{" + _bindings_text(self._entries, ":=") + "}"
 
 
 _MISSING = object()
 
 
+def _bindings_text(bindings: dict, sep: str) -> str:
+    """`loc<sep>value, ...` sorted by location text, for the `__repr__`s."""
+    from .literals import render_value
+
+    pairs = sorted((loc.render(), render_value(v)) for loc, v in bindings.items())
+    return ", ".join(f"{loc}{sep}{value}" for loc, value in pairs)
+
+
 class State:
-    """Immutable snapshot: a vocabulary plus a finite interpretation of dynamic locations."""
+    """Immutable snapshot: a vocabulary plus a finite interpretation of dynamic locations.
+
+    A state trusts its bindings: the mapping is kept as given, neither copied
+    nor checked, and must hold no `undef`. Values are checked where they enter
+    (the literal reader, oracle answers, corpus overrides); a parsed program's
+    updates conform by its sort check.
+    """
 
     __slots__ = ("vocabulary", "interp")
 
-    def __init__(self, vocabulary: Vocabulary, interp: Mapping[Location, object] | None = None,
-                 validate: bool = True):
+    def __init__(self, vocabulary: Vocabulary, interp: dict[Location, object]):
         self.vocabulary = vocabulary
-        self.interp: dict[Location, object] = dict(interp) if interp else {}
-        if validate:
-            for loc, value in self.interp.items():
-                self._check_binding(loc, value)
-            for loc in [l for l, v in self.interp.items() if v is UNDEF]:
-                del self.interp[loc]
-
-    def _check_binding(self, loc: Location, value):
-        sym = self.vocabulary.symbol(loc.symbol.name)
-        if sym is None or sym.kind != DYNAMIC:
-            raise BasmError("sort", f"not a dynamic symbol: {loc.symbol.name}")
-        if len(loc.args) != sym.arity:
-            raise BasmError("sort", f"arity mismatch at {loc.render()}")
-        for a, s in zip(loc.args, sym.arg_sorts):
-            if not value_conforms(a, s):
-                raise BasmError("sort", f"ill-sorted argument in {loc.render()}")
-        if not value_conforms(value, sym.result_sort):
-            raise BasmError("sort", f"ill-sorted value for {loc.render()}")
+        self.interp = interp
 
     def read(self, location: Location):
         return self.interp.get(location, UNDEF)
@@ -416,30 +410,23 @@ class State:
             return NotImplemented
         if self.vocabulary != other.vocabulary:
             return False
-        if set(self.interp) != set(other.interp):
+        if self.interp.keys() != other.interp.keys():
             return False
         return all(values_equal(v, other.interp[loc]) for loc, v in self.interp.items())
 
     def __repr__(self):
-        from .literals import render_value
-
-        inner = ", ".join(
-            f"{loc.render()}={render_value(v)}"
-            for loc, v in sorted(self.interp.items(), key=lambda kv: kv[0].render())
-        )
-        return f"State({inner})"
+        return f"State({_bindings_text(self.interp, '=')})"
 
 
 def apply_updates(state: State, updates: UpdateSet) -> State:
     """A fresh state with the updates applied; `undef` writes clear locations."""
     interp = dict(state.interp)
     for loc, value in updates.items():
-        state._check_binding(loc, value)
         if value is UNDEF:
             interp.pop(loc, None)
         else:
             interp[loc] = value
-    return State(state.vocabulary, interp, validate=False)
+    return State(state.vocabulary, interp)
 
 
 def changes_nothing(state: State, updates: UpdateSet) -> bool:
@@ -479,4 +466,4 @@ def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State
         Location(loc.symbol, tuple(move(a) for a in loc.args)): move(v)
         for loc, v in state.interp.items()
     }
-    return State(state.vocabulary, interp, validate=False)
+    return State(state.vocabulary, interp)

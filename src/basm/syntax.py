@@ -27,14 +27,18 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .errors import ParseError
+from .errors import BasmError, ParseError
+from .geometry import Circle, Line, Point
 from .literals import render_value
 from .state import (
     ANY,
     BOOLEAN,
+    CIRCLE,
     DYNAMIC,
     INTEGER,
+    LINE,
     ORACLE,
+    POINT,
     UNDEF,
     Sort,
     Symbol,
@@ -140,6 +144,16 @@ def rule_terms(rule: Rule) -> Iterator[Term]:
     elif isinstance(rule, Par):
         for r in rule.rules:
             yield from rule_terms(r)
+
+
+def term_depth(term: Term) -> int:
+    """Applications on the longest path from the term down to a leaf. It goes
+    level by level without recursing, so a term of any depth can be measured."""
+    depth, level = 0, [term] if isinstance(term, App) else []
+    while level:
+        depth += 1
+        level = [a for t in level for a in t.args if isinstance(a, App)]
+    return depth
 
 
 def contains_oracle(term: Term) -> bool:
@@ -271,6 +285,19 @@ class _Parser:
         self.depth -= 1
         return result
 
+    def bounded(self, term: Term, tok: Token) -> Term:
+        """`term`, a whole term (one that is not part of another term), unless
+        its applications nest deeper than MAX_NESTING: a chain `1 + ... + 1`
+        is parsed by a loop but builds a tree as deep as it is long."""
+        if term_depth(term) > MAX_NESTING:
+            self.fail(f"nested deeper than {MAX_NESTING} levels", tok)
+        return term
+
+    def parse_whole_term(self) -> tuple[Term, Sort]:
+        tok = self.peek()
+        term, sort = self.parse_term()
+        return self.bounded(term, tok), sort
+
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind != "punct" or tok.text != text:
@@ -309,7 +336,7 @@ class _Parser:
         if self.at_kw("do"):
             self.next()
             self.expect_kw("until")
-            halt, halt_sort = self.parse_term()
+            halt, halt_sort = self.parse_whole_term()
             self._check_sort(halt_sort, BOOLEAN, mode_tok, "halting condition")
             if contains_oracle(halt):
                 self.fail(
@@ -388,8 +415,8 @@ class _Parser:
                 self.fail("expected a declaration (enum, var, static, or oracle)")
         except ParseError:
             raise
-        except Exception as e:  # vocabulary-level errors get the line position
-            self.fail(str(e), tok, kind=getattr(e, "kind", "sort"))
+        except BasmError as e:  # vocabulary-level errors get the line position
+            self.fail(e.message, tok, kind=e.kind)
 
     def parse_sort_list(self) -> tuple[Sort, ...]:
         self.expect_punct("(")
@@ -429,7 +456,7 @@ class _Parser:
         if self.at_kw("if"):
             self.next()
             guard_tok = self.peek()
-            guard, guard_sort = self.parse_term()
+            guard, guard_sort = self.parse_whole_term()
             self._check_sort(guard_sort, BOOLEAN, guard_tok, "guard")
             self.expect_kw("then")
             then_rule = self.nested(self.parse_rule)
@@ -454,7 +481,7 @@ class _Parser:
             self.fail(f"cannot assign to {sym.kind} symbol {sym.name}", tok, kind="sort")
         if self.at_punct("("):
             args = self.parse_term_args(sym, tok)
-            target: Term = App(sym, args)
+            target: Term = self.bounded(App(sym, args), tok)
             for a in args:
                 if contains_oracle(a):
                     self.fail(
@@ -466,7 +493,7 @@ class _Parser:
             target = Var(sym)
         self.expect_punct(":=")
         rhs_tok = self.peek()
-        rhs, rhs_sort = self.parse_term()
+        rhs, rhs_sort = self.parse_whole_term()
         self._check_sort(rhs_sort, sym.result_sort, rhs_tok, f"assignment to {sym.name}")
         return Assign(target, rhs)
 
@@ -609,9 +636,6 @@ class _Parser:
         return term
 
     def parse_geometry_literal(self) -> tuple[Term, Sort]:
-        from .geometry import Circle, Line, Point
-        from .state import CIRCLE, LINE, POINT
-
         head = self.next()
         if head.text == "point":
             self.expect_punct("(")
@@ -661,7 +685,7 @@ def parse_term_in(source: str, vocabulary: Vocabulary) -> Term:
     """Parse a single term against an existing vocabulary (mainly for tests)."""
     parser = _Parser(tokenize(source))
     parser.vocab = vocabulary
-    term, _sort = parser.parse_term()
+    term, _sort = parser.parse_whole_term()
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail("trailing input after the term", tok)

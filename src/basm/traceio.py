@@ -7,7 +7,8 @@ A trace is JSON-lines with a fixed field order so equal runs give equal bytes:
   ...
   {"outcome": "halted", "finalState": {"a": "4", "b": "0", "d": "4"}}
 
-Updates are sorted by rendered location; state maps are sorted by key; all
+A step's updates are sorted by rendered location when the trace is written
+(an update set itself keeps no order); state maps are sorted by key; all
 values use the shared literal syntax. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}.
 
@@ -23,11 +24,10 @@ import json
 from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
-from .literals import parse_location, parse_value, state_bindings, state_from_bindings
+from .literals import parse_location, parse_value, render_value, state_bindings, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
 from .state import UpdateSet, Vocabulary
-from .literals import render_value
 from .syntax import Program
 
 
@@ -46,14 +46,12 @@ def trace_lines(trace: Trace) -> list[str]:
         )
     ]
     for record in trace.steps:
+        updates = sorted((loc.render(), render_value(v)) for loc, v in record.updates.items())
         lines.append(
             json.dumps(
                 {
                     "index": record.index,
-                    "updates": [
-                        {"loc": loc.render(), "value": render_value(v)}
-                        for loc, v in record.updates.items()
-                    ],
+                    "updates": [{"loc": loc, "value": value} for loc, value in updates],
                     "interactions": [_interaction_obj(i) for i in record.interactions],
                     "halted": record.halted_after,
                 }
@@ -95,7 +93,8 @@ def _parse_interaction(obj: dict, vocabulary: Vocabulary, by_symbol: bool = Fals
 
 class _RowGuard:
     """Inside the block, a malformed row (bad JSON, JSON nested too deep to
-    decode, a missing or ill-typed field) raises ParseError at line `lineno`,
+    decode, a missing or ill-typed field, such as a number where a literal
+    string or an object is expected) raises ParseError at line `lineno`,
     which the parser keeps current."""
 
     def __init__(self, what: str):
@@ -106,7 +105,7 @@ class _RowGuard:
         return self
 
     def __exit__(self, kind, e, tb):
-        if isinstance(e, (KeyError, TypeError, ValueError, RecursionError)):
+        if isinstance(e, (KeyError, TypeError, ValueError, AttributeError, RecursionError)):
             raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
         return False
 

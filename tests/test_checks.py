@@ -37,7 +37,7 @@ class _ReadCountingState(State):
     __slots__ = ("locations_read",)
 
     def __init__(self, state: State):
-        super().__init__(state.vocabulary, state.interp, validate=False)
+        super().__init__(state.vocabulary, state.interp)
         self.locations_read = set()
 
     def read(self, location):

@@ -63,27 +63,56 @@ def test_replay_detects_tampering(tmp_path):
     assert "mismatch" in r.stderr
 
 
-def _truncate_line(row: str) -> str:
-    return row[: len(row) // 2]
+# Each damages one line of a euclid trace in place and returns its number.
+def _truncate_line(lines: list[str]) -> int:
+    lines[1] = lines[1][: len(lines[1]) // 2]
+    return 2
 
 
-def _drop_halted(row: str) -> str:
-    obj = json.loads(row)
+def _drop_halted(lines: list[str]) -> int:
+    obj = json.loads(lines[1])
     del obj["halted"]
-    return json.dumps(obj)
+    lines[1] = json.dumps(obj)
+    return 2
 
 
-@pytest.mark.parametrize("damage", [_truncate_line, _drop_halted])
+def _number_valued_update(lines: list[str]) -> int:
+    obj = json.loads(lines[1])
+    obj["updates"][0]["value"] = 8
+    lines[1] = json.dumps(obj)
+    return 2
+
+
+def _initial_state_as_list(lines: list[str]) -> int:
+    obj = json.loads(lines[0])
+    obj["initialState"] = []
+    lines[0] = json.dumps(obj)
+    return 1
+
+
+@pytest.mark.parametrize("damage", [_truncate_line, _drop_halted, _number_valued_update,
+                                    _initial_state_as_list])
 def test_malformed_trace_step_line_exits_2(tmp_path, damage):
     trace = tmp_path / "t.jsonl"
     cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
     lines = trace.read_text().splitlines()
-    lines[1] = damage(lines[1])
+    lineno = damage(lines)
     trace.write_text("\n".join(lines) + "\n")
     r = cli("replay", "--program", EUCLID, "--trace", str(trace))
     assert r.returncode == 2
     assert "error[parse]: bad trace line" in r.stderr
-    assert "(line 2, column 1)" in r.stderr
+    assert f"(line {lineno}, column 1)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_number_valued_script_line_exits_2(tmp_path):
+    script = tmp_path / "s.jsonl"
+    script.write_text('{"oracle": "Random", "args": [2, 13], "answer": 4}\n')
+    r = cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--script", str(script))
+    assert r.returncode == 2
+    assert "error[parse]: bad script line" in r.stderr
+    assert "(line 1, column 1)" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):
@@ -260,15 +289,24 @@ def _nested_program(levels: int) -> str:
             + "x + (" * levels + "1" + ")" * levels + "\n}\n")
 
 
+def _chain(terms: int) -> str:
+    return " + ".join(["1"] * terms)
+
+
 @pytest.mark.parametrize("text", [_nested_program(MAX_NESTING + 1),
-                                  _nested_program(0).replace("1", "(" * 80 + "1" + ")" * 80)],
-                         ids=["one level past the bound", "80 parentheses"])
+                                  _nested_program(0).replace("1", "(" * 80 + "1" + ")" * 80),
+                                  _nested_program(0).replace("1", _chain(3000)),
+                                  _nested_program(0).replace(
+                                      "1", " + ".join([f"({_chain(30)})"] * 30))],
+                         ids=["one level past the bound", "80 parentheses",
+                              "3000-term operator chain", "chain of parenthesised chains"])
 def test_nesting_past_the_bound_exits_2(tmp_path, text):
     src = tmp_path / "deep.basm"
     src.write_text(text)
     r = cli("run", "--program", str(src), "--init", EUCLID_INIT)
     assert r.returncode == 2
     assert f"error[parse]: nested deeper than {MAX_NESTING} levels" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_deeply_nested_json_line_exits_2(tmp_path):

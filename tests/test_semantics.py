@@ -1,4 +1,6 @@
 """Step semantics: pre-state reads, update atomicity, halting, and replay."""
+import json
+
 import pytest
 
 from basm.errors import BasmError
@@ -234,12 +236,21 @@ def test_trace_round_trips_through_jsonl():
 
 
 def test_trace_field_order_is_fixed():
-    prog, trace = _uniform_trace()
-    lines = render_trace(trace).splitlines()
-    assert lines[0].startswith('{"programId": ')
-    assert '"initialState"' in lines[0]
-    assert lines[1].startswith('{"index": 0, "updates": ')
-    assert lines[-1].startswith('{"outcome": ')
+    par = _program("var x : Integer\n  var f(Integer) : Integer",
+                   "do until x = 1 { par { x := 1; f(2) := 20; f(1) := 10 } }")
+    par_trace = run(par, _state(par, ""), _answers(par, []))
+    # An update set keeps the order the rule made its updates in; a written
+    # trace sorts them by rendered location.
+    made = [loc.render() for loc, _ in par_trace.steps[0].updates.items()]
+    assert made == ["x", "f(2)", "f(1)"]
+    for trace in (_uniform_trace()[1], par_trace):
+        lines = render_trace(trace).splitlines()
+        assert lines[0].startswith('{"programId": ')
+        assert '"initialState"' in lines[0]
+        assert lines[1].startswith('{"index": 0, "updates": ')
+        assert lines[-1].startswith('{"outcome": ')
+    updates = json.loads(render_trace(par_trace).splitlines()[1])["updates"]
+    assert [u["loc"] for u in updates] == ["f(1)", "f(2)", "x"]
 
 
 def test_script_lines_replay_the_same_answers():

@@ -1,8 +1,12 @@
 """Values, vocabularies, states, update sets, and universe renaming."""
+import json
+
 import pytest
 
-from basm.errors import BasmError
+from basm.errors import BasmError, ParseError
 from basm.geometry import Circle, Line, Point
+from basm.literals import load_state
+from basm.semantics import Outcome, StepRecord, Trace
 from basm.state import (
     BOOLEAN,
     INTEGER,
@@ -19,6 +23,7 @@ from basm.state import (
     value_conforms,
     values_equal,
 )
+from basm.traceio import trace_lines
 
 T, F, U = True, False, UNDEF
 
@@ -125,30 +130,33 @@ def test_update_set_clash():
 
 
 def test_update_set_items_are_sorted_by_location():
+    # The set keeps no order of its own; its written forms sort by location.
     v = _vocab()
     ups = UpdateSet()
     ups.add(Location(v.symbol("f"), (2,)), 20)
     ups.add(Location(v.symbol("f"), (1,)), 10)
     ups.add(Location(v.symbol("x"), ()), 0)
-    assert [loc.render() for loc, _ in ups.items()] == ["f(1)", "f(2)", "x"]
+    assert repr(ups) == "{f(1):=10, f(2):=20, x:=0}"
+    s = State(v, {})
+    trace = Trace("p", s, [StepRecord(0, ups, ())], s, Outcome("halted"))
+    step = json.loads(trace_lines(trace)[1])
+    assert [u["loc"] for u in step["updates"]] == ["f(1)", "f(2)", "x"]
 
 
-def test_state_reads_default_to_undef_and_strip_undef():
+def test_load_state_leaves_undef_unbound():
     v = _vocab()
-    x = Location(v.symbol("x"), ())
+    s = load_state("x := 1\nflag := undef", v)
     flag = Location(v.symbol("flag"), ())
-    s = State(v, {x: 1, flag: UNDEF})
-    assert s.read(x) == 1
+    assert s.read(Location(v.symbol("x"), ())) == 1
     assert s.read(flag) is UNDEF
     assert flag not in s.interp  # undef bindings are not stored
 
 
-def test_state_rejects_ill_sorted_interpretation():
-    v = _vocab()
-    x = Location(v.symbol("x"), ())
-    with pytest.raises(BasmError) as e:
-        State(v, {x: True})
-    assert e.value.kind == "sort"
+def test_load_state_rejects_ill_sorted_values():
+    with pytest.raises(ParseError) as e:
+        load_state("x := true", _vocab())
+    assert e.value.kind == "parse"
+    assert "expected an integer literal" in e.value.message
 
 
 def test_apply_updates_assigning_undef_removes_location():

@@ -3,11 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basm.errors import ParseError
+from basm.errors import BasmError, ParseError
 from basm.literals import load_state
-from basm.oracles import BuiltinPolicy
-from basm.semantics import run
-from basm.state import BOOLEAN, INTEGER, UNDEF, EnumValue, Vocabulary
+from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
+from basm.semantics import run, step
+from basm.state import (
+    BOOLEAN,
+    DYNAMIC,
+    INTEGER,
+    UNDEF,
+    EnumValue,
+    Vocabulary,
+    apply_updates,
+    value_conforms,
+)
 from basm.syntax import (
     MAX_NESTING,
     App,
@@ -205,6 +214,7 @@ NESTED = {
     "unary minus": lambda n: "x := " + "- " * n + "x",
     "par": lambda n: "par { " * n + "x := 1" + " }" * n,
     "if": lambda n: "if p then " * n + "x := 1",
+    "operator chain": lambda n: "x := " + " + ".join(["1"] * (n + 1)),
 }
 
 
@@ -338,3 +348,36 @@ def test_pretty_parse_round_trip(prog):
     assert again == prog
     assert pretty(again) == text
     assert again.program_id == prog.program_id
+
+
+# Kinds a well-sorted step may still fail with at run time.
+RUNTIME_KINDS = {"arith", "clash", "oracle-domain"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(program(), st.integers(-20, 20), st.integers(-20, 20), st.booleans(),
+       st.sampled_from(["e1", "e2"]),
+       st.dictionaries(st.integers(-5, 5), st.integers(-20, 20), max_size=3),
+       st.integers(0, 2**32))
+def test_committed_updates_conform_to_their_sorts(prog, x, y, p, cur, table, seed):
+    """A state trusts its bindings; this is what makes that sound. A parsed
+    program, stepped from a well-sorted state, only commits well-sorted
+    updates. The steps ignore the halting condition, so every program runs."""
+    prog = parse_program(pretty(prog))
+    text = f"x := {x}\ny := {y}\np := {str(p).lower()}\ncur := {cur}\n"
+    text += "".join(f"f({k}) := {v}\n" for k, v in table.items())
+    state = load_state(text, prog.vocabulary)
+    session = OracleSession(UniformRandomPolicy(seed), prog.vocabulary)
+    for _ in range(4):
+        session.begin_step()
+        try:
+            updates, _ = step(state, prog.step_rule, session)
+        except BasmError as e:
+            assert e.kind in RUNTIME_KINDS
+            return
+        for loc, value in updates.items():
+            sym = loc.symbol
+            assert sym.kind == DYNAMIC and len(loc.args) == sym.arity
+            assert all(value_conforms(a, s) for a, s in zip(loc.args, sym.arg_sorts))
+            assert value_conforms(value, sym.result_sort)
+        state = apply_updates(state, updates)
