@@ -176,6 +176,7 @@ def parse_location(text: str, vocabulary: Vocabulary) -> Location:
 
 def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> State:
     interp = {}
+    cleared = set()  # locations bound to `undef`, which stay out of `interp`
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -188,9 +189,11 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
             value = parse_value(rhs, loc.symbol.result_sort, vocabulary)
         except ParseError as e:
             raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
-        if loc in interp:
+        if loc in interp or loc in cleared:
             raise ParseError(f"{source}: repeated binding for {loc.render()}", line=lineno, column=1)
-        if value is not UNDEF:
+        if value is UNDEF:
+            cleared.add(loc)
+        else:
             interp[loc] = value
     return State(vocabulary, interp)
 

@@ -6,6 +6,13 @@ Terms evaluate left to right, innermost first, with no short-circuiting, so
 evaluation touches exactly the locations named by the program's subterms.
 All reads use the pre-step state; updates land atomically between steps.
 
+Each rule and term is compiled once, on its first step or evaluation, into
+nested closures (closure generation, after Feeley and Lapalme, 1987) that are
+kept on the syntax node. A variable becomes one prebuilt location, and a
+static operator evaluates all its arguments before it applies its function.
+A run owns one working store, a copy of the initial bindings, and commits
+each step's updates into it in place.
+
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
 whose updates change nothing. A step whose updates conflict ("clash"), or
@@ -29,8 +36,8 @@ from .state import (
     Location,
     State,
     UpdateSet,
-    apply_updates,
     changes_nothing,
+    commit,
 )
 from .syntax import (
     DO_UNTIL,
@@ -49,60 +56,93 @@ from .syntax import (
 DEFAULT_MAX_STEPS = 10**6
 
 
-def _eval(state: State, term: Term, session: Optional[OracleSession]):
+def _no_session(query: Location):
+    raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
+
+
+def _compiled(node):
+    """The closure of a term or rule, compiled on first use and kept on the node."""
+    fn = node.__dict__.get("_closure")
+    if fn is None:
+        fn = node.__dict__["_closure"] = (
+            _compile_term(node) if isinstance(node, Term) else _compile_rule(node))
+    return fn
+
+
+def _compile_term(term: Term):
+    """A closure `(read, ask) -> value` that evaluates the term."""
     if isinstance(term, Lit):
-        return term.value
+        value = term.value
+        return lambda read, ask: value
     if isinstance(term, Var):
-        return state.read(Location(term.symbol, ()))
+        loc = Location(term.symbol, ())
+        return lambda read, ask: read(loc)
     sym = term.symbol
-    args = tuple(_eval(state, a, session) for a in term.args)
+    subs = tuple(_compile_term(a) for a in term.args)
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
-        if strict and any(a is UNDEF for a in args):
-            return UNDEF
-        return fn(*args)
+        if len(subs) == 2:  # the common case, without the argument list
+            left, right = subs
+            if not strict:
+                return lambda read, ask: fn(left(read, ask), right(read, ask))
+
+            def strict2(read, ask):
+                a, b = left(read, ask), right(read, ask)
+                return UNDEF if a is UNDEF or b is UNDEF else fn(a, b)
+            return strict2
+
+        def static(read, ask):
+            args = [s(read, ask) for s in subs]
+            return UNDEF if strict and any(a is UNDEF for a in args) else fn(*args)
+        return static
     if sym.kind == DYNAMIC:
-        return state.read(Location(sym, args))
-    # oracle
-    query = Location(sym, args)
-    if session is None:
-        raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
-    return session.ask(query)
+        return lambda read, ask: read(Location(sym, tuple([s(read, ask) for s in subs])))
+    return lambda read, ask: ask(Location(sym, tuple([s(read, ask) for s in subs])))
+
+
+def _compile_rule(rule: Rule):
+    """A closure `(read, ask, add)` that adds the rule's updates by `add`."""
+    if isinstance(rule, Skip):
+        return lambda read, ask, add: None
+    if isinstance(rule, Assign):
+        rhs = _compile_term(rule.rhs)
+        target = rule.target
+        if isinstance(target, Var):
+            loc = Location(target.symbol, ())
+            return lambda read, ask, add: add(loc, rhs(read, ask))
+        sym = target.symbol
+        subs = tuple(_compile_term(a) for a in target.args)
+
+        def assign(read, ask, add):
+            value = rhs(read, ask)
+            add(Location(sym, tuple([s(read, ask) for s in subs])), value)
+        return assign
+    if isinstance(rule, Cond):
+        guard = _compile_term(rule.guard)
+        then_rule = _compile_rule(rule.then_rule)
+        else_rule = None if rule.else_rule is None else _compile_rule(rule.else_rule)
+
+        def cond(read, ask, add):
+            if guard(read, ask) is True:
+                then_rule(read, ask, add)
+            elif else_rule is not None:
+                else_rule(read, ask, add)
+        return cond
+    if isinstance(rule, Par):
+        subs = tuple(_compile_rule(r) for r in rule.rules)
+
+        def par(read, ask, add):
+            for r in subs:
+                r(read, ask, add)
+        return par
+    raise TypeError(f"not a rule: {rule!r}")
 
 
 def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):
     """Evaluate a term; returns (value, interactions made by this evaluation)."""
     start = len(session.log) if session is not None else 0
-    value = _eval(state, term, session)
-    interactions = list(session.log[start:]) if session is not None else []
-    return value, interactions
-
-
-def _exec(state: State, rule: Rule, updates: UpdateSet, session: Optional[OracleSession]):
-    if isinstance(rule, Skip):
-        return
-    if isinstance(rule, Assign):
-        value = _eval(state, rule.rhs, session)
-        target = rule.target
-        if isinstance(target, Var):
-            loc = Location(target.symbol, ())
-        else:
-            loc_args = tuple(_eval(state, a, session) for a in target.args)
-            loc = Location(target.symbol, loc_args)
-        updates.add(loc, value)
-        return
-    if isinstance(rule, Cond):
-        guard = _eval(state, rule.guard, session)
-        if guard is True:
-            _exec(state, rule.then_rule, updates, session)
-        elif rule.else_rule is not None:
-            _exec(state, rule.else_rule, updates, session)
-        return
-    if isinstance(rule, Par):
-        for r in rule.rules:
-            _exec(state, r, updates, session)
-        return
-    raise TypeError(f"not a rule: {rule!r}")
+    value = _compiled(term)(state.read, session.ask if session is not None else _no_session)
+    return value, session.log[start:] if session is not None else []
 
 
 def step(state: State, rule: Rule,
@@ -110,9 +150,8 @@ def step(state: State, rule: Rule,
     """Run one step of the rule. The caller clears the session's per-step cache."""
     start = len(session.log) if session is not None else 0
     updates = UpdateSet()
-    _exec(state, rule, updates, session)
-    interactions = list(session.log[start:]) if session is not None else []
-    return updates, interactions
+    _compiled(rule)(state.read, session.ask if session is not None else _no_session, updates.add)
+    return updates, session.log[start:] if session is not None else []
 
 
 @dataclass
@@ -153,17 +192,22 @@ def default_max_steps() -> int:
 
 
 def run(program: Program, init: State, policy, max_steps: Optional[int] = None) -> Trace:
-    """Execute a program from an initial state under an oracle policy."""
+    """Execute a program from an initial state under an oracle policy.
+
+    The run owns one working store, a copy of `init`'s bindings, and commits
+    each step's updates into it in place; `init` is left as it was.
+    """
     if max_steps is None:
         max_steps = default_max_steps()
     session = OracleSession(policy, program.vocabulary)
-    state = init
+    store = dict(init.interp)
+    state = State(init.vocabulary, store)
+    halt = _compiled(program.halt) if program.mode == DO_UNTIL else None
     steps: list[StepRecord] = []
-    outcome: Optional[Outcome] = None
     while True:
-        if program.mode == DO_UNTIL:
+        if halt is not None:
             try:
-                halt_value, _ = eval_term(state, program.halt)
+                halt_value = halt(state.read, _no_session)
             except BasmError as e:
                 outcome = Outcome("error", e.kind, e.message)
                 break
@@ -178,19 +222,19 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
         log_start = session.begin_step()
         try:
             updates, interactions = step(state, program.step_rule, session)
-            new_state = apply_updates(state, updates)
         except BasmError as e:
             partial = tuple(session.log[log_start:])
             steps.append(StepRecord(len(steps), UpdateSet(), partial))
             outcome = Outcome("error", e.kind, e.message)
             break
         steps.append(StepRecord(len(steps), updates, tuple(interactions)))
-        if program.mode == ITERATE and changes_nothing(state, updates):
+        # Compared before the commit, which overwrites the old values.
+        unchanged = program.mode == ITERATE and changes_nothing(state, updates)
+        commit(store, updates)
+        if unchanged:
             steps[-1].halted_after = True
-            state = new_state
             outcome = Outcome("halted")
             break
-        state = new_state
     return Trace(program.program_id, init, steps, state, outcome)
 
 

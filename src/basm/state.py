@@ -16,6 +16,7 @@ three-valued reading (false absorbs `and`, true absorbs `or`).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -185,15 +186,15 @@ def _not(a):
 
 # (name, arg sorts, result sort, implementation, strict-on-undef)
 _STATIC_DEFS = [
-    ("+", (INTEGER, INTEGER), INTEGER, lambda a, b: a + b, True),
-    ("-", (INTEGER, INTEGER), INTEGER, lambda a, b: a - b, True),
-    ("*", (INTEGER, INTEGER), INTEGER, lambda a, b: a * b, True),
+    ("+", (INTEGER, INTEGER), INTEGER, operator.add, True),
+    ("-", (INTEGER, INTEGER), INTEGER, operator.sub, True),
+    ("*", (INTEGER, INTEGER), INTEGER, operator.mul, True),
     ("mod", (INTEGER, INTEGER), INTEGER, _mod, True),
     ("powmod", (INTEGER, INTEGER, INTEGER), INTEGER, _powmod, True),
-    ("<", (INTEGER, INTEGER), BOOLEAN, lambda a, b: a < b, True),
-    ("<=", (INTEGER, INTEGER), BOOLEAN, lambda a, b: a <= b, True),
-    (">", (INTEGER, INTEGER), BOOLEAN, lambda a, b: a > b, True),
-    (">=", (INTEGER, INTEGER), BOOLEAN, lambda a, b: a >= b, True),
+    ("<", (INTEGER, INTEGER), BOOLEAN, operator.lt, True),
+    ("<=", (INTEGER, INTEGER), BOOLEAN, operator.le, True),
+    (">", (INTEGER, INTEGER), BOOLEAN, operator.gt, True),
+    (">=", (INTEGER, INTEGER), BOOLEAN, operator.ge, True),
     ("=", (ANY, ANY), BOOLEAN, values_equal, False),
     ("!=", (ANY, ANY), BOOLEAN, lambda a, b: not values_equal(a, b), False),
     ("and", (BOOLEAN, BOOLEAN), BOOLEAN, _and, False),
@@ -314,13 +315,19 @@ class Vocabulary:
         return f"Vocabulary({', '.join(declared)})"
 
 
-@dataclass(frozen=True, eq=False)
 class Location:
     """A symbol applied to evaluated arguments. With a dynamic symbol it names
-    a place in the state; with an oracle symbol it is a query."""
+    a place in the state; with an oracle symbol it is a query.
 
-    symbol: Symbol
-    args: tuple
+    A location is a dictionary key: its hash is computed once, when it is
+    built, and its fields are never assigned afterwards."""
+
+    __slots__ = ("symbol", "args", "_hash")
+
+    def __init__(self, symbol: Symbol, args: tuple):
+        self.symbol = symbol
+        self.args = args
+        self._hash = hash((symbol.name, args))
 
     def __eq__(self, other):
         return (
@@ -330,7 +337,7 @@ class Location:
         )
 
     def __hash__(self):
-        return hash((self.symbol.name, self.args))
+        return self._hash
 
     def render(self) -> str:
         from .literals import render_value
@@ -390,6 +397,10 @@ def _bindings_text(bindings: dict, sep: str) -> str:
 class State:
     """Immutable snapshot: a vocabulary plus a finite interpretation of dynamic locations.
 
+    The one exception is the state a run steps through: the run commits each
+    update set into its bindings in place, and hands it out only as the
+    trace's final state, once the run is over.
+
     A state trusts its bindings: the mapping is kept as given, neither copied
     nor checked, and must hold no `undef`. Values are checked where they enter
     (the literal reader, oracle answers, corpus overrides); a parsed program's
@@ -418,14 +429,19 @@ class State:
         return f"State({_bindings_text(self.interp, '=')})"
 
 
-def apply_updates(state: State, updates: UpdateSet) -> State:
-    """A fresh state with the updates applied; `undef` writes clear locations."""
-    interp = dict(state.interp)
+def commit(interp: dict, updates: UpdateSet) -> None:
+    """Apply the updates to `interp` in place; `undef` writes clear locations."""
     for loc, value in updates.items():
         if value is UNDEF:
             interp.pop(loc, None)
         else:
             interp[loc] = value
+
+
+def apply_updates(state: State, updates: UpdateSet) -> State:
+    """A fresh state with the updates applied; `state` is left as it was."""
+    interp = dict(state.interp)
+    commit(interp, updates)
     return State(state.vocabulary, interp)
 
 

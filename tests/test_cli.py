@@ -140,6 +140,18 @@ def test_missing_and_broken_files_exit_2(tmp_path):
     assert "error[parse]" in r.stderr
 
 
+@pytest.mark.parametrize("bindings", [("x := undef", "x := 0"), ("x := 0", "x := undef")],
+                         ids=["undef-first", "undef-last"])
+def test_repeated_binding_exits_2_in_either_order(tmp_path, bindings):
+    src = tmp_path / "p.basm"
+    src.write_text("vocab {\n  var x : Integer\n}\ndo until x = 3 {\n  x := x + 1\n}\n")
+    init = tmp_path / "init.state"
+    init.write_text("\n".join(bindings) + "\n")
+    r = cli("run", "--program", str(src), "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]" in r.stderr and "repeated binding for x" in r.stderr
+
+
 def test_oracle_in_halt_condition_exits_2(tmp_path):
     src = tmp_path / "p.basm"
     src.write_text(

@@ -9,7 +9,7 @@ from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRand
 from basm.semantics import default_max_steps, eval_term, replay, run, step
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import load_script, read_trace, render_trace, script_lines
-from basm.state import UNDEF
+from basm.state import UNDEF, State
 
 
 def _program(decls, body):
@@ -184,6 +184,43 @@ def test_eval_term_records_interactions():
     value, interactions = eval_term(_state(prog, ""), term, session)
     assert value == 6
     assert len(interactions) == 1
+
+
+@pytest.mark.parametrize("op, decided, value", [("and", "false", 2), ("or", "true", 1)])
+def test_a_decided_connective_still_evaluates_its_right_operand(op, decided, value):
+    """No short-circuiting: when the left operand already decides `and` or
+    `or`, the right operand still reads its location and asks its oracle."""
+    prog = _program(ORACLE_DECLS, f"do until false {{ "
+                    f"if {decided} {op} b = R(0, 5) then a := 1 else a := 2 }}")
+    reads = []
+
+    class RecordingState(State):
+        def read(self, location):
+            reads.append(location.render())
+            return super().read(location)
+
+    init = _state(prog, "b := 3")
+    session = OracleSession(_answers(prog, [3]), prog.vocabulary)
+    session.begin_step()
+    updates, interactions = step(RecordingState(init.vocabulary, init.interp),
+                                 prog.step_rule, session)
+    assert reads == ["b"]
+    assert interactions == [Interaction("R", (0, 5), 3)]
+    assert [v for _, v in updates.items()] == [value]
+
+
+def test_run_leaves_the_initial_state_alone():
+    """The run commits into its own copy of the initial bindings, `undef`
+    writes included, and hands that copy out as the final state."""
+    prog = _program(INT2, "do until a = undef { par { a := undef; b := b + 1 } }")
+    init = _state(prog, "a := 5\nb := 0")
+    before = dict(init.interp)
+    trace = run(prog, init, ScriptedPolicy())
+    assert trace.outcome.kind == "halted"
+    assert trace.initial_state is init and init.interp == before
+    assert trace.final_state.interp is not init.interp
+    assert state_bindings(trace.final_state) == {"b": "1"}
+    assert replay(trace, prog) and init.interp == before
 
 
 # --- replay and trace serialisation -----------------------------------------

@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 from basm.errors import BasmError, ParseError
 from basm.literals import load_state
 from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
-from basm.semantics import run, step
+from basm.semantics import StepRecord, eval_term, run, step
 from basm.state import (
     BOOLEAN,
     DYNAMIC,
     INTEGER,
     UNDEF,
     EnumValue,
+    UpdateSet,
     Vocabulary,
     apply_updates,
+    changes_nothing,
     value_conforms,
 )
 from basm.syntax import (
@@ -381,3 +383,58 @@ def test_committed_updates_conform_to_their_sorts(prog, x, y, p, cur, table, see
             assert all(value_conforms(a, s) for a, s in zip(loc.args, sym.arg_sorts))
             assert value_conforms(value, sym.result_sort)
         state = apply_updates(state, updates)
+
+
+def _fold_of_steps(prog, init, seed, max_steps):
+    """The run loop written out with `step` and the pure `apply_updates`:
+    the step records, the final state and the outcome (kind, error)."""
+    session = OracleSession(UniformRandomPolicy(seed), prog.vocabulary)
+    state, records = init, []
+    while True:
+        if prog.mode == DO_UNTIL:
+            try:
+                halt, _ = eval_term(state, prog.halt)
+            except BasmError as e:
+                return records, state, ("error", e.kind)
+            if halt is True:
+                if records:
+                    records[-1].halted_after = True
+                return records, state, ("halted", None)
+        if len(records) >= max_steps:
+            return records, state, ("step-limit", None)
+        start = session.begin_step()
+        try:
+            updates, interactions = step(state, prog.step_rule, session)
+        except BasmError as e:
+            records.append(StepRecord(len(records), UpdateSet(), tuple(session.log[start:])))
+            return records, state, ("error", e.kind)
+        records.append(StepRecord(len(records), updates, tuple(interactions)))
+        unchanged = prog.mode == ITERATE and changes_nothing(state, updates)
+        state = apply_updates(state, updates)
+        if unchanged:
+            records[-1].halted_after = True
+            return records, state, ("halted", None)
+
+
+@pytest.mark.parametrize("mode", [DO_UNTIL, ITERATE])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_is_a_fold_of_step_and_apply_updates(mode, data):
+    """`run` commits into one working store in place; folding `step` with the
+    pure `apply_updates` from the same initial state gives the same steps,
+    final state and outcome, and leaves the initial state as it was."""
+    prog = data.draw(program().filter(lambda p: p.mode == mode))
+    x, y = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
+    table = data.draw(st.dictionaries(st.integers(-5, 5), st.integers(-20, 20), max_size=3))
+    text = f"x := {x}\ny := {y}\np := {str(data.draw(st.booleans())).lower()}\n"
+    text += f"cur := {data.draw(st.sampled_from(['e1', 'e2']))}\n"
+    text += "".join(f"f({k}) := {v}\n" for k, v in table.items())
+    init = load_state(text, prog.vocabulary)
+    before = dict(init.interp)
+    seed = data.draw(st.integers(0, 2**32))
+    trace = run(prog, init, UniformRandomPolicy(seed), max_steps=6)
+    records, final, outcome = _fold_of_steps(prog, init, seed, max_steps=6)
+    assert trace.steps == records
+    assert trace.final_state == final
+    assert (trace.outcome.kind, trace.outcome.error) == outcome
+    assert init.interp == before and trace.final_state.interp is not init.interp
