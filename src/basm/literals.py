@@ -16,6 +16,7 @@ Blank lines and `#` comments are ignored. Unlisted locations are undef.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
@@ -35,7 +36,12 @@ from .state import (
     Vocabulary,
 )
 
-_INT_RE = re.compile(r"[-+]?\d+$")
+# The most decimal digits an integer literal may have, wherever one is read:
+# state files, traces, scripts, answers and program text. Python's `int()`
+# refuses text longer than its `int_max_str_digits` setting, which is 4300 by
+# default and never below 640, so a literal within this bound always converts.
+MAX_INT_DIGITS = 640
+_INT_RE = re.compile(rf"[-+]?\d{{1,{MAX_INT_DIGITS}}}$")
 _FLOAT_RE = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -111,7 +117,9 @@ def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
         return _infer_value(text, vocabulary)
     if sort is INTEGER:
         if not _INT_RE.match(text):
-            raise ParseError(f"expected an integer literal, got {text!r}")
+            raise ParseError(
+                f"expected an integer literal of at most {MAX_INT_DIGITS} digits, got {text!r}"
+            )
         return int(text)
     if sort is BOOLEAN:
         if text == "true":
@@ -175,27 +183,22 @@ def parse_location(text: str, vocabulary: Vocabulary) -> Location:
 
 
 def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> State:
-    interp = {}
-    cleared = set()  # locations bound to `undef`, which stay out of `interp`
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":=" not in line:
-            raise ParseError(f"{source}: expected `location := literal`", line=lineno, column=1)
-        lhs, rhs = line.split(":=", 1)
-        try:
-            loc = parse_location(lhs, vocabulary)
-            value = parse_value(rhs, loc.symbol.result_sort, vocabulary)
-        except ParseError as e:
-            raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
-        if loc in interp or loc in cleared:
-            raise ParseError(f"{source}: repeated binding for {loc.render()}", line=lineno, column=1)
-        if value is UNDEF:
-            cleared.add(loc)
-        else:
-            interp[loc] = value
-    return State(vocabulary, interp)
+    """The state a state file binds; an error names the file and the line."""
+    lineno = 0
+
+    def bindings():
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                if ":=" not in line:
+                    raise ParseError("expected `location := literal`")
+                yield line.split(":=", 1)
+
+    try:
+        return state_from_bindings(bindings(), vocabulary)
+    except ParseError as e:
+        raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
 
 def state_bindings(state: State) -> dict[str, str]:
@@ -203,11 +206,19 @@ def state_bindings(state: State) -> dict[str, str]:
     return dict(sorted((loc.render(), render_value(v)) for loc, v in state.interp.items()))
 
 
-def state_from_bindings(bindings: dict[str, str], vocabulary: Vocabulary) -> State:
+def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary) -> State:
+    """The state binding each location text to its literal text, in order;
+    `undef` leaves its location unbound. Binding one location twice, under
+    any spelling and with any values, is an error."""
     interp = {}
-    for loc_text, lit in bindings.items():
+    cleared = set()  # locations bound to `undef`, which stay out of `interp`
+    for loc_text, lit in bindings:
         loc = parse_location(loc_text, vocabulary)
         value = parse_value(lit, loc.symbol.result_sort, vocabulary)
-        if value is not UNDEF:
+        if loc in interp or loc in cleared:
+            raise ParseError(f"repeated binding for {loc.render()}")
+        if value is UNDEF:
+            cleared.add(loc)
+        else:
             interp[loc] = value
     return State(vocabulary, interp)

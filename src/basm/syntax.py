@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
-from .literals import render_value
+from .literals import MAX_INT_DIGITS, render_value
 from .state import (
     ANY,
     BOOLEAN,
@@ -248,13 +248,37 @@ def tokenize(source: str) -> list[Token]:
 
 # --- parser ------------------------------------------------------------------
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# The operator table, read by the parser and by `term_text`. Each operator,
+# keyed by its text and arity, has a level; a higher level binds tighter.
+# Binary operators associate to the left, except the comparisons, which do not
+# chain. `not` and unary `-` are prefix operators whose operand is read at
+# their own level, so `not` may not follow `+` and `x + not p` is an error.
+_COMPARE = 4
+_OPERATORS = {
+    ("or", 2): 1,
+    ("and", 2): 2,
+    ("not", 1): 3,
+    **dict.fromkeys([(op, 2) for op in ("=", "!=", "<", "<=", ">", ">=")], _COMPARE),
+    ("+", 2): 5, ("-", 2): 5,
+    ("*", 2): 6, ("mod", 2): 6,
+    ("-", 1): 7,
+}
+_TIGHTEST = max(_OPERATORS.values())
 
-# How deep subterms and subrules may nest. The parser recurses through 13
-# Python frames per parenthesis and 15 per argument, so 48 levels take at most
-# 720 of the interpreter's default 1000 and leave room for the caller's stack;
-# every corpus program is at most 5 deep.
+_CONSTANTS = {"true": (True, BOOLEAN), "false": (False, BOOLEAN), "undef": (UNDEF, ANY)}
+
+# How deep subterms and subrules may nest. The parser recurses through 4
+# Python frames per parenthesis in `x + (...)` and 5 per argument in `f(...)`;
+# with every operator level before the bracket, as in `p or p and x = x + x *
+# (...)`, it is 8 and 10. So 48 levels take at most 480 of the interpreter's
+# default 1000 and leave room for the caller's stack; every corpus program is
+# at most 5 deep.
 MAX_NESTING = 48
+
+
+def _differ(a: Sort, b: Sort) -> bool:
+    """Whether two sorts differ; `ANY`, the sort of `undef`, differs from none."""
+    return a is not b and a is not ANY and b is not ANY
 
 
 class _Parser:
@@ -276,12 +300,12 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, line=tok.line, column=tok.column, kind=kind)
 
-    def nested(self, parse):
-        """`parse()` one nesting level deeper, failing past MAX_NESTING."""
+    def nested(self, parse, *args):
+        """`parse(*args)` one nesting level deeper, failing past MAX_NESTING."""
         if self.depth >= MAX_NESTING:
             self.fail(f"nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        result = parse()
+        result = parse(*args)
         self.depth -= 1
         return result
 
@@ -298,25 +322,15 @@ class _Parser:
         term, sort = self.parse_term()
         return self.bounded(term, tok), sort
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}")
+    # A keyword or punctuation token is known by its text alone: a name is
+    # never a keyword, and a name or number contains no punctuation.
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
+
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            self.fail(f"expected {text!r}, found {self.peek().text!r}")
         return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            self.fail(f"expected {word!r}, found {tok.text!r}")
-        return self.next()
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == word
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -327,15 +341,15 @@ class _Parser:
     # vocabulary ---------------------------------------------------------
 
     def parse_program(self) -> Program:
-        self.expect_kw("vocab")
-        self.expect_punct("{")
-        while not self.at_punct("}"):
+        self.expect("vocab")
+        self.expect("{")
+        while not self.at("}"):
             self.parse_decl()
-        self.expect_punct("}")
+        self.expect("}")
         mode_tok = self.peek()
-        if self.at_kw("do"):
+        if self.at("do"):
             self.next()
-            self.expect_kw("until")
+            self.expect("until")
             halt, halt_sort = self.parse_whole_term()
             self._check_sort(halt_sort, BOOLEAN, mode_tok, "halting condition")
             if contains_oracle(halt):
@@ -344,15 +358,15 @@ class _Parser:
                     mode_tok,
                     kind="interactive-halt",
                 )
-            self.expect_punct("{")
+            self.expect("{")
             rule = self.parse_rule()
-            self.expect_punct("}")
+            self.expect("}")
             mode = DO_UNTIL
-        elif self.at_kw("iterate"):
+        elif self.at("iterate"):
             self.next()
-            self.expect_punct("{")
+            self.expect("{")
             rule = self.parse_rule()
-            self.expect_punct("}")
+            self.expect("}")
             for t in rule_terms(rule):
                 if contains_oracle(t):
                     self.fail(
@@ -371,44 +385,44 @@ class _Parser:
     def parse_decl(self):
         tok = self.peek()
         try:
-            if self.at_kw("enum"):
+            if self.at("enum"):
                 self.next()
                 name = self.expect_ident().text
-                self.expect_punct("{")
+                self.expect("{")
                 members = [self.expect_ident().text]
-                while self.at_punct(","):
+                while self.at(","):
                     self.next()
                     members.append(self.expect_ident().text)
-                self.expect_punct("}")
+                self.expect("}")
                 self.vocab.declare_enum(name, members)
-            elif self.at_kw("var"):
+            elif self.at("var"):
                 self.next()
                 names = [self.expect_ident()]
-                while self.at_punct(","):
+                while self.at(","):
                     self.next()
                     names.append(self.expect_ident())
-                if len(names) == 1 and self.at_punct("("):
+                if len(names) == 1 and self.at("("):
                     arg_sorts = self.parse_sort_list()
-                    self.expect_punct(":")
+                    self.expect(":")
                     result = self.parse_sort_name()
                     self.vocab.declare(names[0].text, arg_sorts, result, DYNAMIC)
                 else:
-                    self.expect_punct(":")
+                    self.expect(":")
                     result = self.parse_sort_name()
                     for nm in names:
                         self.vocab.declare(nm.text, (), result, DYNAMIC)
-            elif self.at_kw("oracle"):
+            elif self.at("oracle"):
                 self.next()
                 name = self.expect_ident().text
                 arg_sorts = self.parse_sort_list()
-                self.expect_punct(":")
+                self.expect(":")
                 result = self.parse_sort_name()
                 self.vocab.declare(name, arg_sorts, result, ORACLE)
-            elif self.at_kw("static"):
+            elif self.at("static"):
                 self.next()
                 name = self.expect_ident().text
                 arg_sorts = self.parse_sort_list()
-                self.expect_punct(":")
+                self.expect(":")
                 result = self.parse_sort_name()
                 self.vocab.redeclare_static(name, arg_sorts, result)
             else:
@@ -419,14 +433,14 @@ class _Parser:
             self.fail(e.message, tok, kind=e.kind)
 
     def parse_sort_list(self) -> tuple[Sort, ...]:
-        self.expect_punct("(")
+        self.expect("(")
         sorts = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             sorts.append(self.parse_sort_name())
-            while self.at_punct(","):
+            while self.at(","):
                 self.next()
                 sorts.append(self.parse_sort_name())
-        self.expect_punct(")")
+        self.expect(")")
         return tuple(sorts)
 
     def parse_sort_name(self) -> Sort:
@@ -439,36 +453,36 @@ class _Parser:
     # rules --------------------------------------------------------------
 
     def parse_rule(self) -> Rule:
-        if self.at_kw("skip"):
+        if self.at("skip"):
             self.next()
             return Skip()
-        if self.at_kw("par"):
+        if self.at("par"):
             self.next()
-            self.expect_punct("{")
+            self.expect("{")
             rules = [self.nested(self.parse_rule)]
-            while self.at_punct(";"):
+            while self.at(";"):
                 self.next()
-                if self.at_punct("}"):
+                if self.at("}"):
                     break
                 rules.append(self.nested(self.parse_rule))
-            self.expect_punct("}")
+            self.expect("}")
             return Par(tuple(rules))
-        if self.at_kw("if"):
+        if self.at("if"):
             self.next()
             guard_tok = self.peek()
             guard, guard_sort = self.parse_whole_term()
             self._check_sort(guard_sort, BOOLEAN, guard_tok, "guard")
-            self.expect_kw("then")
+            self.expect("then")
             then_rule = self.nested(self.parse_rule)
             else_rule = None
-            if self.at_kw("else"):
+            if self.at("else"):
                 self.next()
                 else_rule = self.nested(self.parse_rule)
             return Cond(guard, then_rule, else_rule)
-        if self.at_punct("{"):  # transparent grouping
+        if self.at("{"):  # transparent grouping
             self.next()
             inner = self.nested(self.parse_rule)
-            self.expect_punct("}")
+            self.expect("}")
             return inner
         return self.parse_assign()
 
@@ -479,7 +493,7 @@ class _Parser:
             self.fail(f"unknown symbol: {tok.text}", tok, kind="sort")
         if sym.kind != DYNAMIC:
             self.fail(f"cannot assign to {sym.kind} symbol {sym.name}", tok, kind="sort")
-        if self.at_punct("("):
+        if self.at("("):
             args = self.parse_term_args(sym, tok)
             target: Term = self.bounded(App(sym, args), tok)
             for a in args:
@@ -491,7 +505,7 @@ class _Parser:
             if sym.arity != 0:
                 self.fail(f"{sym.name} expects {sym.arity} argument(s)", tok, kind="sort")
             target = Var(sym)
-        self.expect_punct(":=")
+        self.expect(":=")
         rhs_tok = self.peek()
         rhs, rhs_sort = self.parse_whole_term()
         self._check_sort(rhs_sort, sym.result_sort, rhs_tok, f"assignment to {sym.name}")
@@ -500,73 +514,49 @@ class _Parser:
     # terms --------------------------------------------------------------
 
     def _check_sort(self, actual: Sort, expected: Sort, tok: Token, what: str):
-        if actual is ANY or expected is ANY:
-            return
-        if actual is not expected:
-            self.fail(
-                f"{what} has sort {actual.name}, expected {expected.name}", tok, kind="sort"
-            )
+        if _differ(actual, expected):
+            self.fail(f"{what} has sort {actual.name}, expected {expected.name}", tok, kind="sort")
 
-    def parse_term(self) -> tuple[Term, Sort]:
-        return self._binary_chain(self.parse_and, ("or",))
-
-    def _binary_chain(self, sub, ops) -> tuple[Term, Sort]:
-        term, sort = sub()
-        while self.peek().kind in ("kw", "punct") and self.peek().text in ops:
-            op_tok = self.next()
+    def parse_term(self, level: int = 1) -> tuple[Term, Sort]:
+        """A term whose operators bind at `level` or tighter, read by
+        precedence climbing over `_OPERATORS`. After an operator at level L
+        the loop takes only operators at L or looser, and after a comparison
+        only strictly looser ones, so comparisons do not chain."""
+        tok = self.peek()
+        ceiling = _OPERATORS.get((tok.text, 1), 0)
+        if ceiling >= level:  # a prefix operator
+            self.next()
+            operand, sort = self.nested(self.parse_term, ceiling)
+            if tok.text == "not":
+                self._check_sort(sort, BOOLEAN, tok, "operand of not")
+                term, sort = App(self.vocab.symbols["not"], (operand,)), BOOLEAN
+            else:
+                self._check_sort(sort, INTEGER, tok, "operand of unary minus")
+                term, sort = App(self.vocab.symbols["-"], (Lit(0), operand)), INTEGER
+                if isinstance(operand, Lit) and isinstance(operand.value, int):
+                    term = Lit(-operand.value)
+        else:
+            term, sort = self.parse_atom()
+            ceiling = _TIGHTEST
+        while True:
+            op_tok = self.peek()
+            op = _OPERATORS.get((op_tok.text, 2), 0)
+            if not level <= op <= ceiling:
+                return term, sort
+            self.next()
             sym = self.vocab.symbols[op_tok.text]
-            self._check_sort(sort, sym.arg_sorts[0], op_tok, f"left operand of {op_tok.text}")
-            rhs, rhs_sort = sub()
+            left = f"left operand of {op_tok.text}"
+            if op != _COMPARE:  # a comparison checks its operands after reading both
+                self._check_sort(sort, sym.arg_sorts[0], op_tok, left)
+            rhs, rhs_sort = self.parse_term(op + 1)
+            if op == _COMPARE:
+                if op_tok.text in ("=", "!=") and _differ(sort, rhs_sort):
+                    message = f"cannot compare {sort.name} with {rhs_sort.name}"
+                    self.fail(message, op_tok, kind="sort")
+                self._check_sort(sort, sym.arg_sorts[0], op_tok, left)
             self._check_sort(rhs_sort, sym.arg_sorts[1], op_tok, f"right operand of {op_tok.text}")
             term, sort = App(sym, (term, rhs)), sym.result_sort
-        return term, sort
-
-    def parse_and(self):
-        return self._binary_chain(self.parse_not, ("and",))
-
-    def parse_not(self):
-        if self.at_kw("not"):
-            op_tok = self.next()
-            sym = self.vocab.symbols["not"]
-            arg, arg_sort = self.nested(self.parse_not)
-            self._check_sort(arg_sort, BOOLEAN, op_tok, "operand of not")
-            return App(sym, (arg,)), BOOLEAN
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        term, sort = self.parse_add()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in _CMP_OPS:
-            op_tok = self.next()
-            sym = self.vocab.symbols[op_tok.text]
-            rhs, rhs_sort = self.parse_add()
-            if op_tok.text in ("=", "!="):
-                if sort is not ANY and rhs_sort is not ANY and sort is not rhs_sort:
-                    self.fail(
-                        f"cannot compare {sort.name} with {rhs_sort.name}", op_tok, kind="sort"
-                    )
-            else:
-                self._check_sort(sort, INTEGER, op_tok, f"left operand of {op_tok.text}")
-                self._check_sort(rhs_sort, INTEGER, op_tok, f"right operand of {op_tok.text}")
-            return App(sym, (term, rhs)), BOOLEAN
-        return term, sort
-
-    def parse_add(self):
-        return self._binary_chain(self.parse_mul, ("+", "-"))
-
-    def parse_mul(self):
-        return self._binary_chain(self.parse_unary, ("*", "mod"))
-
-    def parse_unary(self):
-        if self.at_punct("-"):
-            op_tok = self.next()
-            operand, sort = self.nested(self.parse_unary)
-            self._check_sort(sort, INTEGER, op_tok, "operand of unary minus")
-            if isinstance(operand, Lit) and isinstance(operand.value, int):
-                return Lit(-operand.value), INTEGER
-            sym = self.vocab.symbols["-"]
-            return App(sym, (Lit(0), operand)), INTEGER
-        return self.parse_atom()
+            ceiling = op - 1 if op == _COMPARE else op
 
     def parse_atom(self) -> tuple[Term, Sort]:
         tok = self.peek()
@@ -574,30 +564,27 @@ class _Parser:
             self.next()
             if "." in tok.text or "e" in tok.text or "E" in tok.text:
                 self.fail("fractional literals are only allowed inside point(..)", tok)
+            if len(tok.text) > MAX_INT_DIGITS:
+                self.fail(f"integer literal longer than {MAX_INT_DIGITS} digits", tok)
             return Lit(int(tok.text)), INTEGER
         if tok.kind == "kw":
-            if tok.text == "true":
+            if tok.text in _CONSTANTS:
                 self.next()
-                return Lit(True), BOOLEAN
-            if tok.text == "false":
-                self.next()
-                return Lit(False), BOOLEAN
-            if tok.text == "undef":
-                self.next()
-                return Lit(UNDEF), ANY
+                value, sort = _CONSTANTS[tok.text]
+                return Lit(value), sort
             if tok.text in ("point", "circle", "line"):
                 return self.parse_geometry_literal()
             self.fail(f"unexpected keyword {tok.text!r} in a term", tok)
-        if tok.kind == "punct" and tok.text == "(":
+        if tok.text == "(":
             self.next()
             term, sort = self.nested(self.parse_term)
-            self.expect_punct(")")
+            self.expect(")")
             return term, sort
         if tok.kind == "ident":
             self.next()
             sym = self.vocab.symbol(tok.text)
             if sym is not None:
-                if self.at_punct("("):
+                if self.at("("):
                     args = self.parse_term_args(sym, tok)
                     return App(sym, args), sym.result_sort
                 if sym.arity != 0:
@@ -612,14 +599,14 @@ class _Parser:
         self.fail(f"unexpected {tok.text!r} in a term", tok)
 
     def parse_term_args(self, sym: Symbol, name_tok: Token) -> tuple[Term, ...]:
-        self.expect_punct("(")
+        self.expect("(")
         args: list[Term] = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             args.append(self._parse_arg(sym, len(args), name_tok))
-            while self.at_punct(","):
+            while self.at(","):
                 self.next()
                 args.append(self._parse_arg(sym, len(args), name_tok))
-        self.expect_punct(")")
+        self.expect(")")
         if len(args) != sym.arity:
             self.fail(
                 f"{sym.name} expects {sym.arity} argument(s), got {len(args)}",
@@ -638,37 +625,32 @@ class _Parser:
     def parse_geometry_literal(self) -> tuple[Term, Sort]:
         head = self.next()
         if head.text == "point":
-            self.expect_punct("(")
+            self.expect("(")
             x = self.parse_signed_number()
-            self.expect_punct(",")
+            self.expect(",")
             y = self.parse_signed_number()
-            self.expect_punct(")")
+            self.expect(")")
             return Lit(Point(x, y)), POINT
         make, sort = (Circle, CIRCLE) if head.text == "circle" else (Line, LINE)
-        self.expect_punct("(")
-        first, _ = self.parse_geometry_literal_point()
-        self.expect_punct(",")
-        second, _ = self.parse_geometry_literal_point()
-        self.expect_punct(")")
+        self.expect("(")
+        first = self.parse_geometry_literal_point()
+        self.expect(",")
+        second = self.parse_geometry_literal_point()
+        self.expect(")")
         return Lit(make(first, second)), sort
 
-    def parse_geometry_literal_point(self):
-        tok = self.peek()
-        if not (tok.kind == "kw" and tok.text == "point"):
-            self.fail("expected point(..)", tok)
-        lit, sort = self.parse_geometry_literal()
-        return lit.value, sort
+    def parse_geometry_literal_point(self) -> Point:
+        if not self.at("point"):
+            self.fail("expected point(..)")
+        return self.parse_geometry_literal()[0].value
 
     def parse_signed_number(self) -> float:
-        negative = False
-        if self.at_punct("-"):
+        negative = self.at("-")
+        if negative:
             self.next()
-            negative = True
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected a number", tok)
-        self.next()
-        value = float(tok.text)
+        if self.peek().kind != "number":
+            self.fail("expected a number")
+        value = float(self.next().text)
         return -value if negative else value
 
 
@@ -694,39 +676,23 @@ def parse_term_in(source: str, vocabulary: Vocabulary) -> Term:
 
 # --- pretty-printer ----------------------------------------------------------
 
-_PREC = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "mod": 6,
-}
-
-
-def term_text(term: Term, parent_prec: int = 0) -> str:
+def term_text(term: Term, level: int = 0) -> str:
+    """The term's text, in parentheses if its operator binds looser than
+    `level`; the levels are those of `_OPERATORS`, which the parser reads."""
     if isinstance(term, Lit):
         return render_value(term.value)
     if isinstance(term, Var):
         return term.symbol.name
-    name = term.symbol.name
-    prec = _PREC.get(name)
-    if prec is None or (name == "-" and len(term.args) != 2):
-        inner = ", ".join(term_text(a, 0) for a in term.args)
-        return f"{name}({inner})"
-    if name == "not":
-        text = f"not {term_text(term.args[0], _PREC['not'])}"
-    elif prec == 4:  # comparisons do not chain
-        left = term_text(term.args[0], 5)
-        right = term_text(term.args[1], 5)
-        text = f"{left} {name} {right}"
-    else:  # left-associative binary operators
-        left = term_text(term.args[0], prec)
-        right = term_text(term.args[1], prec + 1)
-        text = f"{left} {name} {right}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    name, args = term.symbol.name, term.args
+    op = _OPERATORS.get((name, len(args)))
+    if op is None:
+        return f"{name}({', '.join(term_text(a) for a in args)})"
+    if len(args) == 1:
+        text = f"{name} {term_text(args[0], op)}"
+    else:
+        left = op + 1 if op == _COMPARE else op
+        text = f"{term_text(args[0], left)} {name} {term_text(args[1], op + 1)}"
+    return f"({text})" if op < level else text
 
 
 def _ends_with_open_cond(rule: Rule) -> bool:

@@ -120,7 +120,7 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         guard.lineno, line = rows[0]
         header = json.loads(line)
         program_id = header["programId"]
-        initial = state_from_bindings(header["initialState"], vocab)
+        initial = state_from_bindings(header["initialState"].items(), vocab)
         for guard.lineno, line in rows[1:-1]:
             row = json.loads(line)
             updates = UpdateSet()
@@ -132,7 +132,7 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         guard.lineno, line = rows[-1]
         final = json.loads(line)
         outcome = Outcome(final["outcome"], final.get("error"))
-        final_state = state_from_bindings(final["finalState"], vocab)
+        final_state = state_from_bindings(final["finalState"].items(), vocab)
     return Trace(program_id, initial, steps, final_state, outcome)
 
 

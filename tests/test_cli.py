@@ -152,6 +152,33 @@ def test_repeated_binding_exits_2_in_either_order(tmp_path, bindings):
     assert "error[parse]" in r.stderr and "repeated binding for x" in r.stderr
 
 
+def test_a_location_bound_twice_in_a_trace_header_exits_2(tmp_path):
+    """`"a"` and `" a"` spell one location; neither binding may win."""
+    trace = tmp_path / "t.jsonl"
+    cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["initialState"] = {"a": "99", " a": "12", "b": "8"}
+    lines[0] = json.dumps(header)
+    trace.write_text("\n".join(lines) + "\n")
+    r = cli("replay", "--program", EUCLID, "--trace", str(trace))
+    assert r.returncode == 2
+    assert "error[parse]" in r.stderr and "repeated binding for a" in r.stderr
+
+
+@pytest.mark.parametrize("where", ["state file", "program"])
+def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
+    digits = "9" * 5000
+    in_program, in_state = (digits, "0") if where == "program" else ("0", digits)
+    src = tmp_path / "p.basm"
+    src.write_text(f"vocab {{\n  var x : Integer\n}}\ndo until x > 0 {{\n  x := {in_program}\n}}\n")
+    init = tmp_path / "init.state"
+    init.write_text(f"x := {in_state}\n")
+    r = cli("run", "--program", str(src), "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_oracle_in_halt_condition_exits_2(tmp_path):
     src = tmp_path / "p.basm"
     src.write_text(

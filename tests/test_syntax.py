@@ -1,10 +1,13 @@
 """Lexer, parser, pretty-printer, and the canonical-text program id."""
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basm.errors import BasmError, ParseError
-from basm.literals import load_state
+from basm.literals import MAX_INT_DIGITS, load_state, parse_value
 from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
 from basm.semantics import StepRecord, eval_term, run, step
 from basm.state import (
@@ -86,6 +89,7 @@ def _terms_vocab():
     v.declare("x", (), INTEGER, "dynamic")
     v.declare("y", (), INTEGER, "dynamic")
     v.declare("p", (), BOOLEAN, "dynamic")
+    v.declare("q", (), BOOLEAN, "dynamic")
     return v
 
 
@@ -102,6 +106,13 @@ def _terms_vocab():
         "0 - x",
         "-5",
         "x = undef",
+        "(not p) = q",
+        "(x < y) = p",
+        "p = (x < y)",
+        "x - -5",
+        "not not p",
+        "p or q and not p",
+        "x * (y mod 2)",
     ],
 )
 def test_term_text_round_trip(text):
@@ -128,6 +139,17 @@ def test_comparisons_do_not_chain():
         parse_term_in("1 < 2 < 3", _terms_vocab())
 
 
+@pytest.mark.parametrize("text", ["x = y = p", "p and x = y = p", "not x = y = p",
+                                  "p or x < y = p"])
+def test_a_comparison_does_not_take_a_comparison_as_its_left_operand(text):
+    """Each would be well sorted as `(x = y) = p`; the second comparison is
+    left over, whatever looser operator encloses the first."""
+    with pytest.raises(ParseError) as e:
+        parse_term_in(text, _terms_vocab())
+    assert e.value.kind == "parse"
+    assert "trailing input after the term" in e.value.message
+
+
 def test_cross_sort_equality_rejected():
     with pytest.raises(ParseError) as e:
         parse_term_in("1 = true", _terms_vocab())
@@ -137,6 +159,62 @@ def test_cross_sort_equality_rejected():
 def test_fractional_literal_only_inside_point():
     with pytest.raises(ParseError):
         parse_term_in("1.5 + 1", _terms_vocab())
+
+
+def test_integer_literals_are_bounded_at_every_reader():
+    v = _terms_vocab()
+    at_bound, past = "9" * MAX_INT_DIGITS, "9" * (MAX_INT_DIGITS + 1)
+    assert parse_term_in(f"x + {at_bound}", v).args[1] == Lit(int(at_bound))
+    assert parse_value(f"-{at_bound}", INTEGER) == -int(at_bound)
+    with pytest.raises(ParseError) as e:
+        parse_term_in(f"x + {past}", v)
+    assert e.value.kind == "parse" and (e.value.line, e.value.column) == (1, 5)
+    assert f"longer than {MAX_INT_DIGITS} digits" in e.value.message
+    with pytest.raises(ParseError) as e:
+        parse_value(past, INTEGER)
+    assert e.value.kind == "parse"
+
+
+# Names, literals, keywords and punctuation of terms over `_terms_vocab`.
+TOKENS = ["x", "y", "p", "q", "0", "7", "1.5", "true", "false", "undef", "point", "not",
+          "and", "or", "mod", "if", "=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "(",
+          ")", ",", ":="]
+
+
+def _joined(groups) -> list[str]:
+    """Operands, each after some prefixes and before some `)`, joined by the
+    operator of their group; the last group's operator is dropped."""
+    tokens = []
+    for prefixes, operand, closers, op in groups:
+        tokens += [*prefixes, operand, *closers, op]
+    return tokens[:-1]
+
+
+def _shaped(operands, prefixes, operators):
+    return st.lists(
+        st.tuples(st.lists(st.sampled_from(prefixes), max_size=2), st.sampled_from(operands),
+                  st.lists(st.just(")"), max_size=1), st.sampled_from(operators)),
+        min_size=1, max_size=6,
+    ).map(_joined)
+
+
+# Token soups shaped like terms over one sort, which parse far more often than
+# uniform ones; brackets open and close at random, so many are unbalanced.
+SHAPED = st.one_of(
+    _shaped(["x", "y", "0", "7", "undef"], ["-", "("], ["+", "-", "*", "mod", "<", "="]),
+    _shaped(["p", "q", "true", "false", "undef"], ["not", "("], ["and", "or", "=", "!="]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=14), SHAPED))
+def test_token_soup_parses_and_round_trips_or_is_a_parse_error(tokens):
+    v = _terms_vocab()
+    try:
+        term = parse_term_in(" ".join(tokens), v)
+    except ParseError:
+        return
+    assert parse_term_in(term_text(term), v) == term
 
 
 def test_geometry_literals():
@@ -232,6 +310,17 @@ def test_nesting_at_the_bound_parses_runs_and_round_trips(construct):
     state = load_state("x := 0\np := true\n", prog.vocabulary)
     trace = run(prog, state, BuiltinPolicy(), max_steps=1)
     assert trace.outcome.kind in ("halted", "step-limit")
+
+
+@pytest.mark.parametrize("construct", NESTED)
+def test_nesting_at_the_bound_needs_at_most_eight_frames_a_level(construct):
+    body = NESTED[construct](MAX_NESTING)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 8 * MAX_NESTING)
+    try:
+        _nested(body)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("construct", NESTED)
