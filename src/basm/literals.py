@@ -27,6 +27,7 @@ from .state import (
     DYNAMIC,
     INTEGER,
     LINE,
+    MAX_INT_DIGITS,
     POINT,
     UNDEF,
     EnumValue,
@@ -36,11 +37,6 @@ from .state import (
     Vocabulary,
 )
 
-# The most decimal digits an integer literal may have, wherever one is read:
-# state files, traces, scripts, answers and program text. Python's `int()`
-# refuses text longer than its `int_max_str_digits` setting, which is 4300 by
-# default and never below 640, so a literal within this bound always converts.
-MAX_INT_DIGITS = 640
 _INT_RE = re.compile(rf"[-+]?\d{{1,{MAX_INT_DIGITS}}}$")
 _FLOAT_RE = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 

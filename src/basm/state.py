@@ -150,6 +150,41 @@ class Symbol:
 
 # --- predeclared static core -------------------------------------------------
 
+# The most decimal digits an integer may have. Integer literals are read up to
+# this bound (state files, traces, scripts, answers and program text), and
+# `+`, `-` and `*` fail with kind `arith` on a result past it, so every integer
+# a run holds can be written and read back. Python's `int()` and `str()`
+# refuse more digits than their `int_max_str_digits` setting, which is 4300 by
+# default and never below 640, so an integer within this bound always converts.
+MAX_INT_DIGITS = 640
+_INT_BOUND = 10**MAX_INT_DIGITS
+
+
+def _too_long():
+    return BasmError("arith", f"integer result of more than {MAX_INT_DIGITS} digits")
+
+
+def _add(a, b):
+    r = a + b
+    if -_INT_BOUND < r < _INT_BOUND:
+        return r
+    raise _too_long()
+
+
+def _sub(a, b):
+    r = a - b
+    if -_INT_BOUND < r < _INT_BOUND:
+        return r
+    raise _too_long()
+
+
+def _mul(a, b):
+    r = a * b
+    if -_INT_BOUND < r < _INT_BOUND:
+        return r
+    raise _too_long()
+
+
 def _mod(a, b):
     if b == 0:
         raise BasmError("arith", "mod by zero")
@@ -186,9 +221,9 @@ def _not(a):
 
 # (name, arg sorts, result sort, implementation, strict-on-undef)
 _STATIC_DEFS = [
-    ("+", (INTEGER, INTEGER), INTEGER, operator.add, True),
-    ("-", (INTEGER, INTEGER), INTEGER, operator.sub, True),
-    ("*", (INTEGER, INTEGER), INTEGER, operator.mul, True),
+    ("+", (INTEGER, INTEGER), INTEGER, _add, True),
+    ("-", (INTEGER, INTEGER), INTEGER, _sub, True),
+    ("*", (INTEGER, INTEGER), INTEGER, _mul, True),
     ("mod", (INTEGER, INTEGER), INTEGER, _mod, True),
     ("powmod", (INTEGER, INTEGER, INTEGER), INTEGER, _powmod, True),
     ("<", (INTEGER, INTEGER), BOOLEAN, operator.lt, True),

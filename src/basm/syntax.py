@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
-from .literals import MAX_INT_DIGITS, render_value
+from .literals import render_value
 from .state import (
     ANY,
     BOOLEAN,
@@ -37,6 +37,7 @@ from .state import (
     DYNAMIC,
     INTEGER,
     LINE,
+    MAX_INT_DIGITS,
     ORACLE,
     POINT,
     UNDEF,
@@ -264,8 +265,6 @@ _OPERATORS = {
     ("-", 1): 7,
 }
 _TIGHTEST = max(_OPERATORS.values())
-
-_CONSTANTS = {"true": (True, BOOLEAN), "false": (False, BOOLEAN), "undef": (UNDEF, ANY)}
 
 # How deep subterms and subrules may nest. The parser recurses through 4
 # Python frames per parenthesis in `x + (...)` and 5 per argument in `f(...)`;
@@ -568,10 +567,15 @@ class _Parser:
                 self.fail(f"integer literal longer than {MAX_INT_DIGITS} digits", tok)
             return Lit(int(tok.text)), INTEGER
         if tok.kind == "kw":
-            if tok.text in _CONSTANTS:
+            if tok.text == "true":
                 self.next()
-                value, sort = _CONSTANTS[tok.text]
-                return Lit(value), sort
+                return Lit(True), BOOLEAN
+            if tok.text == "false":
+                self.next()
+                return Lit(False), BOOLEAN
+            if tok.text == "undef":
+                self.next()
+                return Lit(UNDEF), ANY
             if tok.text in ("point", "circle", "line"):
                 return self.parse_geometry_literal()
             self.fail(f"unexpected keyword {tok.text!r} in a term", tok)
@@ -633,24 +637,29 @@ class _Parser:
             return Lit(Point(x, y)), POINT
         make, sort = (Circle, CIRCLE) if head.text == "circle" else (Line, LINE)
         self.expect("(")
-        first = self.parse_geometry_literal_point()
+        first, _ = self.parse_geometry_literal_point()
         self.expect(",")
-        second = self.parse_geometry_literal_point()
+        second, _ = self.parse_geometry_literal_point()
         self.expect(")")
         return Lit(make(first, second)), sort
 
-    def parse_geometry_literal_point(self) -> Point:
-        if not self.at("point"):
-            self.fail("expected point(..)")
-        return self.parse_geometry_literal()[0].value
+    def parse_geometry_literal_point(self):
+        tok = self.peek()
+        if not (tok.kind == "kw" and tok.text == "point"):
+            self.fail("expected point(..)", tok)
+        lit, sort = self.parse_geometry_literal()
+        return lit.value, sort
 
     def parse_signed_number(self) -> float:
-        negative = self.at("-")
-        if negative:
+        negative = False
+        if self.at("-"):
             self.next()
-        if self.peek().kind != "number":
-            self.fail("expected a number")
-        value = float(self.next().text)
+            negative = True
+        tok = self.peek()
+        if tok.kind != "number":
+            self.fail("expected a number", tok)
+        self.next()
+        value = float(tok.text)
         return -value if negative else value
 
 

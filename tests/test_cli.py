@@ -179,6 +179,27 @@ def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
     assert "error[parse]" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("squarings, code", [(11, 0), (12, 1)])
+def test_a_run_that_squares_past_the_digit_bound_stops_and_its_trace_replays(
+    tmp_path, squarings, code
+):
+    """2^2048 has 617 digits and halts; 2^4096 has 1234, past `MAX_INT_DIGITS`."""
+    src = tmp_path / "p.basm"
+    src.write_text(
+        "vocab {\n  var x : Integer\n  var n : Integer\n}\n"
+        f"do until n = {squarings} {{\n  par {{ x := x * x ; n := n + 1 }}\n}}\n"
+    )
+    init = tmp_path / "init.state"
+    init.write_text("x := 2\nn := 0\n")
+    trace = tmp_path / "t.jsonl"
+    r = cli("run", "--program", str(src), "--init", str(init), "--trace", str(trace))
+    assert r.returncode == code and "Traceback" not in r.stderr
+    if code:
+        assert "error[arith]: integer result of more than 640 digits" in r.stderr
+    r = cli("replay", "--program", str(src), "--trace", str(trace))
+    assert r.returncode == 0 and "replay: ok" in r.stdout
+
+
 def test_oracle_in_halt_condition_exits_2(tmp_path):
     src = tmp_path / "p.basm"
     src.write_text(

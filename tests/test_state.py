@@ -10,6 +10,7 @@ from basm.semantics import Outcome, StepRecord, Trace
 from basm.state import (
     BOOLEAN,
     INTEGER,
+    MAX_INT_DIGITS,
     STATIC_IMPL,
     UNDEF,
     EnumValue,
@@ -73,6 +74,16 @@ def test_mod_and_powmod():
     with pytest.raises(BasmError) as e:
         _impl("powmod")(2, -1, 9)
     assert e.value.kind == "arith"
+
+
+def test_integer_results_past_the_digit_bound_are_arith_errors():
+    top = 10**MAX_INT_DIGITS - 1  # the largest integer that prints in the bound
+    add, sub, mul = _impl("+"), _impl("-"), _impl("*")
+    assert add(top - 1, 1) == top and sub(1 - top, 1) == -top and mul(-top, 1) == -top
+    for op, a, b in ((add, top, 1), (add, -top, -1), (sub, -top, 1), (mul, top, -2)):
+        with pytest.raises(BasmError) as e:
+            op(a, b)
+        assert e.value.kind == "arith"
 
 
 def test_values_equal_separates_bool_from_int():
