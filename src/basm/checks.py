@@ -11,12 +11,13 @@ executable checks over programs and traces:
     the recorded answers fed back, reproduces itself exactly (see
     semantics.replay).
 
-Bounded exploration and isomorphism invariance compare one observed step:
-its update set and interactions, or its error kind and the interactions made
-before the failure. Observations compare with the equality replay uses
-(update values by `values_equal`, so geometry within the kernel EPS), and
-the isomorphism check renames the original step with `state.renaming`, the
-map `transport` applies to the state.
+Bounded exploration and isomorphism invariance observe one step with
+`semantics.observe_step`, as the run loop does: its step record (update set
+and interactions, or no updates and the interactions made before a failure)
+and its error outcome, if any. Both compare with the equality replay uses
+(update values by `values_equal`, so geometry within the kernel EPS; error
+outcomes by kind), and the isomorphism check renames the original record
+with `state.renaming`, the map `transport` applies to the state.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same
@@ -29,11 +30,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BasmError
 from .oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
-from .semantics import Trace, same_steps, step
+from .semantics import StepRecord, Trace, observe_step, same_steps, step
 from .state import (
     BOOLEAN,
     DYNAMIC,
@@ -45,7 +47,12 @@ from .state import (
     renaming,
     transport,
 )
-from .syntax import Program, Rule, Term, iter_subterms, rule_terms
+from .syntax import Program, Term, iter_subterms, rule_terms
+
+# `junk_state_sampler`'s junk tables, entries per table, and integer range.
+JUNK_SYMBOLS = 3
+JUNK_ENTRIES = 4
+JUNK_INT_RANGE = (-50, 50)
 
 
 def exploration_witness(program: Program) -> frozenset:
@@ -74,35 +81,19 @@ class CheckReport:
         )
 
 
-def _observe(state: State, rule: Rule, session: OracleSession,
-             step_fn: Optional[Callable] = None):
-    """One step as ("ok", updates, interactions), or as ("error", kind, the
-    interactions made before the failure)."""
-    start = session.begin_step()
-    try:
-        # `step` is looked up per call, so a patched module global is seen.
-        updates, interactions = (step_fn or step)(state, rule, session)
-    except BasmError as e:
-        return ("error", e.kind, tuple(session.log[start:]))
-    return ("ok", updates, tuple(interactions))
-
-
-def _rename(observation, move: Callable):
-    """An observed step with every value in it renamed by `move`."""
-    outcome, result, interactions = observation
-    if outcome == "ok":
-        moved_updates = UpdateSet()
-        for loc, v in result.items():
-            moved_updates.add(Location(loc.symbol, tuple(map(move, loc.args))), move(v))
-        result = moved_updates
-    moved = tuple(
-        Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer)) for i in interactions
+def _rename(record: StepRecord, move: Callable) -> StepRecord:
+    """A step record with every location and value in it renamed by `move`."""
+    updates = UpdateSet()
+    for loc, v in record.updates.items():
+        updates.add(move(loc), move(v))
+    interactions = tuple(
+        Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer))
+        for i in record.interactions
     )
-    return (outcome, result, moved)
+    return StepRecord(record.index, updates, interactions)
 
 
-def junk_state_sampler(program: Program, base_state: State, *, junk_symbols: int = 3,
-                       junk_entries: int = 4, int_range: tuple[int, int] = (-50, 50)):
+def junk_state_sampler(program: Program, base_state: State):
     """Default sampler for bounded-exploration trials.
 
     Each trial builds a state X by randomising the program's integer and
@@ -113,11 +104,11 @@ def junk_state_sampler(program: Program, base_state: State, *, junk_symbols: int
     vocab = program.vocabulary.copy()
     junk = [
         vocab.declare(f"zz_junk{i}", (INTEGER,), INTEGER, DYNAMIC)
-        for i in range(junk_symbols)
+        for i in range(JUNK_SYMBOLS)
     ]
     junk_flag = vocab.declare("zz_flag", (), BOOLEAN, DYNAMIC)
-    lo, hi = int_range
-    core_syms = [program.vocabulary.symbol(s.name) for s in program.vocabulary.dynamic_symbols()]
+    lo, hi = JUNK_INT_RANGE
+    core_syms = [s for s in program.vocabulary.symbols.values() if s.kind == DYNAMIC]
 
     def randomize_core(rng: random.Random) -> dict:
         interp = dict(base_state.interp)
@@ -133,7 +124,7 @@ def junk_state_sampler(program: Program, base_state: State, *, junk_symbols: int
     def junk_bindings(rng: random.Random) -> dict:
         bound = {}
         for sym in junk:
-            for i in range(junk_entries):
+            for i in range(JUNK_ENTRIES):
                 bound[Location(sym, (i,))] = rng.randint(lo, hi)
         bound[Location(junk_flag, ())] = rng.choice((True, False))
         return bound
@@ -162,8 +153,9 @@ def check_bounded_exploration(program: Program, sampler, trials: int, seed: int,
         trial_seed = rng.getrandbits(63)
         sx = OracleSession(UniformRandomPolicy(trial_seed), x.vocabulary)
         sy = OracleSession(UniformRandomPolicy(trial_seed), y.vocabulary)
-        ox = _observe(x, program.step_rule, sx, step_fn)
-        oy = _observe(y, program.step_rule, sy, step_fn)
+        # `step` is looked up per call, so a patched module global is seen.
+        ox = observe_step(0, x, program.step_rule, sx, step_fn or step)
+        oy = observe_step(0, y, program.step_rule, sy, step_fn or step)
         if ox != oy:
             failures.append(
                 f"trial {trial} (seed {trial_seed}): steps differ: {ox!r} vs {oy!r}"
@@ -185,15 +177,18 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
     answers = list(scripted_answers)
     sx = OracleSession(ScriptedPolicy.from_answers(answers), vocab)
     sy = OracleSession(ScriptedPolicy.from_answers([move(a) for a in answers]), vocab)
-    expected = _rename(_observe(state, program.step_rule, sx), move)
-    got = _observe(moved_state, program.step_rule, sy)
-    if expected[0] != got[0]:
-        failures = [f"outcomes differ under {bijection!r}: {expected[0]} vs {got[0]}"]
+    original, failed = observe_step(0, state, program.step_rule, sx, step)
+    expected = _rename(original, move)
+    got, got_failed = observe_step(0, moved_state, program.step_rule, sy, step)
+    if failed != got_failed:
+        failures = [f"outcomes differ under {bijection!r}: {failed!r} vs {got_failed!r}"]
     else:
-        fields = ("updates" if got[0] == "ok" else "error kind", "interactions")
         failures = [
             f"{name} do not commute with {bijection!r}: expected {want!r}, got {have!r}"
-            for name, want, have in zip(fields, expected[1:], got[1:])
+            for name, want, have in (
+                ("updates", expected.updates, got.updates),
+                ("interactions", expected.interactions, got.interactions),
+            )
             if want != have
         ]
     return CheckReport("iso", 1, failures)
@@ -201,8 +196,6 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
 
 def enum_bijections(vocab: Vocabulary) -> Iterator[dict]:
     """Every bijection of every enum universe (identity included)."""
-    from itertools import permutations, product
-
     enums = [s for s in vocab.sorts.values() if s.is_enum]
     if not enums:
         yield {}

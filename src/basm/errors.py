@@ -6,7 +6,7 @@ can react without string matching. Kinds in use:
   parse                 malformed program, state file, or literal
   sort                  unknown symbol, arity mismatch, ill-sorted term or value
   arith                 mod / powmod domain violations, integer results past
-                        MAX_INT_DIGITS digits
+                        MAX_INT_DIGITS digits, non-finite geometry results
   clash                 inconsistent update set (two values for one location)
   script                scripted oracle exhausted or mismatched
   aborted               interactive oracle input stream closed

@@ -2,7 +2,8 @@
 
 Circles are stored as (center, through-point); the radius is derived. All
 kernel comparisons use EPS = 1e-9. End-to-end tests on top of the interpreter
-use a looser 1e-6.
+use a looser 1e-6. A midpoint or intersection point with a coordinate that is
+not finite is an `arith` error, so every point a run holds reads back.
 """
 from __future__ import annotations
 
@@ -40,8 +41,14 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+def _finite(p: Point) -> Point:
+    if math.isfinite(p.x) and math.isfinite(p.y):
+        return p
+    raise BasmError("arith", "non-finite point coordinate")
+
+
 def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
+    return _finite(Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0))
 
 
 def circle_through(center: Point, through: Point) -> Circle:
@@ -78,8 +85,8 @@ def intersect_circles(a: Circle, b: Circle) -> tuple[Point, Point]:
     uy = (b.center.y - a.center.y) / d
     fx = a.center.x + ax * ux
     fy = a.center.y + ax * uy
-    p = Point(fx - h * uy, fy + h * ux)
-    q = Point(fx + h * uy, fy - h * ux)
+    p = _finite(Point(fx - h * uy, fy + h * ux))
+    q = _finite(Point(fx + h * uy, fy - h * ux))
     if h <= EPS:
         double = Point(fx, fy)
         return (double, double)
@@ -97,5 +104,5 @@ def dist_point_line(x: Point, l: Line) -> float:
     return abs(dx * (x.y - l.p1.y) - dy * (x.x - l.p1.x)) / length
 
 
-def points_close(p: Point, q: Point, eps: float = EPS) -> bool:
-    return abs(p.x - q.x) <= eps and abs(p.y - q.y) <= eps
+def points_close(p: Point, q: Point) -> bool:
+    return abs(p.x - q.x) <= EPS and abs(p.y - q.y) <= EPS

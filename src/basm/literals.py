@@ -1,7 +1,9 @@
-"""Text forms for values, locations, and initial-state files.
+"""Reading values, locations, and initial-state files back from text.
 
 The same literal syntax is used everywhere a value crosses a boundary: state
-files, trace files, oracle scripts, and interactive answers.
+files, trace files, oracle scripts, and interactive answers. This module reads
+it; `state.render_value` writes it (imported here, so `literals.render_value`
+names the same function), and `state.rendered_bindings` writes bindings.
 
   42   -7   true   false   undef
   point(2.5,-4.330127018922193)
@@ -15,6 +17,7 @@ Blank lines and `#` comments are ignored. Unlisted locations are undef.
 """
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable
 
@@ -35,32 +38,13 @@ from .state import (
     Sort,
     State,
     Vocabulary,
+    render_value,
+    rendered_bindings,
 )
 
 _INT_RE = re.compile(rf"[-+]?\d{{1,{MAX_INT_DIGITS}}}$")
 _FLOAT_RE = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
-
-
-def _render_float(x: float) -> str:
-    return repr(float(x))
-
-
-def render_value(value) -> str:
-    if value is UNDEF:
-        return "undef"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Point):
-        return f"point({_render_float(value.x)},{_render_float(value.y)})"
-    if isinstance(value, Circle):
-        return f"circle({render_value(value.center)},{render_value(value.through)})"
-    if isinstance(value, Line):
-        return f"line({render_value(value.p1)},{render_value(value.p2)})"
-    if isinstance(value, EnumValue):
-        return value.member
-    raise BasmError("sort", f"not a value: {value!r}")
+_LOCATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?$")
 
 
 def _split_args(text: str, where: str) -> list[str]:
@@ -91,7 +75,10 @@ def _call_body(text: str, head: str) -> str | None:
 def _parse_float(text: str) -> float:
     if not _FLOAT_RE.match(text):
         raise ParseError(f"bad number: {text!r}")
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"coordinate out of the float range: {text!r}")
+    return value
 
 
 def _parse_point(text: str) -> Point:
@@ -161,7 +148,7 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
 def parse_location(text: str, vocabulary: Vocabulary) -> Location:
     """Parse `name` or `name(literal, ...)` against the vocabulary."""
     text = text.strip()
-    m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?$", text)
+    m = _LOCATION_RE.match(text)
     if not m:
         raise ParseError(f"bad location: {text!r}")
     name, _, argtext = m.groups()
@@ -199,7 +186,13 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
 
 def state_bindings(state: State) -> dict[str, str]:
     """Rendered location -> literal map, sorted by location text."""
-    return dict(sorted((loc.render(), render_value(v)) for loc, v in state.interp.items()))
+    return dict(rendered_bindings(state.interp))
+
+
+def parse_binding(loc_text: str, lit: str, vocabulary: Vocabulary) -> tuple[Location, object]:
+    """A location text and its literal text, read at the location's sort."""
+    loc = parse_location(loc_text, vocabulary)
+    return loc, parse_value(lit, loc.symbol.result_sort, vocabulary)
 
 
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary) -> State:
@@ -209,8 +202,7 @@ def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabul
     interp = {}
     cleared = set()  # locations bound to `undef`, which stay out of `interp`
     for loc_text, lit in bindings:
-        loc = parse_location(loc_text, vocabulary)
-        value = parse_value(lit, loc.symbol.result_sort, vocabulary)
+        loc, value = parse_binding(loc_text, lit, vocabulary)
         if loc in interp or loc in cleared:
             raise ParseError(f"repeated binding for {loc.render()}")
         if value is UNDEF:

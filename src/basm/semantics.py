@@ -23,8 +23,8 @@ so an errored trace still replays exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .errors import BasmError
 from .oracles import Interaction, OracleSession, ScriptedPolicy
@@ -166,10 +166,21 @@ class StepRecord:
 class Outcome:
     kind: str  # halted | step-limit | error
     error: Optional[str] = None  # error kind when kind == "error"
-    detail: Optional[str] = None  # human-readable; not compared
+    detail: Optional[str] = field(default=None, compare=False)  # human-readable
 
-    def same_as(self, other: "Outcome") -> bool:
-        return self.kind == other.kind and self.error == other.error
+
+def observe_step(index: int, state: State, rule: Rule, session: OracleSession,
+                 step_fn: Callable) -> tuple[StepRecord, Optional[Outcome]]:
+    """One step by `step_fn` (`step` or a stand-in) as the record a trace
+    keeps, and the error outcome if it failed; a failed step keeps no updates
+    and the interactions made before the failure."""
+    start = session.begin_step()
+    try:
+        updates, interactions = step_fn(state, rule, session)
+    except BasmError as e:
+        failed = Outcome("error", e.kind, e.message)
+        return StepRecord(index, UpdateSet(), tuple(session.log[start:])), failed
+    return StepRecord(index, updates, tuple(interactions)), None
 
 
 @dataclass
@@ -219,20 +230,16 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
         if len(steps) >= max_steps:
             outcome = Outcome("step-limit")
             break
-        log_start = session.begin_step()
-        try:
-            updates, interactions = step(state, program.step_rule, session)
-        except BasmError as e:
-            partial = tuple(session.log[log_start:])
-            steps.append(StepRecord(len(steps), UpdateSet(), partial))
-            outcome = Outcome("error", e.kind, e.message)
+        # `step` is looked up per call, so a patched module global is seen.
+        record, outcome = observe_step(len(steps), state, program.step_rule, session, step)
+        steps.append(record)
+        if outcome is not None:
             break
-        steps.append(StepRecord(len(steps), updates, tuple(interactions)))
         # Compared before the commit, which overwrites the old values.
-        unchanged = program.mode == ITERATE and changes_nothing(state, updates)
-        commit(store, updates)
+        unchanged = program.mode == ITERATE and changes_nothing(state, record.updates)
+        commit(store, record.updates)
         if unchanged:
-            steps[-1].halted_after = True
+            record.halted_after = True
             outcome = Outcome("halted")
             break
     return Trace(program.program_id, init, steps, state, outcome)
@@ -243,7 +250,7 @@ def same_steps(a: Trace, b: Trace) -> bool:
     and equal step records in order, each compared on its index, update set,
     interactions and halted mark. Replay and behavioural equivalence both
     decide by it."""
-    return a.outcome.same_as(b.outcome) and a.steps == b.steps
+    return a.outcome == b.outcome and a.steps == b.steps
 
 
 def replay(trace: Trace, program: Program) -> bool:

@@ -60,10 +60,6 @@ ANY = Sort("Any", "Any")
 BUILTIN_SORTS = {s.name: s for s in (INTEGER, BOOLEAN, POINT, CIRCLE, LINE)}
 
 
-def enum_sort(name: str, members: Iterable[str]) -> Sort:
-    return Sort(name, "Enum", tuple(members))
-
-
 class _Undef:
     _instance = None
 
@@ -74,9 +70,6 @@ class _Undef:
 
     def __repr__(self):
         return "undef"
-
-    def __reduce__(self):
-        return (_Undef, ())
 
 
 UNDEF = _Undef()
@@ -134,6 +127,30 @@ def values_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
     return a == b
+
+
+def same_bindings(a: Mapping, b: Mapping) -> bool:
+    """Binding maps with the same locations and equal values (`values_equal`)."""
+    return a.keys() == b.keys() and all(values_equal(v, b[loc]) for loc, v in a.items())
+
+
+def render_value(value) -> str:
+    """The literal text of a value; floats render by `repr`, so they read back exactly."""
+    if value is UNDEF:
+        return "undef"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Point):
+        return f"point({float(value.x)!r},{float(value.y)!r})"
+    if isinstance(value, Circle):
+        return f"circle({render_value(value.center)},{render_value(value.through)})"
+    if isinstance(value, Line):
+        return f"line({render_value(value.p1)},{render_value(value.p2)})"
+    if isinstance(value, EnumValue):
+        return value.member
+    raise BasmError("sort", f"not a value: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +301,7 @@ class Vocabulary:
 
     def declare_enum(self, name: str, members: Iterable[str]) -> Sort:
         self._check_fresh(name)
-        sort = enum_sort(name, members)
+        sort = Sort(name, "Enum", tuple(members))
         for m in sort.members:
             if m in self.symbols or m in self._members or m in self.sorts:
                 raise BasmError("sort", f"enum member name already in use: {m}")
@@ -325,9 +342,6 @@ class Vocabulary:
 
     def member(self, name: str) -> EnumValue | None:
         return self._members.get(name)
-
-    def dynamic_symbols(self) -> list[Symbol]:
-        return [s for s in self.symbols.values() if s.kind == DYNAMIC]
 
     def copy(self) -> "Vocabulary":
         clone = Vocabulary(self.oracle_statics)
@@ -375,8 +389,6 @@ class Location:
         return self._hash
 
     def render(self) -> str:
-        from .literals import render_value
-
         if not self.args:
             return self.symbol.name
         return f"{self.symbol.name}({','.join(render_value(a) for a in self.args)})"
@@ -410,23 +422,19 @@ class UpdateSet:
     def __eq__(self, other):
         if not isinstance(other, UpdateSet):
             return NotImplemented
-        if self._entries.keys() != other._entries.keys():
-            return False
-        return all(values_equal(v, other._entries[loc]) for loc, v in self._entries.items())
+        return same_bindings(self._entries, other._entries)
 
     def __repr__(self):
-        return "{" + _bindings_text(self._entries, ":=") + "}"
+        return "{" + ", ".join(f"{loc}:={v}" for loc, v in rendered_bindings(self)) + "}"
 
 
 _MISSING = object()
 
 
-def _bindings_text(bindings: dict, sep: str) -> str:
-    """`loc<sep>value, ...` sorted by location text, for the `__repr__`s."""
-    from .literals import render_value
-
-    pairs = sorted((loc.render(), render_value(v)) for loc, v in bindings.items())
-    return ", ".join(f"{loc}{sep}{value}" for loc, value in pairs)
+def rendered_bindings(bindings) -> list[tuple[str, str]]:
+    """The (location text, literal text) pairs of a state's interpretation or
+    an update set, sorted by location text: the order traces and reprs use."""
+    return sorted((loc.render(), render_value(v)) for loc, v in bindings.items())
 
 
 class State:
@@ -454,14 +462,10 @@ class State:
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        if self.vocabulary != other.vocabulary:
-            return False
-        if self.interp.keys() != other.interp.keys():
-            return False
-        return all(values_equal(v, other.interp[loc]) for loc, v in self.interp.items())
+        return self.vocabulary == other.vocabulary and same_bindings(self.interp, other.interp)
 
     def __repr__(self):
-        return f"State({_bindings_text(self.interp, '=')})"
+        return "State(" + ", ".join(f"{loc}={v}" for loc, v in rendered_bindings(self.interp)) + ")"
 
 
 def commit(interp: dict, updates: UpdateSet) -> None:
@@ -486,6 +490,7 @@ def changes_nothing(state: State, updates: UpdateSet) -> bool:
 
 def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]]) -> Callable:
     """The value map of an enum-member renaming, checked against the vocabulary.
+    It moves a location too, by moving its arguments.
 
     `bijection` maps enum sort names to total member-to-member bijections.
     Sorts not mentioned are left alone; builtin sorts cannot be moved.
@@ -505,6 +510,8 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
     def move(value):
         if isinstance(value, EnumValue) and value.sort_name in maps:
             return EnumValue(value.sort_name, maps[value.sort_name][value.member])
+        if isinstance(value, Location):
+            return Location(value.symbol, tuple(map(move, value.args)))
         return value
 
     return move
@@ -513,8 +520,4 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
 def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
     """Rename enum universe members throughout a state (see `renaming`)."""
     move = renaming(state.vocabulary, bijection)
-    interp = {
-        Location(loc.symbol, tuple(move(a) for a in loc.args)): move(v)
-        for loc, v in state.interp.items()
-    }
-    return State(state.vocabulary, interp)
+    return State(state.vocabulary, {move(loc): move(v) for loc, v in state.interp.items()})

@@ -24,12 +24,12 @@ reproduces `p` for any program built with the default symbol classification.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
-from .literals import render_value
 from .state import (
     ANY,
     BOOLEAN,
@@ -44,6 +44,7 @@ from .state import (
     Sort,
     Symbol,
     Vocabulary,
+    render_value,
 )
 
 # --- AST ---------------------------------------------------------------------
@@ -211,21 +212,21 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdecimal():
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k].isdecimal():
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j].isdecimal():
                         j += 1
             tokens.append(Token("number", source[i:j], line, start_col))
             col += j - i
@@ -660,6 +661,8 @@ class _Parser:
             self.fail("expected a number", tok)
         self.next()
         value = float(tok.text)
+        if not math.isfinite(value):
+            self.fail(f"coordinate out of the float range: {tok.text}", tok)
         return -value if negative else value
 
 

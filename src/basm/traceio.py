@@ -24,10 +24,10 @@ import json
 from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
-from .literals import parse_location, parse_value, render_value, state_bindings, state_from_bindings
+from .literals import parse_binding, parse_value, state_bindings, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
-from .state import UpdateSet, Vocabulary
+from .state import UpdateSet, Vocabulary, render_value, rendered_bindings
 from .syntax import Program
 
 
@@ -46,7 +46,7 @@ def trace_lines(trace: Trace) -> list[str]:
         )
     ]
     for record in trace.steps:
-        updates = sorted((loc.render(), render_value(v)) for loc, v in record.updates.items())
+        updates = rendered_bindings(record.updates)
         lines.append(
             json.dumps(
                 {
@@ -125,13 +125,17 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
             row = json.loads(line)
             updates = UpdateSet()
             for u in row["updates"]:
-                loc = parse_location(u["loc"], vocab)
-                updates.add(loc, parse_value(u["value"], loc.symbol.result_sort, vocab))
+                updates.add(*parse_binding(u["loc"], u["value"], vocab))
             interactions = tuple(_parse_interaction(i, vocab) for i in row["interactions"])
-            steps.append(StepRecord(row["index"], updates, interactions, row["halted"]))
+            index, halted = row["index"], row["halted"]
+            if type(index) is not int or index != len(steps) or type(halted) is not bool:
+                raise ValueError(f"expected index {len(steps)} and a true or false halted")
+            steps.append(StepRecord(index, updates, interactions, halted))
         guard.lineno, line = rows[-1]
         final = json.loads(line)
         outcome = Outcome(final["outcome"], final.get("error"))
+        if outcome.kind not in ("halted", "step-limit", "error"):
+            raise ValueError(f"unknown outcome {outcome.kind!r}")
         final_state = state_from_bindings(final["finalState"].items(), vocab)
     return Trace(program_id, initial, steps, final_state, outcome)
 

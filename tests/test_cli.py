@@ -16,6 +16,7 @@ PRIMALITY = "corpus/primality/program.basm"
 PRIMALITY_INIT = "corpus/primality/init/n15k2.state"
 TANGENT = "corpus/tangent/program.basm"
 TANGENT_INIT = "corpus/tangent/init/default.state"
+TANGENT_INIT_TEXT = (REPO / TANGENT_INIT).read_text()
 
 CLASHING = """\
 vocab {
@@ -90,8 +91,34 @@ def _initial_state_as_list(lines: list[str]) -> int:
     return 1
 
 
-@pytest.mark.parametrize("damage", [_truncate_line, _drop_halted, _number_valued_update,
-                                    _initial_state_as_list])
+def _set_step_field(label: str, row: int, name: str, value):
+    """A damage that sets one field of step row `row` (line `row + 1`)."""
+    def damage(lines: list[str]) -> int:
+        obj = json.loads(lines[row])
+        obj[name] = value
+        lines[row] = json.dumps(obj)
+        return row + 1
+
+    damage.__name__ = label
+    return damage
+
+
+def _unknown_outcome(lines: list[str]) -> int:
+    obj = json.loads(lines[-1])
+    obj["outcome"] = "finished"
+    lines[-1] = json.dumps(obj)
+    return len(lines)
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate_line, _drop_halted, _number_valued_update, _initial_state_as_list,
+    _set_step_field("_halted_as_0", 1, "halted", 0),
+    _set_step_field("_halted_as_string", 2, "halted", "false"),
+    _set_step_field("_index_of_the_next_step", 1, "index", 1),
+    _set_step_field("_index_as_true", 2, "index", True),
+    _set_step_field("_index_as_float", 2, "index", 1.0),
+    _unknown_outcome,
+])
 def test_malformed_trace_step_line_exits_2(tmp_path, damage):
     trace = tmp_path / "t.jsonl"
     cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
@@ -177,6 +204,50 @@ def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
     r = cli("run", "--program", str(src), "--init", str(init))
     assert r.returncode == 2
     assert "error[parse]" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("term", ["²", "point(², 0.0)", "point(0.0, 1²)"],
+                         ids=["alone", "point-x", "after-a-digit"])
+def test_a_superscript_digit_in_a_program_exits_2(tmp_path, term):
+    src = tmp_path / "p.basm"
+    src.write_text(f"vocab {{\n  var x : Integer\n}}\ndo until x > 0 {{\n  x := {term}\n}}\n")
+    init = tmp_path / "init.state"
+    init.write_text("x := 0\n")
+    r = cli("run", "--program", str(src), "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]: unexpected character '²'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("coordinate", ["1e999", "-1e999", "9" * 400],
+                         ids=["1e999", "-1e999", "400-digits"])
+def test_a_coordinate_past_the_float_range_exits_2(tmp_path, coordinate):
+    init = tmp_path / "init.state"
+    init.write_text(TANGENT_INIT_TEXT.replace("q := point(10.0, 0.0)",
+                                              f"q := point({coordinate}, 0.0)"))
+    r = cli("run", "--program", TANGENT, "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]: " in r.stderr and "float range" in r.stderr
+    assert "Traceback" not in r.stderr
+    src = tmp_path / "p.basm"
+    src.write_text((REPO / TANGENT).read_text().replace(
+        "r := M(p, q)", f"r := M(p, point({coordinate}, 0.0))"))
+    r = cli("run", "--program", str(src), "--init", TANGENT_INIT)
+    assert r.returncode == 2
+    assert "error[parse]: " in r.stderr and "float range" in r.stderr
+
+
+def test_a_midpoint_past_the_float_range_is_arith_and_its_trace_replays(tmp_path):
+    init = tmp_path / "init.state"
+    init.write_text(TANGENT_INIT_TEXT.replace("0.0, 0.0)\nq := point(10.0",
+                                              "1.7e308, 0.0)\nq := point(1.7e308"))
+    trace = tmp_path / "t.jsonl"
+    r = cli("run", "--program", TANGENT, "--init", str(init), "--trace", str(trace))
+    assert r.returncode == 1
+    assert "error[arith]: non-finite point coordinate" in r.stderr
+    assert "inf" not in trace.read_text()
+    r = cli("replay", "--program", TANGENT, "--trace", str(trace))
+    assert r.returncode == 0 and "replay: ok" in r.stdout
 
 
 @pytest.mark.parametrize("squarings, code", [(11, 0), (12, 1)])

@@ -128,6 +128,18 @@ def test_points_close_tolerance():
     assert not points_close(Point(0.0, 0.0), Point(3 * EPS, 0.0))
 
 
+def test_non_finite_results_are_arith_errors():
+    with pytest.raises(BasmError) as e:
+        midpoint(Point(1.7e308, 0.0), Point(1.7e308, 0.0))
+    assert e.value.kind == "arith"
+    # Radii and centre distance 1e308: the radical-axis foot overflows to nan.
+    a = Circle(Point(0.0, 0.0), Point(1e308, 0.0))
+    b = Circle(Point(1e308, 0.0), Point(0.0, 0.0))
+    with pytest.raises(BasmError) as e:
+        intersect_circles(a, b)
+    assert e.value.kind == "arith"
+
+
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 

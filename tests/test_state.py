@@ -1,8 +1,11 @@
 """Values, vocabularies, states, update sets, and universe renaming."""
+import ast
+import inspect
 import json
 
 import pytest
 
+from basm import literals, state
 from basm.errors import BasmError, ParseError
 from basm.geometry import Circle, Line, Point
 from basm.literals import load_state
@@ -20,6 +23,7 @@ from basm.state import (
     Vocabulary,
     apply_updates,
     changes_nothing,
+    renaming,
     transport,
     value_conforms,
     values_equal,
@@ -228,6 +232,15 @@ def test_transport_moves_args_and_values():
     assert moved != s  # cur moved
 
 
+def test_renaming_moves_a_location_by_its_arguments():
+    v, s, u, w = _enum_state()
+    move = renaming(v, {"Node": {"u": "w", "w": "u"}})
+    succ = v.symbol("succ")
+    assert move(Location(succ, (u,))) == Location(succ, (w,))
+    assert move(Location(v.symbol("cur"), ())) == Location(v.symbol("cur"), ())
+    assert move(3) == 3 and move(u) == w
+
+
 def test_transport_rejects_partial_maps_and_builtin_sorts():
     v, s, _, _ = _enum_state()
     with pytest.raises(BasmError) as e:
@@ -247,3 +260,14 @@ def test_vocabulary_equality_and_copy():
     c.declare("extra", (), INTEGER, "dynamic")
     assert c != a
     assert a.symbol("extra") is None
+
+
+def test_values_are_written_by_state_and_read_by_literals():
+    """`state` writes values and imports nothing from `literals`, which reads them."""
+    tree = ast.parse(inspect.getsource(state))
+    top_level = set(tree.body)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert node in top_level, f"import inside a function at line {node.lineno}"
+            assert "literals" not in ast.dump(node)
+    assert literals.render_value is state.render_value

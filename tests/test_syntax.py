@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basm.errors import BasmError, ParseError
+from basm.geometry import Point
 from basm.literals import MAX_INT_DIGITS, load_state, parse_value
 from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
 from basm.semantics import StepRecord, eval_term, run, step
@@ -14,6 +15,7 @@ from basm.state import (
     BOOLEAN,
     DYNAMIC,
     INTEGER,
+    POINT,
     UNDEF,
     EnumValue,
     UpdateSet,
@@ -71,6 +73,18 @@ def test_tokenize_comments_and_bad_char():
     assert [t.text for t in tokenize("a # rest is gone\nb")] == ["a", "b", ""]
     with pytest.raises(ParseError):
         tokenize("a $ b")
+
+
+def test_coordinates_past_the_float_range_are_parse_errors():
+    v = _terms_vocab()
+    assert parse_term_in("point(1e308, -1e308)", v) == Lit(Point(1e308, -1e308))
+    for coordinate in ("1e999", "-1e999", "9" * 400):
+        with pytest.raises(ParseError) as e:
+            parse_term_in(f"point({coordinate}, 0.0)", v)
+        assert e.value.kind == "parse" and "float range" in e.value.message
+        with pytest.raises(ParseError) as e:
+            parse_value(f"point(0.0,{coordinate})", POINT)
+        assert e.value.kind == "parse" and "float range" in e.value.message
 
 
 def test_parse_euclid_shape():
