@@ -15,8 +15,8 @@ Bounded exploration and isomorphism invariance observe one step with
 `semantics.observe_step`, as the run loop does: its step record (update set
 and interactions, or no updates and the interactions made before a failure)
 and its error outcome, if any. Both compare with the equality replay uses
-(update values by `values_equal`, so geometry within the kernel EPS; error
-outcomes by kind), and the isomorphism check renames the original record
+(update values exactly, by `==`, not within the kernel EPS; error outcomes
+by kind), and the isomorphism check renames the original record
 with `state.renaming`, the map `transport` applies to the state.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must

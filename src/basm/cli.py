@@ -12,6 +12,7 @@ step budget; --max-steps overrides it per invocation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Optional
@@ -24,7 +25,7 @@ from .checks import (
     behaviorally_equivalent,
     junk_state_sampler,
 )
-from .corpus import ENTRIES, corpus_run
+from .corpus import ENTRIES, corpus_run, entry_dir
 from .errors import BasmError, ParseError
 from .literals import load_state, state_bindings
 from .oracles import UniformRandomPolicy, choose_policy
@@ -160,6 +161,12 @@ def _cmd_check(args) -> int:
     raise BasmError("corpus", f"unknown check: {args.kind}")
 
 
+# The names `corpus_run` binds itself, so that no `--set` override can use them.
+_RUN_PARAMETERS = frozenset(
+    name for name, p in inspect.signature(corpus_run).parameters.items() if p.kind != p.VAR_KEYWORD
+)
+
+
 def _cmd_corpus(args) -> int:
     if args.name in (None, "list"):
         for name in sorted(ENTRIES):
@@ -172,7 +179,11 @@ def _cmd_corpus(args) -> int:
         if "=" not in item:
             raise BasmError("corpus", f"--set expects var=value, got {item!r}")
         var, _, value = item.partition("=")
-        bindings[var.strip()] = value.strip()
+        var = var.strip()
+        if var in _RUN_PARAMETERS:  # `corpus_run` would take it for its own parameter
+            entry_dir(args.name)  # an unknown entry is reported as such
+            raise BasmError("corpus", f"{args.name} has no variable named {var}")
+        bindings[var] = value.strip()
     trace = corpus_run(
         args.name,
         init_file=args.init,

@@ -42,9 +42,14 @@ from .state import (
     rendered_bindings,
 )
 
-_INT_RE = re.compile(rf"[-+]?\d{{1,{MAX_INT_DIGITS}}}$")
-_FLOAT_RE = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
-_LOCATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?$")
+# A name and an unsigned number, spelled the same in program text, which
+# `syntax.tokenize` reads with these patterns, and in the literals read here.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+_INT_RE = re.compile(rf"[-+]?[0-9]{{1,{MAX_INT_DIGITS}}}")
+_FLOAT_RE = re.compile(rf"[-+]?{NUMBER}")
+_LOCATION_RE = re.compile(rf"({NAME})\s*(\((.*)\))?")
 
 
 def _split_args(text: str, where: str) -> list[str]:
@@ -73,7 +78,7 @@ def _call_body(text: str, head: str) -> str | None:
 
 
 def _parse_float(text: str) -> float:
-    if not _FLOAT_RE.match(text):
+    if not _FLOAT_RE.fullmatch(text):
         raise ParseError(f"bad number: {text!r}")
     value = float(text)
     if not math.isfinite(value):
@@ -99,7 +104,7 @@ def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
     if sort is ANY:
         return _infer_value(text, vocabulary)
     if sort is INTEGER:
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise ParseError(
                 f"expected an integer literal of at most {MAX_INT_DIGITS} digits, got {text!r}"
             )
@@ -133,7 +138,7 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
         return True
     if text == "false":
         return False
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         return int(text)
     for head, sort in (("point", POINT), ("circle", CIRCLE), ("line", LINE)):
         if text.startswith(head + "("):
@@ -148,7 +153,7 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
 def parse_location(text: str, vocabulary: Vocabulary) -> Location:
     """Parse `name` or `name(literal, ...)` against the vocabulary."""
     text = text.strip()
-    m = _LOCATION_RE.match(text)
+    m = _LOCATION_RE.fullmatch(text)
     if not m:
         raise ParseError(f"bad location: {text!r}")
     name, _, argtext = m.groups()

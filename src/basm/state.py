@@ -107,7 +107,9 @@ def value_conforms(value, sort: Sort) -> bool:
 
 
 def values_equal(a, b) -> bool:
-    """Semantic value equality; geometry payloads compare within the kernel EPS."""
+    """The program's own value equality, for `=`, `!=`, clashes and
+    `changes_nothing`: geometry payloads compare within the kernel EPS.
+    States and update sets compare their values exactly, with `==`."""
     if a is UNDEF or b is UNDEF:
         return a is UNDEF and b is UNDEF
     if isinstance(a, Point):
@@ -127,11 +129,6 @@ def values_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
     return a == b
-
-
-def same_bindings(a: Mapping, b: Mapping) -> bool:
-    """Binding maps with the same locations and equal values (`values_equal`)."""
-    return a.keys() == b.keys() and all(values_equal(v, b[loc]) for loc, v in a.items())
 
 
 def render_value(value) -> str:
@@ -422,7 +419,7 @@ class UpdateSet:
     def __eq__(self, other):
         if not isinstance(other, UpdateSet):
             return NotImplemented
-        return same_bindings(self._entries, other._entries)
+        return self._entries == other._entries
 
     def __repr__(self):
         return "{" + ", ".join(f"{loc}:={v}" for loc, v in rendered_bindings(self)) + "}"
@@ -462,7 +459,7 @@ class State:
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self.vocabulary == other.vocabulary and same_bindings(self.interp, other.interp)
+        return self.vocabulary == other.vocabulary and self.interp == other.interp
 
     def __repr__(self):
         return "State(" + ", ".join(f"{loc}={v}" for loc, v in rendered_bindings(self.interp)) + ")"

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
+from .literals import NAME, NUMBER
 from .state import (
     ANY,
     BOOLEAN,
@@ -171,8 +173,20 @@ KEYWORDS = frozenset(
        and or not mod true false undef point circle line""".split()
 )
 
-_TWO_CHAR = (":=", "<=", ">=", "!=")
-_ONE_CHAR = "{}();,:=<>+-*"
+# Longest first, so that `:=` is read as one token and not as `:` and `=`.
+PUNCTUATION = (
+    ":=", "<=", ">=", "!=", "{", "}", "(", ")", ";", ",", ":", "=", "<", ">", "+", "-", "*"
+)
+
+# One token after the blanks before it. A `#` comment runs to the end of its
+# line, so it comes only before a newline or the end of text; the `eof` group
+# holds it, which puts the end of text where a final comment starts. A
+# character that starts no token is `bad`.
+_SCANNER = re.compile(
+    rf"[ \t\r]*(?:(?P<ident>{NAME})|(?P<number>{NUMBER})"
+    rf"|(?P<punct>{'|'.join(map(re.escape, PUNCTUATION))})"
+    r"|(?P<eof>#[^\n]*|)(?:(?P<newline>\n)|\Z)|(?P<bad>.))"
+)
 
 
 @dataclass(frozen=True)
@@ -185,67 +199,22 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdecimal():
-                j += 1
-                while j < n and source[j].isdecimal():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdecimal():
-                    j = k
-                    while j < n and source[j].isdecimal():
-                        j += 1
-            tokens.append(Token("number", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(Token("punct", pair, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line=line, column=col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = _SCANNER.match(source, pos)  # never None: `bad` takes any other character
+        kind = m.lastgroup
+        column = m.start(kind) - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "eof":
+            tokens.append(Token("eof", "", line, column))
+            return tokens
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line=line, column=column)
+        else:
+            text = m[kind]
+            tokens.append(Token("kw" if text in KEYWORDS else kind, text, line, column))
+        pos = m.end()
 
 
 # --- parser ------------------------------------------------------------------

@@ -64,6 +64,19 @@ def test_replay_detects_tampering(tmp_path):
     assert "mismatch" in r.stderr
 
 
+def test_replay_compares_geometry_exactly(tmp_path):
+    """A coordinate moved by far less than the kernel EPS is still a mismatch."""
+    trace = tmp_path / "t.jsonl"
+    cli("run", "--program", TANGENT, "--init", TANGENT_INIT, "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    assert '"point(5.0,0.0)"' in lines[1]
+    lines[1] = lines[1].replace("point(5.0,0.0)", "point(5.0000000001,0.0)", 1)
+    trace.write_text("\n".join(lines) + "\n")
+    r = cli("replay", "--program", TANGENT, "--trace", str(trace))
+    assert r.returncode == 1
+    assert "replay: mismatch" in r.stderr
+
+
 # Each damages one line of a euclid trace in place and returns its number.
 def _truncate_line(lines: list[str]) -> int:
     lines[1] = lines[1][: len(lines[1]) // 2]
@@ -219,6 +232,27 @@ def test_a_superscript_digit_in_a_program_exits_2(tmp_path, term):
     assert "Traceback" not in r.stderr
 
 
+def test_a_non_ascii_name_exits_2(tmp_path):
+    src = tmp_path / "p.basm"
+    src.write_text("vocab { var é : Integer }\ndo until é = 1 { é := 1 }\n")
+    init = tmp_path / "init.state"
+    init.write_text("")
+    r = cli("run", "--program", str(src), "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]: unexpected character 'é'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("coordinate", [".5", "5."])
+def test_a_coordinate_with_a_bare_decimal_point_exits_2(tmp_path, coordinate):
+    init = tmp_path / "init.state"
+    init.write_text(TANGENT_INIT_TEXT.replace("q := point(10.0, 0.0)",
+                                              f"q := point({coordinate},1.0)"))
+    r = cli("run", "--program", TANGENT, "--init", str(init))
+    assert r.returncode == 2
+    assert "error[parse]: " in r.stderr and f"bad number: '{coordinate}'" in r.stderr
+
+
 @pytest.mark.parametrize("coordinate", ["1e999", "-1e999", "9" * 400],
                          ids=["1e999", "-1e999", "400-digits"])
 def test_a_coordinate_past_the_float_range_exits_2(tmp_path, coordinate):
@@ -342,6 +376,13 @@ def test_corpus_set_overrides():
     assert "d = 7" in r.stdout
     assert cli("corpus", "euclid", "--set", "a21").returncode == 1
     assert cli("corpus", "nope").returncode == 1
+
+
+@pytest.mark.parametrize("key", ["name", "init_file", "seed", "choice", "script", "max_steps"])
+def test_corpus_set_of_a_corpus_run_parameter_is_no_variable(key):
+    r = cli("corpus", "euclid", "--set", f"{key}=3")
+    assert r.returncode == 1
+    assert r.stderr == f"error[corpus]: euclid has no variable named {key}\n"
 
 
 def test_interactive_policy_reads_answers_from_stdin():

@@ -3,12 +3,12 @@ import inspect
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from basm.errors import BasmError, ParseError
 from basm.geometry import Point
-from basm.literals import MAX_INT_DIGITS, load_state, parse_value
+from basm.literals import MAX_INT_DIGITS, load_state, parse_location, parse_value
 from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
 from basm.semantics import StepRecord, eval_term, run, step
 from basm.state import (
@@ -18,6 +18,7 @@ from basm.state import (
     POINT,
     UNDEF,
     EnumValue,
+    Location,
     UpdateSet,
     Vocabulary,
     apply_updates,
@@ -25,6 +26,7 @@ from basm.state import (
     value_conforms,
 )
 from basm.syntax import (
+    KEYWORDS,
     MAX_NESTING,
     App,
     Assign,
@@ -73,6 +75,38 @@ def test_tokenize_comments_and_bad_char():
     assert [t.text for t in tokenize("a # rest is gone\nb")] == ["a", "b", ""]
     with pytest.raises(ParseError):
         tokenize("a $ b")
+
+
+# Name characters, letters and digits outside ASCII, and characters that end a name.
+_NAME_ALPHABET = list("aZz_09é") + ["ß", "Ω", "²", "٣", " ", "\t", "(", ")", "#", ":", "."]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(_NAME_ALPHABET), min_size=1, max_size=6))
+def test_a_name_is_one_token_exactly_when_the_literal_reader_reads_it(text):
+    """Program text and state files agree on what a name is: `text` is one
+    `ident` token exactly when `parse_location` reads it as the variable."""
+    assume(text not in KEYWORDS)
+    vocab = Vocabulary()
+    try:
+        sym = vocab.declare(text, (), INTEGER, DYNAMIC)
+    except BasmError:  # a builtin name
+        assume(False)
+    try:
+        one_ident = [(t.kind, t.text) for t in tokenize(text)] == [("ident", text), ("eof", "")]
+    except ParseError:
+        one_ident = False
+    try:
+        read = parse_location(text, vocab) == Location(sym, ())
+    except ParseError:
+        read = False
+    assert one_ident == read
+
+
+@pytest.mark.parametrize("text, sort", [("٣", INTEGER), ("-٣", INTEGER), ("point(٣.0,1.0)", POINT)])
+def test_the_literal_reader_takes_ascii_digits_only(text, sort):
+    with pytest.raises(ParseError):
+        parse_value(text, sort)
 
 
 def test_coordinates_past_the_float_range_are_parse_errors():
