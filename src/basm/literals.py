@@ -184,7 +184,7 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
                 yield line.split(":=", 1)
 
     try:
-        return state_from_bindings(bindings(), vocabulary)
+        return state_from_bindings(bindings(), vocabulary, {})
     except ParseError as e:
         raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
@@ -194,20 +194,28 @@ def state_bindings(state: State) -> dict[str, str]:
     return dict(rendered_bindings(state.interp))
 
 
-def parse_binding(loc_text: str, lit: str, vocabulary: Vocabulary) -> tuple[Location, object]:
-    """A location text and its literal text, read at the location's sort."""
-    loc = parse_location(loc_text, vocabulary)
+def parse_binding(loc_text: str, lit: str, vocabulary: Vocabulary,
+                  locations: dict) -> tuple[Location, object]:
+    """A location text and its literal text, read at the location's sort.
+    `locations` maps each location text already read to its location, so a
+    text is parsed once per map; only texts that parse are kept in it."""
+    loc = locations.get(loc_text)
+    if loc is None:
+        loc = locations[loc_text] = parse_location(loc_text, vocabulary)
     return loc, parse_value(lit, loc.symbol.result_sort, vocabulary)
 
 
-def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary) -> State:
+def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,
+                        locations: dict) -> State:
     """The state binding each location text to its literal text, in order;
     `undef` leaves its location unbound. Binding one location twice, under
-    any spelling and with any values, is an error."""
+    any spelling and with any values, is an error. `locations` is the map of
+    location texts read so far (see `parse_binding`); a trace shares one
+    across its rows."""
     interp = {}
     cleared = set()  # locations bound to `undef`, which stay out of `interp`
     for loc_text, lit in bindings:
-        loc, value = parse_binding(loc_text, lit, vocabulary)
+        loc, value = parse_binding(loc_text, lit, vocabulary, locations)
         if loc in interp or loc in cleared:
             raise ParseError(f"repeated binding for {loc.render()}")
         if value is UNDEF:

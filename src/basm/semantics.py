@@ -8,10 +8,13 @@ All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
 nested closures (closure generation, after Feeley and Lapalme, 1987) that are
-kept on the syntax node. A variable becomes one prebuilt location, and a
-static operator evaluates all its arguments before it applies its function.
-A run owns one working store, a copy of the initial bindings, and commits
-each step's updates into it in place.
+kept on the syntax node. A variable becomes its symbol's one 0-ary
+location, and a static operator evaluates all its arguments before it
+applies its function. A run owns one working store, a copy of the initial
+bindings, and commits each step's updates into it in place. The store's keys
+are those same location objects (`state.Location` gives one per symbol,
+whoever builds it), so a read or a commit of a variable finds its key by
+identity and never compares locations.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step

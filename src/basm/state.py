@@ -366,14 +366,26 @@ class Location:
     a place in the state; with an oracle symbol it is a query.
 
     A location is a dictionary key: its hash is computed once, when it is
-    built, and its fields are never assigned afterwards."""
+    built, and its fields are never assigned afterwards. A 0-ary location is
+    one object per symbol, kept on the symbol: `Location(sym, ())` returns it
+    wherever it is built, so the store, update sets and queries find such a
+    key by identity. Equality is by symbol name and arguments all the same,
+    so a location of an equal symbol still compares equal."""
 
     __slots__ = ("symbol", "args", "_hash")
 
-    def __init__(self, symbol: Symbol, args: tuple):
-        self.symbol = symbol
-        self.args = args
-        self._hash = hash((symbol.name, args))
+    def __new__(cls, symbol: Symbol, args: tuple):
+        if not args:
+            loc = symbol.__dict__.get("_location")
+            if loc is not None:
+                return loc
+        loc = object.__new__(cls)
+        loc.symbol = symbol
+        loc.args = args
+        loc._hash = hash((symbol.name, args))
+        if not args:
+            symbol.__dict__["_location"] = loc  # a frozen dataclass still has a __dict__
+        return loc
 
     def __eq__(self, other):
         return (

@@ -95,7 +95,8 @@ class _RowGuard:
     """Inside the block, a malformed row (bad JSON, JSON nested too deep to
     decode, a missing or ill-typed field, such as a number where a literal
     string or an object is expected) raises ParseError at line `lineno`,
-    which the parser keeps current."""
+    which the parser keeps current; a bad literal or location text in the
+    row is reported at that line too, with its own kind."""
 
     def __init__(self, what: str):
         self.what = what
@@ -105,6 +106,8 @@ class _RowGuard:
         return self
 
     def __exit__(self, kind, e, tb):
+        if isinstance(e, ParseError) and e.line is None:
+            raise ParseError(e.message, line=self.lineno, column=1, kind=e.kind) from None
         if isinstance(e, (KeyError, TypeError, ValueError, AttributeError, RecursionError)):
             raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
         return False
@@ -115,17 +118,18 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
     if len(rows) < 2:
         raise ParseError("not a trace: expected a header line and a final outcome line")
     vocab = program.vocabulary
+    locations: dict = {}  # each location text of the file, parsed once
     steps = []
     with _RowGuard("trace") as guard:
         guard.lineno, line = rows[0]
         header = json.loads(line)
         program_id = header["programId"]
-        initial = state_from_bindings(header["initialState"].items(), vocab)
+        initial = state_from_bindings(header["initialState"].items(), vocab, locations)
         for guard.lineno, line in rows[1:-1]:
             row = json.loads(line)
             updates = UpdateSet()
             for u in row["updates"]:
-                updates.add(*parse_binding(u["loc"], u["value"], vocab))
+                updates.add(*parse_binding(u["loc"], u["value"], vocab, locations))
             interactions = tuple(_parse_interaction(i, vocab) for i in row["interactions"])
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:
@@ -136,7 +140,7 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         outcome = Outcome(final["outcome"], final.get("error"))
         if outcome.kind not in ("halted", "step-limit", "error"):
             raise ValueError(f"unknown outcome {outcome.kind!r}")
-        final_state = state_from_bindings(final["finalState"].items(), vocab)
+        final_state = state_from_bindings(final["finalState"].items(), vocab, locations)
     return Trace(program_id, initial, steps, final_state, outcome)
 
 
@@ -158,6 +162,8 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
             if not line.strip():
                 continue
             row = json.loads(line)
+            if type(row) is not dict:
+                raise ValueError("expected a JSON object")
             if "programId" in row or "outcome" in row:
                 continue
             for obj in row["interactions"] if "interactions" in row else [row]:

@@ -155,6 +155,16 @@ def test_number_valued_script_line_exits_2(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("row", ['"programId"', '"my outcome"', '["programId"]'])
+def test_a_script_row_that_is_no_json_object_exits_2(tmp_path, row):
+    script = tmp_path / "s.jsonl"
+    script.write_text(row + "\n")
+    r = cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT, "--script", str(script))
+    assert r.returncode == 2
+    assert "error[parse]: bad script line: expected a JSON object (line 1, column 1)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_seeded_runs_are_byte_identical(tmp_path):
     files = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for f in files:

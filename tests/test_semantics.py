@@ -1,15 +1,19 @@
 """Step semantics: pre-state reads, update atomicity, halting, and replay."""
 import json
+import random
 
 import pytest
 
+from basm import literals
+from basm.checks import junk_state_sampler
+from basm.corpus import corpus_run, entry_dir, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state, state_bindings
 from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
 from basm.semantics import default_max_steps, eval_term, replay, run, step
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import load_script, read_trace, render_trace, script_lines
-from basm.state import UNDEF, State
+from basm.state import UNDEF, Location, State, transport
 
 
 def _program(decls, body):
@@ -296,3 +300,77 @@ def test_script_lines_replay_the_same_answers():
     rerun = run(prog, trace.initial_state, policy, max_steps=len(trace.steps) + 1)
     assert rerun.outcome.kind == "halted"
     assert render_trace(rerun) == render_trace(trace)
+
+
+# --- one location object per variable ----------------------------------------
+
+
+def test_a_variable_is_one_location_object_wherever_it_is_built():
+    """`Location(sym, ())` is the symbol's one 0-ary location, so every
+    builder of a variable's location hands out the same object, and the
+    store and update sets find it by identity."""
+    prog = load_entry_program("euclid")
+    init = load_entry_state("euclid")
+    reads = []
+
+    class RecordingState(State):
+        def read(self, location):
+            reads.append(location)
+            return super().read(location)
+
+    updates, _ = step(RecordingState(init.vocabulary, init.interp), prog.step_rule)
+    golden = (entry_dir("euclid") / "golden" / "a12b8.jsonl").read_text().splitlines()
+    trace = read_trace(golden, prog)
+    x, _ = junk_state_sampler(prog, State(prog.vocabulary, {}))(random.Random(1))
+    built = {
+        "compiled reads": reads,
+        "compiled updates": [loc for loc, _ in updates.items()],
+        "load_state": list(init.interp),
+        "read_trace": [*trace.initial_state.interp, *trace.final_state.interp,
+                       *(loc for record in trace.steps for loc, _ in record.updates.items())],
+        "junk_state_sampler": list(x.interp),
+        "corpus override": list(corpus_run("euclid", d=5).initial_state.interp),
+        "transport": list(transport(init, {}).interp),
+    }
+    for source, locations in built.items():
+        variables = [loc for loc in locations if loc.symbol.name in ("a", "b", "d")]
+        assert variables, source
+        for loc in variables:
+            assert loc is Location(prog.vocabulary.symbol(loc.symbol.name), ()), source
+    assert {loc.symbol.name for loc in built["corpus override"]} == {"a", "b", "d"}
+
+
+def test_a_location_of_an_equal_symbol_still_compares_equal():
+    one, other = (_program(INT2, "do until a = 0 { a := 0 }") for _ in range(2))
+    a, same_a = (Location(p.vocabulary.symbol("a"), ()) for p in (one, other))
+    assert a is not same_a
+    assert a == same_a and hash(a) == hash(same_a)
+    assert a != Location(one.vocabulary.symbol("b"), ())
+
+
+FIBONACCI = "a := 832040\nb := 514229"  # the longest remainder chain below 10^6
+
+
+def test_a_run_and_its_trace_round_trip_compare_no_locations(monkeypatch):
+    """Reads, commits, trace reading and replay of a machine of variables
+    match every location key by identity, never by `Location.__eq__`."""
+    prog = load_entry_program("euclid_while")
+    init = _state(prog, FIBONACCI)
+    calls = []
+    eq = Location.__eq__
+    monkeypatch.setattr(Location, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+    trace = run(prog, init, ScriptedPolicy())
+    again = read_trace(render_trace(trace).splitlines(), prog)
+    assert len(again.steps) == 28 and replay(again, prog)
+    assert calls == []
+
+
+def test_a_trace_parses_each_location_text_once(monkeypatch):
+    prog = load_entry_program("euclid_while")
+    text = render_trace(run(prog, _state(prog, FIBONACCI), ScriptedPolicy()))
+    parsed = []
+    parse_location = literals.parse_location
+    monkeypatch.setattr(literals, "parse_location",
+                        lambda text, vocab: parsed.append(text) or parse_location(text, vocab))
+    read_trace(text.splitlines(), prog)
+    assert parsed == ["a", "b"]
