@@ -40,7 +40,6 @@ from .state import (
     BOOLEAN,
     DYNAMIC,
     INTEGER,
-    Location,
     State,
     UpdateSet,
     Vocabulary,
@@ -84,8 +83,8 @@ class CheckReport:
 def _rename(record: StepRecord, move: Callable) -> StepRecord:
     """A step record with every location and value in it renamed by `move`."""
     updates = UpdateSet()
-    for loc, v in record.updates.items():
-        updates.add(move(loc), move(v))
+    for key, v in record.updates.items():
+        updates.add(move(key), move(v))
     interactions = tuple(
         Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer))
         for i in record.interactions
@@ -111,22 +110,22 @@ def junk_state_sampler(program: Program, base_state: State):
     core_syms = [s for s in program.vocabulary.symbols.values() if s.kind == DYNAMIC]
 
     def randomize_core(rng: random.Random) -> dict:
-        interp = dict(base_state.interp)
+        store = dict(base_state.store)
         for sym in core_syms:
             if sym.arity != 0:
                 continue
             if sym.result_sort is INTEGER:
-                interp[Location(sym, ())] = rng.randint(lo, hi)
+                store[sym.name, ()] = rng.randint(lo, hi)
             elif sym.result_sort is BOOLEAN:
-                interp[Location(sym, ())] = rng.choice((True, False))
-        return interp
+                store[sym.name, ()] = rng.choice((True, False))
+        return store
 
     def junk_bindings(rng: random.Random) -> dict:
         bound = {}
         for sym in junk:
             for i in range(JUNK_ENTRIES):
-                bound[Location(sym, (i,))] = rng.randint(lo, hi)
-        bound[Location(junk_flag, ())] = rng.choice((True, False))
+                bound[sym.name, (i,)] = rng.randint(lo, hi)
+        bound[junk_flag.name, ()] = rng.choice((True, False))
         return bound
 
     def sample(rng: random.Random) -> tuple[State, State]:

@@ -38,7 +38,7 @@ from .geometry import Circle, Line, Point
 from .literals import load_state, parse_value
 from .oracles import ScriptedPolicy, choose_policy
 from .semantics import Trace, run
-from .state import CIRCLE, UNDEF, Location, State, UpdateSet, apply_updates, value_conforms
+from .state import CIRCLE, UNDEF, State, UpdateSet, apply_updates, value_conforms
 from .syntax import Program, parse_program
 from .traceio import load_script
 
@@ -156,7 +156,7 @@ def corpus_run(name: str, *, init_file: Optional[str] = None, seed: Optional[int
             sym = program.vocabulary.symbol(var)
             if sym is None or sym.kind != "dynamic" or sym.arity != 0:
                 raise BasmError("corpus", f"{name} has no variable named {var}")
-            updates.add(Location(sym, ()), _coerce(value, sym.result_sort, program.vocabulary))
+            updates.add((var, ()), _coerce(value, sym.result_sort, program.vocabulary))
         state = apply_updates(state, updates)
     policy = choose_policy(
         None, seed, choice,

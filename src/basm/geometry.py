@@ -17,8 +17,14 @@ EPS = 1e-9
 
 @dataclass(frozen=True)
 class Point:
+    """A point; a `-0.0` coordinate becomes `0.0`, so equal points render alike."""
+
     x: float
     y: float
+
+    def __init__(self, x: float, y: float):
+        object.__setattr__(self, "x", x + 0.0)
+        object.__setattr__(self, "y", y + 0.0)
 
 
 @dataclass(frozen=True)

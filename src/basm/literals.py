@@ -34,10 +34,10 @@ from .state import (
     POINT,
     UNDEF,
     EnumValue,
-    Location,
     Sort,
     State,
     Vocabulary,
+    render_key,
     render_value,
     rendered_bindings,
 )
@@ -150,8 +150,9 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
     raise ParseError(f"cannot read literal {text!r}")
 
 
-def parse_location(text: str, vocabulary: Vocabulary) -> Location:
-    """Parse `name` or `name(literal, ...)` against the vocabulary."""
+def parse_location(text: str, vocabulary: Vocabulary) -> tuple:
+    """Parse `name` or `name(literal, ...)` against the vocabulary, as the
+    location pair `(name, args)` a store is keyed by."""
     text = text.strip()
     m = _LOCATION_RE.fullmatch(text)
     if not m:
@@ -165,9 +166,7 @@ def parse_location(text: str, vocabulary: Vocabulary) -> Location:
     parts = _split_args(argtext, text) if argtext and argtext.strip() else []
     if len(parts) != sym.arity:
         raise ParseError(f"arity mismatch at {text!r}", kind="sort")
-    if not parts:
-        return Location(sym, ())
-    return Location(sym, tuple(parse_value(p, s, vocabulary) for p, s in zip(parts, sym.arg_sorts)))
+    return name, tuple(parse_value(p, s, vocabulary) for p, s in zip(parts, sym.arg_sorts))
 
 
 def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> State:
@@ -189,20 +188,21 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
         raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
 
-def state_bindings(state: State) -> dict[str, str]:
-    """Rendered location -> literal map, sorted by location text."""
-    return dict(rendered_bindings(state.interp))
+def state_bindings(state: State, texts: dict | None = None) -> dict[str, str]:
+    """Rendered location -> literal map, sorted by location text (`texts` as
+    in `rendered_bindings`)."""
+    return dict(rendered_bindings(state.store, texts))
 
 
 def parse_binding(loc_text: str, lit: str, vocabulary: Vocabulary,
-                  locations: dict) -> tuple[Location, object]:
+                  locations: dict) -> tuple[tuple, object]:
     """A location text and its literal text, read at the location's sort.
-    `locations` maps each location text already read to its location, so a
-    text is parsed once per map; only texts that parse are kept in it."""
-    loc = locations.get(loc_text)
-    if loc is None:
-        loc = locations[loc_text] = parse_location(loc_text, vocabulary)
-    return loc, parse_value(lit, loc.symbol.result_sort, vocabulary)
+    `locations` maps each location text already read to its location pair,
+    so a text is parsed once per map; only texts that parse are kept in it."""
+    key = locations.get(loc_text)
+    if key is None:
+        key = locations[loc_text] = parse_location(loc_text, vocabulary)
+    return key, parse_value(lit, vocabulary.symbols[key[0]].result_sort, vocabulary)
 
 
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,
@@ -212,14 +212,14 @@ def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabul
     any spelling and with any values, is an error. `locations` is the map of
     location texts read so far (see `parse_binding`); a trace shares one
     across its rows."""
-    interp = {}
-    cleared = set()  # locations bound to `undef`, which stay out of `interp`
+    store = {}
+    cleared = set()  # locations bound to `undef`, which stay out of the store
     for loc_text, lit in bindings:
-        loc, value = parse_binding(loc_text, lit, vocabulary, locations)
-        if loc in interp or loc in cleared:
-            raise ParseError(f"repeated binding for {loc.render()}")
+        key, value = parse_binding(loc_text, lit, vocabulary, locations)
+        if key in store or key in cleared:
+            raise ParseError(f"repeated binding for {render_key(key)}")
         if value is UNDEF:
-            cleared.add(loc)
+            cleared.add(key)
         else:
-            interp[loc] = value
-    return State(vocabulary, interp)
+            store[key] = value
+    return State(vocabulary, store)

@@ -8,13 +8,13 @@ All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
 nested closures (closure generation, after Feeley and Lapalme, 1987) that are
-kept on the syntax node. A variable becomes its symbol's one 0-ary
-location, and a static operator evaluates all its arguments before it
-applies its function. A run owns one working store, a copy of the initial
-bindings, and commits each step's updates into it in place. The store's keys
-are those same location objects (`state.Location` gives one per symbol,
-whoever builds it), so a read or a commit of a variable finds its key by
-identity and never compares locations.
+kept on the syntax node. A closure reads with the store's own `get`, by
+the location pair `(name, args)`: a variable's pair is built once, when it
+is compiled, and an n-ary pair is built from the evaluated arguments. So a
+read, an update and a commit hash and compare plain tuples, in C. A static
+operator evaluates all its arguments before it applies its function. A run
+owns one working store, a copy of the initial bindings, and commits each
+step's updates into it in place.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
@@ -73,13 +73,14 @@ def _compiled(node):
 
 
 def _compile_term(term: Term):
-    """A closure `(read, ask) -> value` that evaluates the term."""
+    """A closure `(get, ask) -> value` that evaluates the term; `get` is the
+    store's `get`, called as `get(key, UNDEF)`."""
     if isinstance(term, Lit):
         value = term.value
-        return lambda read, ask: value
+        return lambda get, ask: value
     if isinstance(term, Var):
-        loc = Location(term.symbol, ())
-        return lambda read, ask: read(loc)
+        key = (term.symbol.name, ())
+        return lambda get, ask: get(key, UNDEF)
     sym = term.symbol
     subs = tuple(_compile_term(a) for a in term.args)
     if sym.kind == STATIC:
@@ -87,56 +88,65 @@ def _compile_term(term: Term):
         if len(subs) == 2:  # the common case, without the argument list
             left, right = subs
             if not strict:
-                return lambda read, ask: fn(left(read, ask), right(read, ask))
+                return lambda get, ask: fn(left(get, ask), right(get, ask))
 
-            def strict2(read, ask):
-                a, b = left(read, ask), right(read, ask)
+            def strict2(get, ask):
+                a, b = left(get, ask), right(get, ask)
                 return UNDEF if a is UNDEF or b is UNDEF else fn(a, b)
             return strict2
 
-        def static(read, ask):
-            args = [s(read, ask) for s in subs]
+        def static(get, ask):
+            args = [s(get, ask) for s in subs]
             return UNDEF if strict and any(a is UNDEF for a in args) else fn(*args)
         return static
+    name, args = sym.name, _compile_args(subs)
     if sym.kind == DYNAMIC:
-        return lambda read, ask: read(Location(sym, tuple([s(read, ask) for s in subs])))
-    return lambda read, ask: ask(Location(sym, tuple([s(read, ask) for s in subs])))
+        return lambda get, ask: get((name, args(get, ask)), UNDEF)
+    return lambda get, ask: ask(Location(sym, args(get, ask)))
+
+
+def _compile_args(subs: tuple):
+    """A closure `(get, ask) -> tuple` of the compiled arguments' values."""
+    if len(subs) == 1:
+        sub, = subs
+        return lambda get, ask: (sub(get, ask),)
+    return lambda get, ask: tuple([s(get, ask) for s in subs])
 
 
 def _compile_rule(rule: Rule):
-    """A closure `(read, ask, add)` that adds the rule's updates by `add`."""
+    """A closure `(get, ask, add)` that adds the rule's updates by `add`,
+    keyed by location pairs."""
     if isinstance(rule, Skip):
-        return lambda read, ask, add: None
+        return lambda get, ask, add: None
     if isinstance(rule, Assign):
         rhs = _compile_term(rule.rhs)
-        target = rule.target
-        if isinstance(target, Var):
-            loc = Location(target.symbol, ())
-            return lambda read, ask, add: add(loc, rhs(read, ask))
-        sym = target.symbol
-        subs = tuple(_compile_term(a) for a in target.args)
+        name = rule.target.symbol.name
+        if isinstance(rule.target, Var):
+            key = (name, ())
+            return lambda get, ask, add: add(key, rhs(get, ask))
+        args = _compile_args(tuple(_compile_term(a) for a in rule.target.args))
 
-        def assign(read, ask, add):
-            value = rhs(read, ask)
-            add(Location(sym, tuple([s(read, ask) for s in subs])), value)
+        def assign(get, ask, add):
+            value = rhs(get, ask)
+            add((name, args(get, ask)), value)
         return assign
     if isinstance(rule, Cond):
         guard = _compile_term(rule.guard)
         then_rule = _compile_rule(rule.then_rule)
         else_rule = None if rule.else_rule is None else _compile_rule(rule.else_rule)
 
-        def cond(read, ask, add):
-            if guard(read, ask) is True:
-                then_rule(read, ask, add)
+        def cond(get, ask, add):
+            if guard(get, ask) is True:
+                then_rule(get, ask, add)
             elif else_rule is not None:
-                else_rule(read, ask, add)
+                else_rule(get, ask, add)
         return cond
     if isinstance(rule, Par):
         subs = tuple(_compile_rule(r) for r in rule.rules)
 
-        def par(read, ask, add):
+        def par(get, ask, add):
             for r in subs:
-                r(read, ask, add)
+                r(get, ask, add)
         return par
     raise TypeError(f"not a rule: {rule!r}")
 
@@ -144,7 +154,7 @@ def _compile_rule(rule: Rule):
 def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):
     """Evaluate a term; returns (value, interactions made by this evaluation)."""
     start = len(session.log) if session is not None else 0
-    value = _compiled(term)(state.read, session.ask if session is not None else _no_session)
+    value = _compiled(term)(state.store.get, session.ask if session is not None else _no_session)
     return value, session.log[start:] if session is not None else []
 
 
@@ -153,7 +163,8 @@ def step(state: State, rule: Rule,
     """Run one step of the rule. The caller clears the session's per-step cache."""
     start = len(session.log) if session is not None else 0
     updates = UpdateSet()
-    _compiled(rule)(state.read, session.ask if session is not None else _no_session, updates.add)
+    _compiled(rule)(state.store.get, session.ask if session is not None else _no_session,
+                    updates.add)
     return updates, session.log[start:] if session is not None else []
 
 
@@ -214,14 +225,14 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     if max_steps is None:
         max_steps = default_max_steps()
     session = OracleSession(policy, program.vocabulary)
-    store = dict(init.interp)
+    store = dict(init.store)
     state = State(init.vocabulary, store)
     halt = _compiled(program.halt) if program.mode == DO_UNTIL else None
     steps: list[StepRecord] = []
     while True:
         if halt is not None:
             try:
-                halt_value = halt(state.read, _no_session)
+                halt_value = halt(store.get, _no_session)
             except BasmError as e:
                 outcome = Outcome("error", e.kind, e.message)
                 break

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Callable, Iterable
 
 from . import geometry
 from .errors import BasmError
@@ -61,13 +62,6 @@ BUILTIN_SORTS = {s.name: s for s in (INTEGER, BOOLEAN, POINT, CIRCLE, LINE)}
 
 
 class _Undef:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "undef"
 
@@ -114,18 +108,9 @@ def values_equal(a, b) -> bool:
         return a is UNDEF and b is UNDEF
     if isinstance(a, Point):
         return isinstance(b, Point) and geometry.points_close(a, b)
-    if isinstance(a, Circle):
-        return (
-            isinstance(b, Circle)
-            and geometry.points_close(a.center, b.center)
-            and geometry.points_close(a.through, b.through)
-        )
-    if isinstance(a, Line):
-        return (
-            isinstance(b, Line)
-            and geometry.points_close(a.p1, b.p1)
-            and geometry.points_close(a.p2, b.p2)
-        )
+    if isinstance(a, (Circle, Line)):  # two points each, compared field by field
+        return type(b) is type(a) and all(
+            map(geometry.points_close, vars(a).values(), vars(b).values()))
     if type(a) is not type(b):
         return False
     return a == b
@@ -361,65 +346,43 @@ class Vocabulary:
         return f"Vocabulary({', '.join(declared)})"
 
 
-class Location:
+def render_key(key) -> str:
+    """The text of a location pair `(name, args)`: `name` or `name(literal, ...)`."""
+    name, args = key
+    return f"{name}({','.join(map(render_value, args))})" if args else name
+
+
+class Location(tuple):
     """A symbol applied to evaluated arguments. With a dynamic symbol it names
     a place in the state; with an oracle symbol it is a query.
 
-    A location is a dictionary key: its hash is computed once, when it is
-    built, and its fields are never assigned afterwards. A 0-ary location is
-    one object per symbol, kept on the symbol: `Location(sym, ())` returns it
-    wherever it is built, so the store, update sets and queries find such a
-    key by identity. Equality is by symbol name and arguments all the same,
-    so a location of an equal symbol still compares equal."""
+    It is the pair `(symbol name, args)` that keys a store and an update set,
+    and it also carries its `symbol`. To a dict it is that plain tuple,
+    hashed and compared in C, so `State.read` and `UpdateSet.add` take it as
+    they take the pair; the kernel, stores and update sets hold plain pairs."""
 
-    __slots__ = ("symbol", "args", "_hash")
+    args = property(operator.itemgetter(1))
+    render = __repr__ = render_key
 
     def __new__(cls, symbol: Symbol, args: tuple):
-        if not args:
-            loc = symbol.__dict__.get("_location")
-            if loc is not None:
-                return loc
-        loc = object.__new__(cls)
+        loc = tuple.__new__(cls, (symbol.name, args))
         loc.symbol = symbol
-        loc.args = args
-        loc._hash = hash((symbol.name, args))
-        if not args:
-            symbol.__dict__["_location"] = loc  # a frozen dataclass still has a __dict__
         return loc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Location)
-            and self.symbol.name == other.symbol.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def render(self) -> str:
-        if not self.args:
-            return self.symbol.name
-        return f"{self.symbol.name}({','.join(render_value(a) for a in self.args)})"
-
-    def __repr__(self):
-        return self.render()
 
 
 class UpdateSet:
-    """A consistent set of updates; inserting a conflicting value raises "clash"."""
+    """A consistent set of updates, keyed by location pairs `(name, args)`;
+    inserting a conflicting value raises "clash"."""
 
     __slots__ = ("_entries",)
 
     def __init__(self):
-        self._entries: dict[Location, object] = {}
+        self._entries: dict[tuple, object] = {}
 
-    def add(self, location: Location, value):
-        present = self._entries.get(location, _MISSING)
-        if present is _MISSING:
-            self._entries[location] = value
-        elif not values_equal(present, value):
-            raise BasmError("clash", f"clash at {location.render()}")
+    def add(self, key: tuple, value):
+        present = self._entries.setdefault(key, value)
+        if present is not value and not values_equal(present, value):
+            raise BasmError("clash", f"clash at {render_key(key)}")
 
     def items(self):
         """The updates in the order they were added."""
@@ -437,69 +400,96 @@ class UpdateSet:
         return "{" + ", ".join(f"{loc}:={v}" for loc, v in rendered_bindings(self)) + "}"
 
 
-_MISSING = object()
+def rendered_bindings(bindings, texts: dict | None = None) -> list[tuple[str, str]]:
+    """The (location text, literal text) pairs of a store or an update set,
+    sorted by location text: the order traces and reprs use. `texts` keeps
+    each key's text across calls, so a caller renders each key once."""
+    texts = {} if texts is None else texts
+    return sorted((texts.get(key) or texts.setdefault(key, render_key(key)), render_value(v))
+                  for key, v in bindings.items())
 
 
-def rendered_bindings(bindings) -> list[tuple[str, str]]:
-    """The (location text, literal text) pairs of a state's interpretation or
-    an update set, sorted by location text: the order traces and reprs use."""
-    return sorted((loc.render(), render_value(v)) for loc, v in bindings.items())
+class _Bindings(Mapping):
+    """A state's store as a read-only mapping keyed by `Location`s; nothing is copied."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: "State"):
+        self._state = state
+
+    def __getitem__(self, location):
+        return self._state.store[location]
+
+    def __iter__(self):
+        symbols = self._state.vocabulary.symbols
+        return (Location(symbols[name], args) for name, args in self._state.store)
+
+    def __len__(self):
+        return len(self._state.store)
 
 
 class State:
-    """Immutable snapshot: a vocabulary plus a finite interpretation of dynamic locations.
+    """Immutable snapshot: a vocabulary plus a finite interpretation of dynamic
+    locations, held as one flat `store` dict from location pairs `(name, args)`
+    to values; `interp` views it keyed by `Location`s.
 
     The one exception is the state a run steps through: the run commits each
-    update set into its bindings in place, and hands it out only as the
-    trace's final state, once the run is over.
+    update set into its store in place, and hands it out only as the trace's
+    final state, once the run is over.
 
-    A state trusts its bindings: the mapping is kept as given, neither copied
+    A state trusts its store: the mapping is kept as given, neither copied
     nor checked, and must hold no `undef`. Values are checked where they enter
     (the literal reader, oracle answers, corpus overrides); a parsed program's
     updates conform by its sort check.
     """
 
-    __slots__ = ("vocabulary", "interp")
+    __slots__ = ("vocabulary", "store")
 
-    def __init__(self, vocabulary: Vocabulary, interp: dict[Location, object]):
+    def __init__(self, vocabulary: Vocabulary, store: dict[tuple, object]):
         self.vocabulary = vocabulary
-        self.interp = interp
+        self.store = store
 
-    def read(self, location: Location):
-        return self.interp.get(location, UNDEF)
+    @property
+    def interp(self) -> Mapping:
+        return _Bindings(self)
+
+    def read(self, location: tuple):
+        return self.store.get(location, UNDEF)
 
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self.vocabulary == other.vocabulary and self.interp == other.interp
+        return self.vocabulary == other.vocabulary and self.store == other.store
 
     def __repr__(self):
-        return "State(" + ", ".join(f"{loc}={v}" for loc, v in rendered_bindings(self.interp)) + ")"
+        return "State(" + ", ".join(f"{loc}={v}" for loc, v in rendered_bindings(self.store)) + ")"
 
 
-def commit(interp: dict, updates: UpdateSet) -> None:
-    """Apply the updates to `interp` in place; `undef` writes clear locations."""
-    for loc, value in updates.items():
+def commit(store: dict, updates: UpdateSet) -> None:
+    """Write the updates into a store in place, under the update set's own
+    keys; `undef` writes clear their locations."""
+    for key, value in updates.items():
         if value is UNDEF:
-            interp.pop(loc, None)
+            store.pop(key, None)
         else:
-            interp[loc] = value
+            store[key] = value
 
 
 def apply_updates(state: State, updates: UpdateSet) -> State:
     """A fresh state with the updates applied; `state` is left as it was."""
-    interp = dict(state.interp)
-    commit(interp, updates)
-    return State(state.vocabulary, interp)
+    store = dict(state.store)
+    commit(store, updates)
+    return State(state.vocabulary, store)
 
 
 def changes_nothing(state: State, updates: UpdateSet) -> bool:
-    return all(values_equal(state.read(loc), value) for loc, value in updates.items())
+    get = state.store.get
+    return all(values_equal(get(key, UNDEF), value) for key, value in updates.items())
 
 
 def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]]) -> Callable:
     """The value map of an enum-member renaming, checked against the vocabulary.
-    It moves a location too, by moving its arguments.
+    It moves a location pair too, by moving its arguments.
 
     `bijection` maps enum sort names to total member-to-member bijections.
     Sorts not mentioned are left alone; builtin sorts cannot be moved.
@@ -519,8 +509,8 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
     def move(value):
         if isinstance(value, EnumValue) and value.sort_name in maps:
             return EnumValue(value.sort_name, maps[value.sort_name][value.member])
-        if isinstance(value, Location):
-            return Location(value.symbol, tuple(map(move, value.args)))
+        if isinstance(value, tuple):  # a location pair; no value is a tuple
+            return value[0], tuple(map(move, value[1]))
         return value
 
     return move
@@ -529,4 +519,4 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
 def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
     """Rename enum universe members throughout a state (see `renaming`)."""
     move = renaming(state.vocabulary, bijection)
-    return State(state.vocabulary, {move(loc): move(v) for loc, v in state.interp.items()})
+    return State(state.vocabulary, {move(key): move(v) for key, v in state.store.items()})

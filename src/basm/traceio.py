@@ -40,27 +40,21 @@ def _interaction_obj(i: Interaction) -> dict:
 
 
 def trace_lines(trace: Trace) -> list[str]:
-    lines = [
-        json.dumps(
-            {"programId": trace.program_id, "initialState": state_bindings(trace.initial_state)}
-        )
-    ]
+    texts: dict = {}  # each location pair's text, rendered once per call
+    lines = [json.dumps({"programId": trace.program_id,
+                         "initialState": state_bindings(trace.initial_state, texts)})]
     for record in trace.steps:
-        updates = rendered_bindings(record.updates)
-        lines.append(
-            json.dumps(
-                {
-                    "index": record.index,
-                    "updates": [{"loc": loc, "value": value} for loc, value in updates],
-                    "interactions": [_interaction_obj(i) for i in record.interactions],
-                    "halted": record.halted_after,
-                }
-            )
-        )
+        lines.append(json.dumps({
+            "index": record.index,
+            "updates": [{"loc": loc, "value": value}
+                        for loc, value in rendered_bindings(record.updates, texts)],
+            "interactions": [_interaction_obj(i) for i in record.interactions],
+            "halted": record.halted_after,
+        }))
     final: dict = {"outcome": trace.outcome.kind}
     if trace.outcome.error is not None:
         final["error"] = trace.outcome.error
-    final["finalState"] = state_bindings(trace.final_state)
+    final["finalState"] = state_bindings(trace.final_state, texts)
     lines.append(json.dumps(final))
     return lines
 

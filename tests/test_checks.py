@@ -31,18 +31,16 @@ def test_euclid_witness_is_the_program_subterm_closure():
     assert parse_term_in("a + b", v) not in w
 
 
-class _ReadCountingState(State):
-    """A state that remembers every location a step reads."""
+class _ReadRecordingStore(dict):
+    """A store that remembers every location pair a step reads."""
 
-    __slots__ = ("locations_read",)
+    def __init__(self, store: dict):
+        super().__init__(store)
+        self.keys_read = set()
 
-    def __init__(self, state: State):
-        super().__init__(state.vocabulary, state.interp)
-        self.locations_read = set()
-
-    def read(self, location):
-        self.locations_read.add(location)
-        return super().read(location)
+    def get(self, key, default=None):
+        self.keys_read.add(key)
+        return super().get(key, default)
 
 
 def test_step_work_is_bounded_by_the_witness():
@@ -52,11 +50,12 @@ def test_step_work_is_bounded_by_the_witness():
     counts = {"euclid": (2, 0), "enumgraph": (3, 0), "primality": (2, 1), "tangent": (5, 0)}
     for name, (reads, queries) in counts.items():
         prog = load_entry_program(name)
-        state = _ReadCountingState(load_entry_state(name))
+        init = load_entry_state(name)
+        store = _ReadRecordingStore(init.store)
         session = OracleSession(UniformRandomPolicy(3), prog.vocabulary)
         session.begin_step()
-        _, interactions = step(state, prog.step_rule, session)
-        assert (len(state.locations_read), len(interactions)) == (reads, queries), name
+        _, interactions = step(State(init.vocabulary, store), prog.step_rule, session)
+        assert (len(store.keys_read), len(interactions)) == (reads, queries), name
         assert reads + queries <= len(exploration_witness(prog)), name
 
 

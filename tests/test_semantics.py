@@ -1,19 +1,20 @@
 """Step semantics: pre-state reads, update atomicity, halting, and replay."""
 import json
+import math
 import random
 
 import pytest
 
 from basm import literals
 from basm.checks import junk_state_sampler
-from basm.corpus import corpus_run, entry_dir, load_entry_program, load_entry_state
+from basm.corpus import corpus_run, entry_dir, load_entry_program
 from basm.errors import BasmError
 from basm.literals import load_state, state_bindings
 from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
 from basm.semantics import default_max_steps, eval_term, replay, run, step
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import load_script, read_trace, render_trace, script_lines
-from basm.state import UNDEF, Location, State, transport
+from basm.state import UNDEF, Location, State, render_key, transport
 
 
 def _program(decls, body):
@@ -35,7 +36,7 @@ def test_par_reads_pre_state_swap():
     prog = _program(INT2, "do until false { par { a := b; b := a } }")
     init = _state(prog, "a := 1\nb := 2")
     updates, interactions = step(init, prog.step_rule)
-    assert {loc.render(): v for loc, v in updates.items()} == {"a": 2, "b": 1}
+    assert {render_key(key): v for key, v in updates.items()} == {"a": 2, "b": 1}
     assert interactions == []
 
 
@@ -198,15 +199,15 @@ def test_a_decided_connective_still_evaluates_its_right_operand(op, decided, val
                     f"if {decided} {op} b = R(0, 5) then a := 1 else a := 2 }}")
     reads = []
 
-    class RecordingState(State):
-        def read(self, location):
-            reads.append(location.render())
-            return super().read(location)
+    class RecordingStore(dict):
+        def get(self, key, default=None):
+            reads.append(render_key(key))
+            return super().get(key, default)
 
     init = _state(prog, "b := 3")
     session = OracleSession(_answers(prog, [3]), prog.vocabulary)
     session.begin_step()
-    updates, interactions = step(RecordingState(init.vocabulary, init.interp),
+    updates, interactions = step(State(init.vocabulary, RecordingStore(init.store)),
                                  prog.step_rule, session)
     assert reads == ["b"]
     assert interactions == [Interaction("R", (0, 5), 3)]
@@ -218,13 +219,13 @@ def test_run_leaves_the_initial_state_alone():
     writes included, and hands that copy out as the final state."""
     prog = _program(INT2, "do until a = undef { par { a := undef; b := b + 1 } }")
     init = _state(prog, "a := 5\nb := 0")
-    before = dict(init.interp)
+    before = dict(init.store)
     trace = run(prog, init, ScriptedPolicy())
     assert trace.outcome.kind == "halted"
-    assert trace.initial_state is init and init.interp == before
-    assert trace.final_state.interp is not init.interp
+    assert trace.initial_state is init and init.store == before
+    assert trace.final_state.store is not init.store
     assert state_bindings(trace.final_state) == {"b": "1"}
-    assert replay(trace, prog) and init.interp == before
+    assert replay(trace, prog) and init.store == before
 
 
 # --- replay and trace serialisation -----------------------------------------
@@ -250,6 +251,20 @@ def test_replay_detects_tampering():
     tampered.add(loc, 12345)
     record.updates = tampered
     assert not replay(trace, prog)
+
+
+def test_a_negative_zero_coordinate_reads_as_zero():
+    """A point has one zero (docs/formats.md): a tangent trace edited from
+    `point(5.0,0.0)` to `point(5.0,-0.0)` reads as the unedited golden, on
+    purpose, so it replays and renders as the golden does."""
+    program = load_entry_program("tangent")
+    golden = (entry_dir("tangent") / "golden" / "choice0.jsonl").read_text()
+    edited = golden.replace('"point(5.0,0.0)"', '"point(5.0,-0.0)"', 1)
+    assert edited != golden
+    trace = read_trace(edited.splitlines(), program)
+    (_, r), = trace.steps[0].updates.items()
+    assert r.y == 0.0 and math.copysign(1.0, r.y) == 1.0
+    assert replay(trace, program) and render_trace(trace) == golden
 
 
 def test_replay_rejects_wrong_program():
@@ -282,7 +297,7 @@ def test_trace_field_order_is_fixed():
     par_trace = run(par, _state(par, ""), _answers(par, []))
     # An update set keeps the order the rule made its updates in; a written
     # trace sorts them by rendered location.
-    made = [loc.render() for loc, _ in par_trace.steps[0].updates.items()]
+    made = [render_key(key) for key, _ in par_trace.steps[0].updates.items()]
     assert made == ["x", "f(2)", "f(1)"]
     for trace in (_uniform_trace()[1], par_trace):
         lines = render_trace(trace).splitlines()
@@ -302,42 +317,37 @@ def test_script_lines_replay_the_same_answers():
     assert render_trace(rerun) == render_trace(trace)
 
 
-# --- one location object per variable ----------------------------------------
+# --- the store is keyed by location pairs ------------------------------------
 
 
-def test_a_variable_is_one_location_object_wherever_it_is_built():
-    """`Location(sym, ())` is the symbol's one 0-ary location, so every
-    builder of a variable's location hands out the same object, and the
-    store and update sets find it by identity."""
-    prog = load_entry_program("euclid")
-    init = load_entry_state("euclid")
-    reads = []
-
-    class RecordingState(State):
-        def read(self, location):
-            reads.append(location)
-            return super().read(location)
-
-    updates, _ = step(RecordingState(init.vocabulary, init.interp), prog.step_rule)
-    golden = (entry_dir("euclid") / "golden" / "a12b8.jsonl").read_text().splitlines()
-    trace = read_trace(golden, prog)
-    x, _ = junk_state_sampler(prog, State(prog.vocabulary, {}))(random.Random(1))
-    built = {
-        "compiled reads": reads,
-        "compiled updates": [loc for loc, _ in updates.items()],
-        "load_state": list(init.interp),
-        "read_trace": [*trace.initial_state.interp, *trace.final_state.interp,
-                       *(loc for record in trace.steps for loc, _ in record.updates.items())],
-        "junk_state_sampler": list(x.interp),
-        "corpus override": list(corpus_run("euclid", d=5).initial_state.interp),
-        "transport": list(transport(init, {}).interp),
-    }
-    for source, locations in built.items():
-        variables = [loc for loc in locations if loc.symbol.name in ("a", "b", "d")]
-        assert variables, source
-        for loc in variables:
-            assert loc is Location(prog.vocabulary.symbol(loc.symbol.name), ()), source
-    assert {loc.symbol.name for loc in built["corpus override"]} == {"a", "b", "d"}
+def test_a_run_and_its_trace_round_trip_key_by_plain_pairs_and_build_no_location(monkeypatch):
+    """A run, its render, its trace reading and its replay key the store and
+    every update set by plain `(name, args)` tuples, which hash and compare
+    in C, and never build a `Location`: only queries and messages do. The
+    other builders of states (the bexp sampler, `transport`, corpus
+    overrides) key theirs by plain tuples too."""
+    prog = _program("var t : Integer\n  var f(Integer) : Integer",
+                    "do until t >= 6 { par { t := t + 1; f(t mod 3) := f(t) + t } }")
+    init = _state(prog, "t := 0\nf(1) := 10\nf(2) := undef")
+    built = []
+    new = Location.__new__
+    monkeypatch.setattr(Location, "__new__",
+                        lambda cls, symbol, args: built.append(symbol) or new(cls, symbol, args))
+    trace = run(prog, init, ScriptedPolicy())
+    text = render_trace(trace)
+    again = read_trace(text.splitlines(), prog)
+    assert replay(again, prog) and render_trace(again) == text
+    for t in (trace, again):
+        keys = [*t.initial_state.store, *t.final_state.store,
+                *(key for record in t.steps for key, _ in record.updates.items())]
+        assert {render_key(key) for key in keys} == {"t", "f(0)", "f(1)", "f(2)"}
+        assert all(type(key) is tuple and type(key[1]) is tuple for key in keys)
+    x, _ = junk_state_sampler(prog, init)(random.Random(1))
+    others = {"junk_state_sampler": x.store, "transport": transport(init, {}).store,
+              "corpus override": corpus_run("euclid", d=5).initial_state.store}
+    for source, store in others.items():
+        assert store and all(type(key) is tuple and type(key[1]) is tuple for key in store), source
+    assert built == []
 
 
 def test_a_location_of_an_equal_symbol_still_compares_equal():
@@ -349,20 +359,6 @@ def test_a_location_of_an_equal_symbol_still_compares_equal():
 
 
 FIBONACCI = "a := 832040\nb := 514229"  # the longest remainder chain below 10^6
-
-
-def test_a_run_and_its_trace_round_trip_compare_no_locations(monkeypatch):
-    """Reads, commits, trace reading and replay of a machine of variables
-    match every location key by identity, never by `Location.__eq__`."""
-    prog = load_entry_program("euclid_while")
-    init = _state(prog, FIBONACCI)
-    calls = []
-    eq = Location.__eq__
-    monkeypatch.setattr(Location, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
-    trace = run(prog, init, ScriptedPolicy())
-    again = read_trace(render_trace(trace).splitlines(), prog)
-    assert len(again.steps) == 28 and replay(again, prog)
-    assert calls == []
 
 
 def test_a_trace_parses_each_location_text_once(monkeypatch):

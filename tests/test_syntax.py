@@ -514,10 +514,10 @@ def test_committed_updates_conform_to_their_sorts(prog, x, y, p, cur, table, see
         except BasmError as e:
             assert e.kind in RUNTIME_KINDS
             return
-        for loc, value in updates.items():
-            sym = loc.symbol
-            assert sym.kind == DYNAMIC and len(loc.args) == sym.arity
-            assert all(value_conforms(a, s) for a, s in zip(loc.args, sym.arg_sorts))
+        for (name, args), value in updates.items():
+            sym = prog.vocabulary.symbol(name)
+            assert sym.kind == DYNAMIC and len(args) == sym.arity
+            assert all(value_conforms(a, s) for a, s in zip(args, sym.arg_sorts))
             assert value_conforms(value, sym.result_sort)
         state = apply_updates(state, updates)
 
@@ -567,11 +567,11 @@ def test_run_is_a_fold_of_step_and_apply_updates(mode, data):
     text += f"cur := {data.draw(st.sampled_from(['e1', 'e2']))}\n"
     text += "".join(f"f({k}) := {v}\n" for k, v in table.items())
     init = load_state(text, prog.vocabulary)
-    before = dict(init.interp)
+    before = dict(init.store)
     seed = data.draw(st.integers(0, 2**32))
     trace = run(prog, init, UniformRandomPolicy(seed), max_steps=6)
     records, final, outcome = _fold_of_steps(prog, init, seed, max_steps=6)
     assert trace.steps == records
     assert trace.final_state == final
     assert (trace.outcome.kind, trace.outcome.error) == outcome
-    assert init.interp == before and trace.final_state.interp is not init.interp
+    assert init.store == before and trace.final_state.store is not init.store
