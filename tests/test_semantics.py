@@ -7,7 +7,7 @@ import pytest
 
 from basm import literals
 from basm.checks import junk_state_sampler
-from basm.corpus import corpus_run, entry_dir, load_entry_program
+from basm.corpus import corpus_run, entry_dir, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state, state_bindings
 from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
@@ -320,20 +320,69 @@ def test_script_lines_replay_the_same_answers():
 # --- the store is keyed by location pairs ------------------------------------
 
 
-def test_a_run_and_its_trace_round_trip_key_by_plain_pairs_and_build_no_location(monkeypatch):
+def _plain_pair(key):
+    return type(key) is tuple and type(key[1]) is tuple
+
+
+def test_a_variable_is_one_location_object_wherever_it_is_built():
+    """A variable's location is the one plain pair `(name, ())`, whoever
+    builds it: the compiled reads and updates, state files, traces, the
+    bexp sampler, corpus overrides and `transport` all key it by that
+    tuple, which the store and update sets hash and compare in C."""
+    prog = load_entry_program("euclid")
+    init = load_entry_state("euclid")
+    reads = []
+
+    class RecordingStore(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    updates, _ = step(State(init.vocabulary, RecordingStore(init.store)), prog.step_rule)
+    golden = (entry_dir("euclid") / "golden" / "a12b8.jsonl").read_text().splitlines()
+    trace = read_trace(golden, prog)
+    x, _ = junk_state_sampler(prog, State(prog.vocabulary, {}))(random.Random(1))
+    built = {
+        "compiled reads": reads,
+        "compiled updates": [key for key, _ in updates.items()],
+        "load_state": list(init.store),
+        "read_trace": [*trace.initial_state.store, *trace.final_state.store,
+                       *(key for record in trace.steps for key, _ in record.updates.items())],
+        "junk_state_sampler": list(x.store),
+        "corpus override": list(corpus_run("euclid", d=5).initial_state.store),
+        "transport": list(transport(init, {}).store),
+    }
+    for source, keys in built.items():
+        assert all(_plain_pair(key) for key in keys), source
+        variables = [key for key in keys if key[0] in ("a", "b", "d")]
+        assert variables, source
+        assert all(key == (key[0], ()) for key in variables), source
+    assert {name for name, _ in built["corpus override"]} == {"a", "b", "d"}
+    assert {loc.symbol.name: loc for loc in init.interp} == {
+        name: (name, ()) for name, _ in init.store}
+
+
+FIBONACCI = "a := 832040\nb := 514229"  # the longest remainder chain below 10^6
+
+
+def test_a_run_and_its_trace_round_trip_compare_no_locations(monkeypatch):
     """A run, its render, its trace reading and its replay key the store and
     every update set by plain `(name, args)` tuples, which hash and compare
-    in C, and never build a `Location`: only queries and messages do. The
-    other builders of states (the bexp sampler, `transport`, corpus
-    overrides) key theirs by plain tuples too."""
-    prog = _program("var t : Integer\n  var f(Integer) : Integer",
-                    "do until t >= 6 { par { t := t + 1; f(t mod 3) := f(t) + t } }")
-    init = _state(prog, "t := 0\nf(1) := 10\nf(2) := undef")
-    built = []
-    new = Location.__new__
+    in C, and never build or compare a `Location`: only queries and
+    messages do."""
+    built, compared = [], []
+    new, eq = Location.__new__, Location.__eq__
     monkeypatch.setattr(Location, "__new__",
                         lambda cls, symbol, args: built.append(symbol) or new(cls, symbol, args))
-    trace = run(prog, init, ScriptedPolicy())
+    monkeypatch.setattr(Location, "__eq__",
+                        lambda self, other: compared.append(1) or eq(self, other))
+    prog = load_entry_program("euclid_while")
+    trace = run(prog, _state(prog, FIBONACCI), ScriptedPolicy())
+    again = read_trace(render_trace(trace).splitlines(), prog)
+    assert len(again.steps) == 28 and replay(again, prog)
+    prog = _program("var t : Integer\n  var f(Integer) : Integer",
+                    "do until t >= 6 { par { t := t + 1; f(t mod 3) := f(t) + t } }")
+    trace = run(prog, _state(prog, "t := 0\nf(1) := 10\nf(2) := undef"), ScriptedPolicy())
     text = render_trace(trace)
     again = read_trace(text.splitlines(), prog)
     assert replay(again, prog) and render_trace(again) == text
@@ -341,13 +390,8 @@ def test_a_run_and_its_trace_round_trip_key_by_plain_pairs_and_build_no_location
         keys = [*t.initial_state.store, *t.final_state.store,
                 *(key for record in t.steps for key, _ in record.updates.items())]
         assert {render_key(key) for key in keys} == {"t", "f(0)", "f(1)", "f(2)"}
-        assert all(type(key) is tuple and type(key[1]) is tuple for key in keys)
-    x, _ = junk_state_sampler(prog, init)(random.Random(1))
-    others = {"junk_state_sampler": x.store, "transport": transport(init, {}).store,
-              "corpus override": corpus_run("euclid", d=5).initial_state.store}
-    for source, store in others.items():
-        assert store and all(type(key) is tuple and type(key[1]) is tuple for key in store), source
-    assert built == []
+        assert all(_plain_pair(key) for key in keys)
+    assert built == [] and compared == []
 
 
 def test_a_location_of_an_equal_symbol_still_compares_equal():
@@ -356,9 +400,6 @@ def test_a_location_of_an_equal_symbol_still_compares_equal():
     assert a is not same_a
     assert a == same_a and hash(a) == hash(same_a)
     assert a != Location(one.vocabulary.symbol("b"), ())
-
-
-FIBONACCI = "a := 832040\nb := 514229"  # the longest remainder chain below 10^6
 
 
 def test_a_trace_parses_each_location_text_once(monkeypatch):
