@@ -40,7 +40,9 @@ from .state import (
     BOOLEAN,
     DYNAMIC,
     INTEGER,
+    Sort,
     State,
+    Symbol,
     UpdateSet,
     Vocabulary,
     renaming,
@@ -92,20 +94,28 @@ def _rename(record: StepRecord, move: Callable) -> StepRecord:
     return StepRecord(record.index, updates, interactions)
 
 
+def _declare_fresh(vocab: Vocabulary, name: str, arg_sorts: tuple, result_sort: Sort) -> Symbol:
+    """Declare a junk variable under `name`, or under `name_1`, `name_2`, ...
+    if the program already uses it."""
+    fresh, n = name, 0
+    while fresh in vocab.symbols or fresh in vocab.sorts or vocab.member_sort(fresh):
+        n += 1
+        fresh = f"{name}_{n}"
+    return vocab.declare(fresh, arg_sorts, result_sort, DYNAMIC)
+
+
 def junk_state_sampler(program: Program, base_state: State):
     """Default sampler for bounded-exploration trials.
 
     Each trial builds a state X by randomising the program's integer and
     boolean variables over a copy of the base state, plus a handful of junk
-    locations the program never mentions. Y is X with only the junk locations
-    perturbed, so X and Y agree on every witness term.
+    locations the program never mentions: `zz_junk0..2(Integer)` and
+    `zz_flag`, each renamed if the program uses its name. Y is X with only
+    the junk locations perturbed, so X and Y agree on every witness term.
     """
     vocab = program.vocabulary.copy()
-    junk = [
-        vocab.declare(f"zz_junk{i}", (INTEGER,), INTEGER, DYNAMIC)
-        for i in range(JUNK_SYMBOLS)
-    ]
-    junk_flag = vocab.declare("zz_flag", (), BOOLEAN, DYNAMIC)
+    junk = [_declare_fresh(vocab, f"zz_junk{i}", (INTEGER,), INTEGER) for i in range(JUNK_SYMBOLS)]
+    junk_flag = _declare_fresh(vocab, "zz_flag", (), BOOLEAN)
     lo, hi = JUNK_INT_RANGE
     core_syms = [s for s in program.vocabulary.symbols.values() if s.kind == DYNAMIC]
 

@@ -42,6 +42,11 @@ def _load_init(path: str, program: Program):
     return load_state(Path(path).read_text(), program.vocabulary, source=path)
 
 
+def _program_and_init(args):
+    program = _load_program(args.program, args.oracle_static)
+    return program, _load_init(args.init, program)
+
+
 def _build_policy(args, program: Program):
     def script():
         lines = Path(args.script).read_text().splitlines()
@@ -75,23 +80,33 @@ def _report_outcome(trace: Trace, quiet: bool) -> int:
     return 0 if out.kind == "halted" else 3
 
 
-def _add_run_options(p: argparse.ArgumentParser, with_init: bool = True):
-    if with_init:
-        p.add_argument("--init", required=True, help="initial state file")
-    p.add_argument("--policy", choices=["builtin", "uniform", "scripted", "interactive"])
-    p.add_argument("--seed", type=int, default=None, help="seed for the uniform policy")
-    p.add_argument("--choice", type=int, default=None,
-                   help="intersection pick for the builtin policy (0 or 1)")
-    p.add_argument("--script", help="oracle script file (trace or script JSONL)")
-    p.add_argument("--script-mode", choices=["strict", "by-symbol"], default="strict")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--oracle-static", action="append", default=[], metavar="NAME",
-                   help="treat this builtin static (e.g. mod) as an oracle")
+# Every option of `run` and `check`, by flag; each command takes the ones it reads.
+_OPTIONS = {
+    "--init": dict(required=True, help="initial state file"),
+    "--policy": dict(choices=["builtin", "uniform", "scripted", "interactive"]),
+    "--seed": dict(type=int, default=None, help="seed for the uniform policy"),
+    "--choice": dict(type=int, default=None,
+                     help="intersection pick for the builtin policy (0 or 1)"),
+    "--script": dict(help="oracle script file (trace or script JSONL)"),
+    "--script-mode": dict(choices=["strict", "by-symbol"], default="strict"),
+    "--max-steps": dict(type=int, default=None),
+    "--oracle-static": dict(action="append", default=[], metavar="NAME",
+                            help="treat this builtin static (e.g. mod) as an oracle"),
+    "--trials": dict(type=int, default=100),
+    "--other": dict(required=True, help="second program for equiv"),
+}
+_RUN_OPTIONS = ("--init", "--policy", "--seed", "--choice", "--script", "--script-mode",
+                "--max-steps", "--oracle-static")
+
+
+def _add_options(p: argparse.ArgumentParser, flags):
+    p.add_argument("--program", required=True)
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def _cmd_run(args) -> int:
-    program = _load_program(args.program, args.oracle_static)
-    init = _load_init(args.init, program)
+    program, init = _program_and_init(args)
     policy = _build_policy(args, program)
     trace = run(program, init, policy, max_steps=args.max_steps)
     to_stdout = _emit_trace(trace, args.trace)
@@ -114,51 +129,57 @@ def _print_report(report: CheckReport) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_check(args) -> int:
-    program = _load_program(args.program, args.oracle_static)
-    if args.kind == "bexp":
-        init = _load_init(args.init, program)
-        sampler = junk_state_sampler(program, init)
-        report = check_bounded_exploration(program, sampler, args.trials, args.seed or 0)
-        return _print_report(report)
-    if args.kind == "iso":
-        init = _load_init(args.init, program)
-        answers = []
-        if args.script:
-            policy = load_script(Path(args.script).read_text().splitlines(),
-                                 program.vocabulary, mode="by-symbol")
-            answers = [e.answer for e in policy.entries]
-        failures: list = []
-        count = 0
-        for bijection in enum_bijections(program.vocabulary):
-            count += 1
-            failures.extend(
-                check_iso_invariance(program, init, bijection, answers).failures
-            )
-        return _print_report(CheckReport("iso", count, failures))
-    if args.kind == "replay":
-        init = _load_init(args.init, program)
-        failures = []
-        base = args.seed or 0
-        for trial in range(args.trials):
-            trace = run(program, init, UniformRandomPolicy(base + trial),
-                        max_steps=args.max_steps)
-            if not replay(trace, program):
-                failures.append(f"trial {trial}: replay diverged")
-        return _print_report(CheckReport("replay", args.trials, failures))
-    if args.kind == "equiv":
-        if not args.other:
-            raise BasmError("corpus", "check equiv needs --other PROGRAM")
-        other = _load_program(args.other, args.oracle_static)
-        trace_a = run(program, _load_init(args.init, program),
-                      _build_policy(args, program), max_steps=args.max_steps)
-        trace_b = run(other, _load_init(args.init, other),
-                      _build_policy(args, other), max_steps=args.max_steps)
-        failures = []
-        if not behaviorally_equivalent(trace_a, trace_b):
-            failures.append(f"{args.program} and {args.other} are not step equivalent")
-        return _print_report(CheckReport("equiv", 1, failures))
-    raise BasmError("corpus", f"unknown check: {args.kind}")
+def _check_bexp(args) -> int:
+    program, init = _program_and_init(args)
+    sampler = junk_state_sampler(program, init)
+    return _print_report(check_bounded_exploration(program, sampler, args.trials, args.seed or 0))
+
+
+def _check_iso(args) -> int:
+    program, init = _program_and_init(args)
+    answers = []
+    if args.script:
+        policy = load_script(Path(args.script).read_text().splitlines(),
+                             program.vocabulary, mode="by-symbol")
+        answers = [e.answer for e in policy.entries]
+    failures: list = []
+    count = 0
+    for bijection in enum_bijections(program.vocabulary):
+        count += 1
+        failures.extend(check_iso_invariance(program, init, bijection, answers).failures)
+    return _print_report(CheckReport("iso", count, failures))
+
+
+def _check_replay(args) -> int:
+    program, init = _program_and_init(args)
+    failures = []
+    base = args.seed or 0
+    for trial in range(args.trials):
+        trace = run(program, init, UniformRandomPolicy(base + trial), max_steps=args.max_steps)
+        if not replay(trace, program):
+            failures.append(f"trial {trial}: replay diverged")
+    return _print_report(CheckReport("replay", args.trials, failures))
+
+
+def _check_equiv(args) -> int:
+    program, init = _program_and_init(args)
+    other = _load_program(args.other, args.oracle_static)
+    trace_a = run(program, init, _build_policy(args, program), max_steps=args.max_steps)
+    trace_b = run(other, _load_init(args.init, other),
+                  _build_policy(args, other), max_steps=args.max_steps)
+    failures = []
+    if not behaviorally_equivalent(trace_a, trace_b):
+        failures.append(f"{args.program} and {args.other} are not step equivalent")
+    return _print_report(CheckReport("equiv", 1, failures))
+
+
+# Each check kind, its command and the options it reads.
+_CHECKS = {
+    "replay": (_check_replay, ("--init", "--oracle-static", "--trials", "--seed", "--max-steps")),
+    "bexp": (_check_bexp, ("--init", "--oracle-static", "--trials", "--seed")),
+    "iso": (_check_iso, ("--init", "--oracle-static", "--script")),
+    "equiv": (_check_equiv, _RUN_OPTIONS + ("--other",)),
+}
 
 
 # The names `corpus_run` binds itself, so that no `--set` override can use them.
@@ -205,24 +226,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a program from an initial state")
-    p_run.add_argument("--program", required=True)
-    _add_run_options(p_run)
+    _add_options(p_run, _RUN_OPTIONS)
     p_run.add_argument("--trace", help="write trace JSONL here ('-' for stdout)")
     p_run.set_defaults(func=_cmd_run)
 
     p_replay = sub.add_parser("replay", help="verify a recorded trace reproduces")
     p_replay.add_argument("--program", required=True)
     p_replay.add_argument("--trace", required=True)
-    p_replay.add_argument("--oracle-static", action="append", default=[], metavar="NAME")
+    p_replay.add_argument("--oracle-static", **_OPTIONS["--oracle-static"])
     p_replay.set_defaults(func=_cmd_replay)
 
     p_check = sub.add_parser("check", help="run a property check, JSON report on stdout")
-    p_check.add_argument("kind", choices=["replay", "bexp", "iso", "equiv"])
-    p_check.add_argument("--program", required=True)
-    _add_run_options(p_check)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--other", help="second program for equiv")
-    p_check.set_defaults(func=_cmd_check)
+    kinds = p_check.add_subparsers(dest="kind", required=True)
+    for kind, (func, flags) in _CHECKS.items():
+        p_kind = kinds.add_parser(kind)
+        _add_options(p_kind, flags)
+        p_kind.set_defaults(func=func)
 
     p_corpus = sub.add_parser("corpus", help="run a bundled example")
     p_corpus.add_argument("name", nargs="?", help="entry name, or 'list'")

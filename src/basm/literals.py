@@ -33,7 +33,6 @@ from .state import (
     MAX_INT_DIGITS,
     POINT,
     UNDEF,
-    EnumValue,
     Sort,
     State,
     Vocabulary,
@@ -128,7 +127,7 @@ def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
         return make(_parse_point(args[0]), _parse_point(args[1]))
     if sort.is_enum:
         if text in sort.members:
-            return EnumValue(sort.name, text)
+            return text
         raise ParseError(f"{text!r} is not a member of {sort.name}")
     raise BasmError("sort", f"cannot parse a literal of sort {sort.name}")
 
@@ -143,10 +142,8 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
     for head, sort in (("point", POINT), ("circle", CIRCLE), ("line", LINE)):
         if text.startswith(head + "("):
             return parse_value(text, sort, vocabulary)
-    if vocabulary is not None:
-        member = vocabulary.member(text)
-        if member is not None:
-            return member
+    if vocabulary is not None and vocabulary.member_sort(text) is not None:
+        return text
     raise ParseError(f"cannot read literal {text!r}")
 
 

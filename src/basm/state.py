@@ -6,7 +6,8 @@ plane-geometry constructors), plus per-program dynamic and oracle symbols and
 enum sorts. A state interprets the dynamic symbols over the builtin carriers
 and the finite enum universes; static symbols are interpreted once and for all
 by the table below, and oracle symbols are answered by a session at evaluation
-time.
+time. An enum member is its name, a plain `str`: no name in a vocabulary
+stands for two things, so a member name alone tells its sort.
 
 `undef` is a value of every sort. Reading an absent location yields `undef`,
 writing `undef` removes the location again, and `undef` compares equal only to
@@ -32,31 +33,23 @@ ORACLE = "oracle"
 
 @dataclass(frozen=True)
 class Sort:
-    name: str
-    kind: str  # builtin sorts carry their own name as kind; enum sorts use "Enum"
-    members: tuple[str, ...] | None = None
+    """A builtin sort, or an enum sort whose `members` name its finite universe."""
 
-    def __post_init__(self):
-        if self.kind == "Enum":
-            if not self.members:
-                raise BasmError("sort", f"enum sort {self.name} needs at least one member")
-            if len(set(self.members)) != len(self.members):
-                raise BasmError("sort", f"enum sort {self.name} repeats a member")
-        elif self.members is not None:
-            raise BasmError("sort", f"builtin sort {self.name} cannot carry members")
+    name: str
+    members: tuple[str, ...] | None = None
 
     @property
     def is_enum(self) -> bool:
-        return self.kind == "Enum"
+        return self.members is not None
 
 
-INTEGER = Sort("Integer", "Integer")
-BOOLEAN = Sort("Boolean", "Boolean")
-POINT = Sort("Point", "Point")
-CIRCLE = Sort("Circle", "Circle")
-LINE = Sort("Line", "Line")
+INTEGER = Sort("Integer")
+BOOLEAN = Sort("Boolean")
+POINT = Sort("Point")
+CIRCLE = Sort("Circle")
+LINE = Sort("Line")
 # Internal sort of the polymorphic equality operators and the undef literal.
-ANY = Sort("Any", "Any")
+ANY = Sort("Any")
 
 BUILTIN_SORTS = {s.name: s for s in (INTEGER, BOOLEAN, POINT, CIRCLE, LINE)}
 
@@ -69,16 +62,8 @@ class _Undef:
 UNDEF = _Undef()
 
 
-@dataclass(frozen=True)
-class EnumValue:
-    sort_name: str
-    member: str
-
-    def __repr__(self):
-        return self.member
-
-
 def value_conforms(value, sort: Sort) -> bool:
+    """Whether a value belongs to a sort; an enum value is one of its members' names."""
     if value is UNDEF or sort is ANY:
         return True
     if sort is BOOLEAN:
@@ -92,11 +77,7 @@ def value_conforms(value, sort: Sort) -> bool:
     if sort is LINE:
         return isinstance(value, Line)
     if sort.is_enum:
-        return (
-            isinstance(value, EnumValue)
-            and value.sort_name == sort.name
-            and value.member in sort.members
-        )
+        return isinstance(value, str) and value in sort.members
     return False
 
 
@@ -130,8 +111,8 @@ def render_value(value) -> str:
         return f"circle({render_value(value.center)},{render_value(value.through)})"
     if isinstance(value, Line):
         return f"line({render_value(value.p1)},{render_value(value.p2)})"
-    if isinstance(value, EnumValue):
-        return value.member
+    if isinstance(value, str):  # an enum member
+        return value
     raise BasmError("sort", f"not a value: {value!r}")
 
 
@@ -271,7 +252,7 @@ class Vocabulary:
             if name in self.oracle_statics:
                 sym = Symbol(sym.name, sym.arg_sorts, sym.result_sort, ORACLE)
             self.symbols[name] = sym
-        self._members: dict[str, EnumValue] = {}
+        self._members: dict[str, Sort] = {}  # each enum member's sort
 
     def _check_fresh(self, name: str):
         if name in self.sorts:
@@ -283,13 +264,16 @@ class Vocabulary:
 
     def declare_enum(self, name: str, members: Iterable[str]) -> Sort:
         self._check_fresh(name)
-        sort = Sort(name, "Enum", tuple(members))
+        sort = Sort(name, tuple(members))
+        if not sort.members:
+            raise BasmError("sort", f"enum sort {name} needs at least one member")
+        if len(set(sort.members)) != len(sort.members):
+            raise BasmError("sort", f"enum sort {name} repeats a member")
         for m in sort.members:
             if m in self.symbols or m in self._members or m in self.sorts:
                 raise BasmError("sort", f"enum member name already in use: {m}")
         self.sorts[name] = sort
-        for m in sort.members:
-            self._members[m] = EnumValue(name, m)
+        self._members.update(dict.fromkeys(sort.members, sort))
         self.declarations.append(("enum", sort))
         return sort
 
@@ -322,7 +306,8 @@ class Vocabulary:
     def symbol(self, name: str) -> Symbol | None:
         return self.symbols.get(name)
 
-    def member(self, name: str) -> EnumValue | None:
+    def member_sort(self, name: str) -> Sort | None:
+        """The enum sort that has `name` as a member, if any."""
         return self._members.get(name)
 
     def copy(self) -> "Vocabulary":
@@ -492,9 +477,11 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
     It moves a location pair too, by moving its arguments.
 
     `bijection` maps enum sort names to total member-to-member bijections.
-    Sorts not mentioned are left alone; builtin sorts cannot be moved.
+    Sorts not mentioned are left alone; builtin sorts cannot be moved. A
+    vocabulary gives each member name one sort, so the bijections merge into
+    one member table.
     """
-    maps: dict[str, dict[str, str]] = {}
+    table: dict[str, str] = {}
     for sort_name, perm in bijection.items():
         sort = vocabulary.sorts.get(sort_name)
         if sort is None:
@@ -504,11 +491,11 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
         members = set(sort.members)
         if set(perm.keys()) != members or set(perm.values()) != members:
             raise BasmError("iso", f"map on {sort_name} is not a bijection of its universe")
-        maps[sort_name] = dict(perm)
+        table.update(perm)
 
     def move(value):
-        if isinstance(value, EnumValue) and value.sort_name in maps:
-            return EnumValue(value.sort_name, maps[value.sort_name][value.member])
+        if isinstance(value, str):  # an enum member
+            return table.get(value, value)
         if isinstance(value, tuple):  # a location pair; no value is a tuple
             return value[0], tuple(map(move, value[1]))
         return value

@@ -566,9 +566,9 @@ class _Parser:
                 if sym.kind == DYNAMIC:
                     return Var(sym), sym.result_sort
                 return App(sym, ()), sym.result_sort
-            member = self.vocab.member(tok.text)
-            if member is not None:
-                return Lit(member), self.vocab.sorts[member.sort_name]
+            sort = self.vocab.member_sort(tok.text)
+            if sort is not None:
+                return Lit(tok.text), sort
             self.fail(f"unknown symbol: {tok.text}", tok, kind="sort")
         self.fail(f"unexpected {tok.text!r} in a term", tok)
 

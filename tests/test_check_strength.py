@@ -1,7 +1,7 @@
-"""Pinned mutants of the store layer that the checks must kill.
+"""Pinned mutants of the store and check layers that the checks must kill.
 
 Each row applies one known bug by monkeypatch, at the name its callers
-resolve, and names the check that owns that bug: replay, iso, or the
+resolve, and names the check that owns that bug: replay, iso, bexp, or the
 witness-read test (which locations a step reads, recorded by the store's
 `get`). The owning check must pass on the code as it is and fail on the
 mutant, on a small input given with the row. Each check parses its program
@@ -12,17 +12,18 @@ testing after DeMillo, Lipton and Sayward, "Hints on test data selection"
 import pytest
 
 from basm import checks, semantics
-from basm.checks import check_iso_invariance
+from basm.checks import check_bounded_exploration, check_iso_invariance
 from basm.corpus import entry_dir, load_entry_program, load_entry_state
 from basm.literals import load_state
 from basm.oracles import Interaction, OracleSession, ScriptedPolicy
-from basm.semantics import replay, run, step
-from basm.state import STATIC_IMPL, UNDEF, State, render_key, renaming
+from basm.semantics import StepRecord, replay, run, step
+from basm.state import STATIC_IMPL, UNDEF, State, UpdateSet, render_key, renaming
 from basm.syntax import App, Par, parse_program
 from basm.traceio import read_trace, render_trace
 
 ORIGINAL_COMPILE_TERM = semantics._compile_term
 ORIGINAL_COMPILE_RULE = semantics._compile_rule
+ORIGINAL_SAMPLER = checks.junk_state_sampler
 
 UNDEF_WRITER = """vocab {
   var a, b : Integer
@@ -81,6 +82,26 @@ def compile_short_circuit_and(term):
     return and_
 
 
+def rename_skipping_interaction_args(record, move):
+    """iso's renaming of a step record that leaves interaction arguments as they are."""
+    updates = UpdateSet()
+    for key, v in record.updates.items():
+        updates.add(move(key), move(v))
+    interactions = tuple(Interaction(i.oracle, i.args, move(i.answer))
+                         for i in record.interactions)
+    return StepRecord(record.index, updates, interactions)
+
+
+def sampler_with_y_equal_to_x(program, base_state):
+    """bexp's sampler handing out the pair (X, X)."""
+    sample = ORIGINAL_SAMPLER(program, base_state)
+
+    def same(rng):
+        x, _ = sample(rng)
+        return x, x
+    return same
+
+
 # --- owning checks -------------------------------------------------------------
 
 
@@ -103,6 +124,32 @@ def iso_on_enumgraph() -> bool:
     report = check_iso_invariance(load_entry_program("enumgraph"),
                                   load_entry_state("enumgraph"), {"Node": {"u": "v", "v": "u"}})
     return report.passed
+
+
+def iso_on_a_scripted_pick() -> bool:
+    """Swapping `u` and `v` commutes with a step that asks `Pick(cur)`."""
+    program = parse_program("vocab {\n  enum Node { u, v, w }\n  var cur : Node\n"
+                            "  oracle Pick(Node) : Node\n}\ndo until false { cur := Pick(cur) }\n")
+    report = check_iso_invariance(program, load_state("cur := u", program.vocabulary),
+                                  {"Node": {"u": "v", "v": "u", "w": "w"}}, ["w"])
+    return report.passed
+
+
+def bexp_flags_a_peeking_step() -> bool:
+    """The peeking step of `test_bounded_exploration_catches_a_peeking_step`,
+    whose update depends on the junk location `zz_junk0(0)`, is flagged."""
+    def peeking_step(state, rule, session):
+        updates, interactions = step(state, rule, session)
+        out = UpdateSet()
+        for key, v in updates.items():
+            out.add(key, v)
+        out.add(("zz_flag", ()), state.read(("zz_junk0", (0,))) % 2 == 0)
+        return out, interactions
+
+    program = load_entry_program("euclid")
+    sampler = checks.junk_state_sampler(program, load_entry_state("euclid"))
+    return not check_bounded_exploration(program, sampler, trials=60, seed=5,
+                                         step_fn=peeking_step).passed
 
 
 def witness_reads_of_a_decided_and() -> bool:
@@ -141,6 +188,10 @@ ROWS = [
      iso_on_enumgraph),
     ("short-circuit-and", semantics, "_compile_term", compile_short_circuit_and,
      witness_reads_of_a_decided_and),
+    ("iso-skips-interaction-args", checks, "_rename", rename_skipping_interaction_args,
+     iso_on_a_scripted_pick),
+    ("bexp-y-equals-x", checks, "junk_state_sampler", sampler_with_y_equal_to_x,
+     bexp_flags_a_peeking_step),
 ]
 
 

@@ -16,7 +16,7 @@ from basm.errors import BasmError
 from basm.literals import load_state
 from basm.oracles import OracleSession, UniformRandomPolicy
 from basm.semantics import replay, step
-from basm.state import Location, State, UpdateSet, Vocabulary
+from basm.state import Location, State, UpdateSet, Vocabulary, renaming, transport
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import read_trace, render_trace
 
@@ -156,6 +156,29 @@ def test_iso_renames_the_interactions_of_a_failing_step():
     assert report.passed, report.failures
 
 
+def test_a_renaming_of_one_enum_sort_leaves_the_other_where_it_is():
+    prog = parse_program(
+        "vocab {\n"
+        "  enum A { u, v }\n  enum B { p, q }\n"
+        "  var a : A\n  var b : B\n  var f(B) : A\n  var g(A) : B\n"
+        "}\n"
+        "do until false { par { a := f(b); b := g(a) } }\n"
+    )
+    state = load_state("a := u\nb := p\nf(p) := v\nf(q) := u\ng(u) := q\ng(v) := p",
+                       prog.vocabulary)
+    swap_a = {"A": {"u": "v", "v": "u"}}
+    moved = transport(state, swap_a)
+    assert moved.store == {("a", ()): "v", ("b", ()): "p", ("f", ("p",)): "u",
+                           ("f", ("q",)): "v", ("g", ("v",)): "q", ("g", ("u",)): "p"}
+    move = renaming(prog.vocabulary, swap_a)
+    assert [move(m) for m in ("u", "v", "p", "q")] == ["v", "u", "p", "q"]
+    bijections = list(enum_bijections(prog.vocabulary))
+    assert len(bijections) == 4
+    for bijection in bijections:
+        report = check_iso_invariance(prog, state, bijection)
+        assert report.passed, (bijection, report.failures)
+
+
 def test_bijection_on_builtin_sort_is_unsupported():
     prog = load_entry_program("euclid")
     state = load_entry_state("euclid")
@@ -220,3 +243,20 @@ def test_sampler_pairs_agree_on_core_and_differ_on_junk():
         for j in range(4)
     )
     assert junk_differs
+
+
+def test_the_junk_symbols_do_not_collide_with_the_program_s_own():
+    """A program may use the junk names; the sampler then picks fresh ones."""
+    prog = parse_program(
+        "vocab {\n  var zz_flag, zz_flag_1, x : Integer\n  var zz_junk0(Integer) : Boolean\n}\n"
+        "do until x >= 3 { par { x := x + 1; zz_flag := zz_flag + x } }\n"
+    )
+    init = load_state("x := 0\nzz_flag := 1\nzz_junk0(0) := true", prog.vocabulary)
+    x, _ = junk_state_sampler(prog, init)(random.Random(0))
+    symbols = x.vocabulary.symbols
+    assert symbols["zz_flag"] is prog.vocabulary.symbols["zz_flag"]
+    assert symbols["zz_flag_2"].result_sort.name == "Boolean"
+    assert symbols["zz_junk0_1"].arg_sorts == symbols["zz_junk1"].arg_sorts
+    assert x.read(("zz_junk0", (0,))) is True
+    report = check_bounded_exploration(prog, junk_state_sampler(prog, init), trials=20, seed=1)
+    assert report.passed, report.failures

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from basm.cli import main
 from basm.syntax import MAX_NESTING
 
 REPO = Path(__file__).resolve().parents[1]
@@ -371,6 +372,29 @@ def test_check_equiv_flags_different_machines():
             "--other", "corpus/euclid_while/program.basm")
     assert r.returncode == 1
     assert json.loads(r.stdout)["failures"]
+
+
+@pytest.mark.parametrize("kind, unread", [
+    ("bexp", ["--script", "/nonexistent"]),
+    ("iso", ["--script-mode", "strict"]),
+    ("replay", ["--policy", "interactive"]),
+    ("equiv", ["--other", str(REPO / EUCLID), "--trials", "5"]),
+])
+def test_a_check_kind_rejects_an_option_it_does_not_read(kind, unread, capsys):
+    """Run in-process; argparse ends a usage error with exit 2."""
+    with pytest.raises(SystemExit) as e:
+        main(["check", kind, "--program", str(REPO / EUCLID),
+              "--init", str(REPO / EUCLID_INIT), *unread])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {unread[-2]}" in capsys.readouterr().err
+
+
+def test_check_equiv_without_other_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["check", "equiv", "--program", str(REPO / EUCLID),
+              "--init", str(REPO / EUCLID_INIT)])
+    assert e.value.code == 2
+    assert "--other" in capsys.readouterr().err
 
 
 def test_corpus_list_names_every_entry():

@@ -16,7 +16,6 @@ from basm.state import (
     MAX_INT_DIGITS,
     STATIC_IMPL,
     UNDEF,
-    EnumValue,
     Location,
     State,
     UpdateSet,
@@ -112,9 +111,8 @@ def test_value_conforms():
     assert not value_conforms(True, INTEGER)
     assert not value_conforms(3, BOOLEAN)
     node = v.declare_enum("Node", ["u", "w"])
-    assert value_conforms(EnumValue("Node", "u"), node)
-    assert not value_conforms(EnumValue("Node", "z"), node)
-    assert not value_conforms(EnumValue("Other", "u"), node)
+    assert value_conforms("u", node)
+    assert not value_conforms("z", node)
 
 
 def _vocab():
@@ -211,7 +209,7 @@ def _enum_state():
     v.declare_enum("Node", ["u", "w"])
     v.declare("cur", (), v.sort("Node"), "dynamic")
     v.declare("succ", (v.sort("Node"),), v.sort("Node"), "dynamic")
-    u, w = EnumValue("Node", "u"), EnumValue("Node", "w")
+    u, w = "u", "w"
     cur = Location(v.symbol("cur"), ())
     s = State(v, {
         cur: u,

@@ -22,7 +22,7 @@ from basm.errors import BasmError
 from basm.literals import load_state
 from basm.oracles import ScriptedPolicy
 from basm.semantics import replay, run
-from basm.state import UNDEF, EnumValue, State
+from basm.state import UNDEF, State
 from basm.syntax import parse_program
 from basm.traceio import read_trace, render_trace
 
@@ -82,7 +82,7 @@ def _key(t, store):
     if kind == "var":
         return (t[1], ())
     if kind == "paint":
-        return ("paint", (EnumValue("Color", t[1]),))
+        return ("paint", (t[1],))
     at, k = t[1]
     return ("cell", (k if at == "at" else (store[("n", ())] + k) % CELLS,))
 
@@ -116,7 +116,7 @@ def _random_machine(rng):
             store[("cell", (i,))] = rng.randrange(-20, 21)
     for member in COLORS:
         if rng.random() < 0.6:
-            store[("paint", (EnumValue("Color", member),))] = rng.randrange(-20, 21)
+            store[("paint", (member,))] = rng.randrange(-20, 21)
     return program, writes, steps, store
 
 
@@ -141,7 +141,7 @@ def _model_run(writes, steps, store):
 
 def _state_text(store) -> str:
     def loc(name, args):
-        return f"{name}({args[0]!r})" if args else name
+        return f"{name}({args[0]})" if args else name
 
     return "".join(f"{loc(*key)} := {value}\n" for key, value in store.items())
 

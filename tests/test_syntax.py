@@ -17,7 +17,6 @@ from basm.state import (
     INTEGER,
     POINT,
     UNDEF,
-    EnumValue,
     Location,
     UpdateSet,
     Vocabulary,
@@ -317,6 +316,20 @@ def test_keyword_cannot_be_an_identifier():
         parse_program("vocab { var if : Integer }\ndo until true { skip }")
 
 
+@pytest.mark.parametrize("decls, line", [
+    ("enum A { u, v }\n  enum B { v, w }", 3),  # a member of two sorts
+    ("enum A { u, u }", 2),
+    ("enum A { x }\n  var x : Integer", 3),  # a member and a variable
+    ("var x : Integer\n  enum A { x }", 3),
+    ("enum A { M }", 2),  # a builtin static
+])
+def test_a_member_name_is_unique_across_the_vocabulary(decls, line):
+    """A member value is its bare name, so no name may stand for two things."""
+    with pytest.raises(ParseError) as e:
+        _program("do until true { skip }", decls)
+    assert (e.value.kind, e.value.line) == ("sort", line)
+
+
 def test_program_id_ignores_formatting():
     spaced = EUCLID.replace("do until", "do\n   until").replace("  ", "\t") + "\n# tail\n"
     assert parse_program(EUCLID).program_id == parse_program(spaced).program_id
@@ -458,7 +471,7 @@ def rule(draw, depth: int = 3, oracle: bool = True):
             return Assign(Var(SYM["p"]), draw(bool_term(1, oracle)))
         if target == "cur":
             member = draw(st.sampled_from(["e1", "e2"]))
-            return Assign(Var(SYM["cur"]), Lit(EnumValue("E", member)))
+            return Assign(Var(SYM["cur"]), Lit(member))
         if target == "f":
             arg = draw(int_term(1, oracle=False))  # target args are oracle-free
             return Assign(App(SYM["f"], (arg,)), draw(int_term(2, oracle)))
