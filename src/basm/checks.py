@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BasmError
@@ -204,16 +204,21 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
 
 
 def enum_bijections(vocab: Vocabulary) -> Iterator[dict]:
-    """Every bijection of every enum universe (identity included)."""
+    """Every bijection of every enum universe: the identity first, then in
+    `permutations` order with the last sort varying fastest. Each is built
+    when it is asked for, so the first comes at once however many there are."""
     enums = [s for s in vocab.sorts.values() if s.is_enum]
-    if not enums:
-        yield {}
-        return
-    per_sort = [
-        [dict(zip(s.members, perm)) for perm in permutations(s.members)] for s in enums
-    ]
-    for combo in product(*per_sort):
-        yield {s.name: perm for s, perm in zip(enums, combo)}
+
+    def from_sort(k: int) -> Iterator[dict]:
+        if k == len(enums):
+            yield {}
+            return
+        sort = enums[k]
+        for perm in permutations(sort.members):
+            moved = dict(zip(sort.members, perm))
+            for rest in from_sort(k + 1):
+                yield {sort.name: moved, **rest}
+    return from_sort(0)
 
 
 def behaviorally_equivalent(a: Trace, b: Trace) -> bool:

@@ -10,52 +10,54 @@ A trace is JSON-lines with a fixed field order so equal runs give equal bytes:
 A step's updates are sorted by rendered location when the trace is written
 (an update set itself keeps no order); state maps are sorted by key; all
 values use the shared literal syntax. An error outcome carries the error kind:
-{"outcome": "error", "error": "clash", "finalState": ...}.
+{"outcome": "error", "error": "clash", "finalState": ...}. Rows are written
+directly in `json.dumps`'s default spelling, with no dict built per row:
+", " and ": " separators, each string through `json`'s own ASCII escaper.
 
 A script file is JSON-lines too, one {"oracle", "args", "answer"} object per
 line, which is exactly the shape of a trace's interaction records; in
-"by-symbol" mode "args" may be null. A trace is
-accepted as a script: its step rows give their interactions in order, and its
-header and outcome rows give none.
+"by-symbol" mode "args" may be null. A trace is accepted as a script: its step
+rows give their interactions in order, and its header and outcome rows give none.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
-from .literals import parse_binding, parse_value, state_bindings, state_from_bindings
+from .literals import parse_binding, parse_value, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
 from .state import UpdateSet, Vocabulary, render_value, rendered_bindings
 from .syntax import Program
 
 
-def _interaction_obj(i: Interaction) -> dict:
-    return {
-        "oracle": i.oracle,
-        "args": [render_value(a) for a in i.args],
-        "answer": render_value(i.answer),
-    }
+def _interaction_text(i: Interaction) -> str:
+    args = ", ".join([_quote(render_value(a)) for a in i.args])
+    return (f'{{"oracle": {_quote(i.oracle)}, "args": [{args}], '
+            f'"answer": {_quote(render_value(i.answer))}}}')
+
+
+def _map_text(bindings, texts: dict) -> str:
+    """A store or update set as a JSON object, sorted by location text."""
+    return "{" + ", ".join([f"{_quote(loc)}: {_quote(value)}"
+                            for loc, value in rendered_bindings(bindings, texts)]) + "}"
 
 
 def trace_lines(trace: Trace) -> list[str]:
     texts: dict = {}  # each location pair's text, rendered once per call
-    lines = [json.dumps({"programId": trace.program_id,
-                         "initialState": state_bindings(trace.initial_state, texts)})]
+    lines = [f'{{"programId": {_quote(trace.program_id)}, '
+             f'"initialState": {_map_text(trace.initial_state.store, texts)}}}']
     for record in trace.steps:
-        lines.append(json.dumps({
-            "index": record.index,
-            "updates": [{"loc": loc, "value": value}
-                        for loc, value in rendered_bindings(record.updates, texts)],
-            "interactions": [_interaction_obj(i) for i in record.interactions],
-            "halted": record.halted_after,
-        }))
-    final: dict = {"outcome": trace.outcome.kind}
-    if trace.outcome.error is not None:
-        final["error"] = trace.outcome.error
-    final["finalState"] = state_bindings(trace.final_state, texts)
-    lines.append(json.dumps(final))
+        updates = ", ".join([f'{{"loc": {_quote(loc)}, "value": {_quote(value)}}}'
+                             for loc, value in rendered_bindings(record.updates, texts)])
+        lines.append(f'{{"index": {record.index}, "updates": [{updates}], "interactions": '
+                     f'[{", ".join([_interaction_text(i) for i in record.interactions])}], '
+                     f'"halted": {"true" if record.halted_after else "false"}}}')
+    error = "" if trace.outcome.error is None else f'"error": {_quote(trace.outcome.error)}, '
+    lines.append(f'{{"outcome": {_quote(trace.outcome.kind)}, {error}"finalState": '
+                 f'{_map_text(trace.final_state.store, texts)}}}')
     return lines
 
 
@@ -140,9 +142,7 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
 
 def script_lines(trace: Trace) -> list[str]:
     """A script replaying the trace's interactions, in order."""
-    return [
-        json.dumps(_interaction_obj(i)) for record in trace.steps for i in record.interactions
-    ]
+    return [_interaction_text(i) for record in trace.steps for i in record.interactions]
 
 
 def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "strict") -> ScriptedPolicy:

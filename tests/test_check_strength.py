@@ -15,7 +15,7 @@ from basm import checks, semantics
 from basm.checks import check_bounded_exploration, check_iso_invariance
 from basm.corpus import entry_dir, load_entry_program, load_entry_state
 from basm.literals import load_state
-from basm.oracles import Interaction, OracleSession, ScriptedPolicy
+from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
 from basm.semantics import StepRecord, replay, run, step
 from basm.state import STATIC_IMPL, UNDEF, State, UpdateSet, render_key, renaming
 from basm.syntax import App, Par, parse_program
@@ -24,6 +24,7 @@ from basm.traceio import read_trace, render_trace
 ORIGINAL_COMPILE_TERM = semantics._compile_term
 ORIGINAL_COMPILE_RULE = semantics._compile_rule
 ORIGINAL_SAMPLER = checks.junk_state_sampler
+ORIGINAL_ASK = OracleSession.ask
 
 UNDEF_WRITER = """vocab {
   var a, b : Integer
@@ -102,6 +103,15 @@ def sampler_with_y_equal_to_x(program, base_state):
     return same
 
 
+def ask_logging_newest_first(session, query):
+    """`ask` that puts each new interaction before the earlier ones of its step."""
+    logged = len(session.log)
+    answer = ORIGINAL_ASK(session, query)
+    if len(session.log) > logged:  # a new query: one more cache entry this step
+        session.log.insert(len(session.log) - len(session.per_step_cache), session.log.pop())
+    return answer
+
+
 # --- owning checks -------------------------------------------------------------
 
 
@@ -117,6 +127,17 @@ def replay_of_the_euclid_golden() -> bool:
     program = parse_program((entry_dir("euclid") / "program.basm").read_text())
     golden = (entry_dir("euclid") / "golden" / "a12b8.jsonl").read_text().splitlines()
     return replay(read_trace(golden, program), program)
+
+
+def replay_of_a_step_asking_two_segments() -> bool:
+    """Replay, through its written and re-read trace, of a run whose one step
+    asks two different segment queries under the seeded uniform policy."""
+    program = parse_program(
+        "vocab {\n  var a, b : Integer\n  oracle Pick(Integer, Integer) : Integer\n}\n"
+        "do until a > 0 { par { a := Pick(1, 6); b := Pick(10, 20) } }\n")
+    trace = run(program, load_state("a := 0\nb := 0", program.vocabulary),
+                UniformRandomPolicy(seed=7))
+    return replay(read_trace(render_trace(trace).splitlines(), program), program)
 
 
 def iso_on_enumgraph() -> bool:
@@ -192,6 +213,8 @@ ROWS = [
      iso_on_a_scripted_pick),
     ("bexp-y-equals-x", checks, "junk_state_sampler", sampler_with_y_equal_to_x,
      bexp_flags_a_peeking_step),
+    ("interactions-logged-out-of-order", OracleSession, "ask", ask_logging_newest_first,
+     replay_of_a_step_asking_two_segments),
 ]
 
 

@@ -1,5 +1,7 @@
 """Exploration witness, bounded exploration, renaming invariance, equivalence."""
 import random
+import tracemalloc
+from itertools import permutations
 
 import pytest
 
@@ -113,6 +115,30 @@ def test_enum_bijections_enumerates_all_permutations():
     v.declare_enum("B", ["p", "q", "r"])
     assert len(list(enum_bijections(v))) == 12  # 2! * 3!
     assert list(enum_bijections(Vocabulary())) == [{}]
+
+
+def test_enum_bijections_vary_the_last_sort_fastest():
+    v = Vocabulary()
+    v.declare_enum("A", ["x", "y"])
+    v.declare_enum("B", ["p", "q", "r"])
+    assert list(enum_bijections(v)) == [
+        {"A": dict(zip("xy", a)), "B": dict(zip("pqr", b))}
+        for a in permutations("xy") for b in permutations("pqr")
+    ]
+
+
+def test_the_first_bijection_of_a_large_enum_comes_without_the_rest():
+    v = Vocabulary()
+    members = [f"m{i}" for i in range(9)]  # 9! = 362 880 bijections
+    v.declare_enum("N", members)
+    tracemalloc.start()
+    try:
+        first = next(enum_bijections(v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == {"N": {m: m for m in members}}
+    assert peak < 2**20
 
 
 def test_enumgraph_commutes_with_every_renaming():
