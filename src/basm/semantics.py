@@ -7,14 +7,19 @@ evaluation touches exactly the locations named by the program's subterms.
 All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
-nested closures (closure generation, after Feeley and Lapalme, 1987) that are
-kept on the syntax node. A closure reads with the store's own `get`, by
-the location pair `(name, args)`: a variable's pair is built once, when it
-is compiled, and an n-ary pair is built from the evaluated arguments. So a
-read, an update and a commit hash and compare plain tuples, in C. A static
-operator evaluates all its arguments before it applies its function. A run
-owns one working store, a copy of the initial bindings, and commits each
-step's updates into it in place.
+one generated Python function that is kept on the syntax node. Its source is
+straight-line code: each read, query and operator application is one
+statement into a local temporary, `if` is an `if ... is True:` block, and
+`par` is its members in order. Every program-derived object (location pair,
+name, symbol, literal value, static function) reaches the function only
+through its namespace, as a constant named `c<i>`; no program text reaches
+`compile`. The function reads with the store's own `get`, by the location
+pair `(name, args)`: a variable's pair is a constant, and an n-ary pair is
+built from the evaluated arguments. So a read, an update and a commit hash
+and compare plain tuples, in C. A static operator evaluates all its
+arguments before it applies its function. A run owns one working store, a
+copy of the initial bindings, and commits each step's updates into it in
+place.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
@@ -63,92 +68,107 @@ def _no_session(query: Location):
     raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
 
 
-def _compiled(node):
-    """The closure of a term or rule, compiled on first use and kept on the node."""
-    fn = node.__dict__.get("_closure")
-    if fn is None:
-        fn = node.__dict__["_closure"] = (
-            _compile_term(node) if isinstance(node, Term) else _compile_rule(node))
-    return fn
+class _Source:
+    """The lines of one generated function and the namespace it runs in.
+
+    Each program-derived object is a namespace constant `c<i>`, and each
+    evaluated subterm a local temporary `t<i>`; `pad` indents the next line."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = {"U": UNDEF, "Location": Location}
+        self.pad = " "
+
+    def const(self, value) -> str:
+        name = f"c{len(self.namespace) - 2}"  # the first two are `U` and `Location`
+        self.namespace[name] = value
+        return name
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.pad + text)
+
+    def temp(self, expr: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.line(f"{name} = {expr}")
+        return name
+
+    def block(self, head: str, rule: Rule) -> None:
+        self.line(head)
+        self.pad += " "
+        _emit_rule(self, rule)
+        self.pad = self.pad[:-1]
 
 
-def _compile_term(term: Term):
-    """A closure `(get, ask) -> value` that evaluates the term; `get` is the
-    store's `get`, called as `get(key, UNDEF)`."""
+def _tuple(names: list[str]) -> str:
+    return "(" + "".join(f"{n}, " for n in names) + ")"
+
+
+def _emit_term(out: _Source, term: Term) -> str:
+    """Emit the statements that evaluate the term, left to right and
+    innermost first; returns the name of its value. A literal needs no
+    statement: `undef` is `U` and any other value a constant."""
     if isinstance(term, Lit):
-        value = term.value
-        return lambda get, ask: value
+        return "U" if term.value is UNDEF else out.const(term.value)
     if isinstance(term, Var):
-        key = (term.symbol.name, ())
-        return lambda get, ask: get(key, UNDEF)
+        return out.temp(f"get({out.const((term.symbol.name, ()))}, U)")
     sym = term.symbol
-    subs = tuple(_compile_term(a) for a in term.args)
+    args = [_emit_term(out, a) for a in term.args]
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
-        if len(subs) == 2:  # the common case, without the argument list
-            left, right = subs
-            if not strict:
-                return lambda get, ask: fn(left(get, ask), right(get, ask))
-
-            def strict2(get, ask):
-                a, b = left(get, ask), right(get, ask)
-                return UNDEF if a is UNDEF or b is UNDEF else fn(a, b)
-            return strict2
-
-        def static(get, ask):
-            args = [s(get, ask) for s in subs]
-            return UNDEF if strict and any(a is UNDEF for a in args) else fn(*args)
-        return static
-    name, args = sym.name, _compile_args(subs)
+        call = f"{out.const(fn)}({', '.join(args)})"
+        # A strict static tests the operands that may be undef, not a constant.
+        undef = " or ".join(f"{a} is U" for a in args if not a.startswith("c")) if strict else ""
+        return out.temp(f"U if {undef} else {call}" if undef else call)
     if sym.kind == DYNAMIC:
-        return lambda get, ask: get((name, args(get, ask)), UNDEF)
-    return lambda get, ask: ask(Location(sym, args(get, ask)))
+        return out.temp(f"get(({out.const(sym.name)}, {_tuple(args)}), U)")
+    return out.temp(f"ask(Location({out.const(sym)}, {_tuple(args)}))")
 
 
-def _compile_args(subs: tuple):
-    """A closure `(get, ask) -> tuple` of the compiled arguments' values."""
-    if len(subs) == 1:
-        sub, = subs
-        return lambda get, ask: (sub(get, ask),)
-    return lambda get, ask: tuple([s(get, ask) for s in subs])
-
-
-def _compile_rule(rule: Rule):
-    """A closure `(get, ask, add)` that adds the rule's updates by `add`,
-    keyed by location pairs."""
-    if isinstance(rule, Skip):
-        return lambda get, ask, add: None
+def _emit_rule(out: _Source, rule: Rule) -> None:
+    """Emit the statements that add the rule's updates by `add`, keyed by
+    location pairs. An assignment evaluates its value before its target's
+    arguments; a `par` emits its members in order."""
     if isinstance(rule, Assign):
-        rhs = _compile_term(rule.rhs)
-        name = rule.target.symbol.name
-        if isinstance(rule.target, Var):
-            key = (name, ())
-            return lambda get, ask, add: add(key, rhs(get, ask))
-        args = _compile_args(tuple(_compile_term(a) for a in rule.target.args))
+        value, target = _emit_term(out, rule.rhs), rule.target
+        if isinstance(target, Var):
+            key = out.const((target.symbol.name, ()))
+        else:
+            args = [_emit_term(out, a) for a in target.args]
+            key = f"({out.const(target.symbol.name)}, {_tuple(args)})"
+        out.line(f"add({key}, {value})")
+    elif isinstance(rule, Cond):
+        out.block(f"if {_emit_term(out, rule.guard)} is True:", rule.then_rule)
+        if rule.else_rule is not None:
+            out.block("else:", rule.else_rule)
+    elif isinstance(rule, Par):
+        for r in rule.rules or (Skip(),):
+            _emit_rule(out, r)
+    elif isinstance(rule, Skip):
+        out.line("pass")
+    else:
+        raise TypeError(f"not a rule: {rule!r}")
 
-        def assign(get, ask, add):
-            value = rhs(get, ask)
-            add((name, args(get, ask)), value)
-        return assign
-    if isinstance(rule, Cond):
-        guard = _compile_term(rule.guard)
-        then_rule = _compile_rule(rule.then_rule)
-        else_rule = None if rule.else_rule is None else _compile_rule(rule.else_rule)
 
-        def cond(get, ask, add):
-            if guard(get, ask) is True:
-                then_rule(get, ask, add)
-            elif else_rule is not None:
-                else_rule(get, ask, add)
-        return cond
-    if isinstance(rule, Par):
-        subs = tuple(_compile_rule(r) for r in rule.rules)
+def _generate(node) -> tuple[str, dict]:
+    """The source of a term's function `term(get, ask) -> value` or a rule's
+    `rule(get, ask, add)`, named apart for profiles, and its namespace."""
+    out = _Source()
+    if isinstance(node, Term):
+        out.line(f"return {_emit_term(out, node)}")
+        return "\n".join(["def term(get, ask):", *out.lines]), out.namespace
+    _emit_rule(out, node)
+    return "\n".join(["def rule(get, ask, add):", *out.lines]), out.namespace
 
-        def par(get, ask, add):
-            for r in subs:
-                r(get, ask, add)
-        return par
-    raise TypeError(f"not a rule: {rule!r}")
+
+def _compiled(node):
+    """The generated function of a term or rule, built on first use and kept
+    on the node."""
+    fn = node.__dict__.get("_function")
+    if fn is None:
+        source, namespace = _generate(node)
+        exec(compile(source, "<basm>", "exec"), namespace)
+        fn = node.__dict__["_function"] = namespace["term" if isinstance(node, Term) else "rule"]
+    return fn
 
 
 def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):

@@ -1,36 +1,52 @@
 """Pinned mutants of the store and check layers that the checks must kill.
 
 Each row applies one known bug by monkeypatch, at the name its callers
-resolve, and names the check that owns that bug: replay, iso, bexp, or the
-witness-read test (which locations a step reads, recorded by the store's
+resolve, and names the check that owns that bug: replay, iso, bexp, equiv,
+or the witness-read test (which locations a step reads, recorded by the store's
 `get`). The owning check must pass on the code as it is and fail on the
 mutant, on a small input given with the row. Each check parses its program
-anew, so no closure compiled before a patch is reused. This is mutation
+anew, so no function generated before a patch is reused. This is mutation
 testing after DeMillo, Lipton and Sayward, "Hints on test data selection"
 (1978).
 """
 import pytest
 
 from basm import checks, semantics
-from basm.checks import check_bounded_exploration, check_iso_invariance
+from basm.checks import behaviorally_equivalent, check_bounded_exploration, check_iso_invariance
 from basm.corpus import entry_dir, load_entry_program, load_entry_state
 from basm.literals import load_state
-from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
+from basm.oracles import (
+    Interaction,
+    OracleSession,
+    ScriptedPolicy,
+    SplitMix64,
+    UniformRandomPolicy,
+)
 from basm.semantics import StepRecord, replay, run, step
 from basm.state import STATIC_IMPL, UNDEF, State, UpdateSet, render_key, renaming
 from basm.syntax import App, Par, parse_program
 from basm.traceio import read_trace, render_trace
 
-ORIGINAL_COMPILE_TERM = semantics._compile_term
-ORIGINAL_COMPILE_RULE = semantics._compile_rule
+ORIGINAL_EMIT_TERM = semantics._emit_term
+ORIGINAL_EMIT_RULE = semantics._emit_rule
 ORIGINAL_SAMPLER = checks.junk_state_sampler
 ORIGINAL_ASK = OracleSession.ask
+ORIGINAL_UNIFORM_INT = SplitMix64.uniform_int
 
 UNDEF_WRITER = """vocab {
   var a, b : Integer
 }
 do until a = undef { par { a := undef; b := b + 1 } }
 """
+
+# Asks the same segment query `Pick(1, 6)` on each of three steps.
+PICKER = """vocab {
+  var a, n : Integer
+  oracle Pick(Integer, Integer) : Integer
+}
+do until n >= 3 { par { a := Pick(1, 6); n := n + 1 } }
+"""
+PICKER_SEED = 6  # draws 3, 6, 1: the second step hits the top of the segment
 
 
 # --- mutants -----------------------------------------------------------------
@@ -43,25 +59,18 @@ def commit_keeping_undef(store, updates):
             store[key] = value
 
 
-def compile_par_reading_sequentially(rule):
-    """`par` whose later members read what earlier members wrote."""
+def emit_par_reading_sequentially(out, rule):
+    """`par` whose later members read what earlier members wrote: its members
+    run with `get` and `add` rebound to read back the writes made so far."""
     if not isinstance(rule, Par):
-        return ORIGINAL_COMPILE_RULE(rule)
-    subs = [semantics._compile_rule(r) for r in rule.rules]
-
-    def par(get, ask, add):
-        written = {}
-
-        def see(key, default):
-            return written[key] if key in written else get(key, default)
-
-        def write(key, value):
-            written[key] = value
-            add(key, value)
-
-        for sub in subs:
-            sub(see, ask, write)
-    return par
+        return ORIGINAL_EMIT_RULE(out, rule)
+    n = len(out.lines)
+    out.line(f"g{n}, a{n}, w{n} = get, add, {{}}")
+    out.line(f"get = lambda k, d: w{n}[k] if k in w{n} else g{n}(k, d)")
+    out.line(f"add = lambda k, v: (w{n}.__setitem__(k, v), a{n}(k, v))")
+    for r in rule.rules:
+        semantics._emit_rule(out, r)
+    out.line(f"get, add = g{n}, a{n}")
 
 
 def transport_ignoring_arguments(state, bijection):
@@ -70,17 +79,19 @@ def transport_ignoring_arguments(state, bijection):
     return State(state.vocabulary, {key: move(v) for key, v in state.store.items()})
 
 
-def compile_short_circuit_and(term):
+def emit_short_circuit_and(out, term):
     """An `and` that skips its right operand once the left is false."""
     if not (isinstance(term, App) and term.symbol.name == "and"):
-        return ORIGINAL_COMPILE_TERM(term)
-    left, right = (semantics._compile_term(a) for a in term.args)
-    conjoin = STATIC_IMPL["and"][0]
-
-    def and_(get, ask):
-        a = left(get, ask)
-        return False if a is False else conjoin(a, right(get, ask))
-    return and_
+        return ORIGINAL_EMIT_TERM(out, term)
+    left = semantics._emit_term(out, term.args[0])
+    result = f"r{len(out.lines)}"
+    out.line(f"{result} = False")
+    out.line(f"if {left} is not False:")
+    out.pad += " "
+    right = semantics._emit_term(out, term.args[1])
+    out.line(f"{result} = {out.const(STATIC_IMPL['and'][0])}({left}, {right})")
+    out.pad = out.pad[:-1]
+    return result
 
 
 def rename_skipping_interaction_args(record, move):
@@ -112,6 +123,20 @@ def ask_logging_newest_first(session, query):
     return answer
 
 
+def begin_step_keeping_cache(session):
+    """`begin_step` that leaves the per-step cache as the last step left it."""
+    return len(session.log)
+
+
+def uniform_int_never_top(prng, b, c):
+    """`uniform_int` that draws again whenever it lands on `c`, as if the
+    segment were the half-open [b, c)."""
+    while True:
+        value = ORIGINAL_UNIFORM_INT(prng, b, c)
+        if value < c or b == c:
+            return value
+
+
 # --- owning checks -------------------------------------------------------------
 
 
@@ -138,6 +163,26 @@ def replay_of_a_step_asking_two_segments() -> bool:
     trace = run(program, load_state("a := 0\nb := 0", program.vocabulary),
                 UniformRandomPolicy(seed=7))
     return replay(read_trace(render_trace(trace).splitlines(), program), program)
+
+
+def _picker_run():
+    program = parse_program(PICKER)
+    return program, run(program, load_state("a := 0\nn := 0", program.vocabulary),
+                        UniformRandomPolicy(seed=PICKER_SEED))
+
+
+def replay_of_a_recorded_repeated_pick() -> bool:
+    """Replay of a trace, recorded by the code as it is, whose successive
+    steps each ask `Pick(1, 6)`."""
+    program = parse_program(PICKER)
+    return replay(read_trace(PICKER_TRACE.splitlines(), program), program)
+
+
+def equiv_of_a_fresh_seeded_pick_run() -> bool:
+    """A fresh seeded run of the picker is step equivalent to its trace
+    recorded by the code as it is, which draws the top of the segment."""
+    program, fresh = _picker_run()
+    return behaviorally_equivalent(read_trace(PICKER_TRACE.splitlines(), program), fresh)
 
 
 def iso_on_enumgraph() -> bool:
@@ -199,15 +244,17 @@ _undef_writer = parse_program(UNDEF_WRITER)
 UNDEF_TRACE = render_trace(
     run(_undef_writer, load_state("a := 5\nb := 0", _undef_writer.vocabulary), ScriptedPolicy()))
 
+PICKER_TRACE = render_trace(_picker_run()[1])
+
 # (row, owner of the seam, name the callers resolve, mutant, owning check)
 ROWS = [
     ("undef-write-keeps-location", semantics, "commit", commit_keeping_undef,
      replay_of_a_recorded_undef_write),
-    ("par-reads-sequentially", semantics, "_compile_rule", compile_par_reading_sequentially,
+    ("par-reads-sequentially", semantics, "_emit_rule", emit_par_reading_sequentially,
      replay_of_the_euclid_golden),
     ("transport-ignores-arguments", checks, "transport", transport_ignoring_arguments,
      iso_on_enumgraph),
-    ("short-circuit-and", semantics, "_compile_term", compile_short_circuit_and,
+    ("short-circuit-and", semantics, "_emit_term", emit_short_circuit_and,
      witness_reads_of_a_decided_and),
     ("iso-skips-interaction-args", checks, "_rename", rename_skipping_interaction_args,
      iso_on_a_scripted_pick),
@@ -215,6 +262,10 @@ ROWS = [
      bexp_flags_a_peeking_step),
     ("interactions-logged-out-of-order", OracleSession, "ask", ask_logging_newest_first,
      replay_of_a_step_asking_two_segments),
+    ("per-step-cache-kept-across-steps", OracleSession, "begin_step", begin_step_keeping_cache,
+     replay_of_a_recorded_repeated_pick),
+    ("uniform-never-draws-segment-top", SplitMix64, "uniform_int", uniform_int_never_top,
+     equiv_of_a_fresh_seeded_pick_run),
 ]
 
 
@@ -223,3 +274,11 @@ def test_the_owning_check_kills_the_mutant(monkeypatch, row, owner, name, mutant
     assert check(), f"{check.__name__} fails on the code as it is"
     monkeypatch.setattr(owner, name, mutant)
     assert not check(), f"{check.__name__} misses {row}"
+
+
+def test_the_recorded_pick_trace_draws_the_top_of_its_segment():
+    """The input of `uniform-never-draws-segment-top` exercises the top."""
+    program = parse_program(PICKER)
+    trace = read_trace(PICKER_TRACE.splitlines(), program)
+    answers = [i.answer for record in trace.steps for i in record.interactions]
+    assert 6 in answers and len(answers) == 3

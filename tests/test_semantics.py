@@ -1,11 +1,14 @@
 """Step semantics: pre-state reads, update atomicity, halting, and replay."""
+import io
 import json
 import math
 import random
+import re
+import tokenize
 
 import pytest
 
-from basm import literals
+from basm import literals, semantics
 from basm.checks import junk_state_sampler
 from basm.corpus import corpus_run, entry_dir, load_entry_program, load_entry_state
 from basm.errors import BasmError
@@ -411,3 +414,49 @@ def test_a_trace_parses_each_location_text_once(monkeypatch):
                         lambda text, vocab: parsed.append(text) or parse_location(text, vocab))
     read_trace(text.splitlines(), prog)
     assert parsed == ["a", "b"]
+
+
+# --- the generated kernel ----------------------------------------------------
+
+# The names the generator writes itself: keywords, the function (`rule` or
+# `term`), its parameters, and the two fixed namespace entries `U` (undef)
+# and `Location`.
+GENERATED_NAMES = {"def", "return", "if", "else", "is", "or", "True", "pass",
+                   "rule", "term", "get", "ask", "add", "U", "Location"}
+
+
+def test_no_program_text_reaches_the_generated_source():
+    """Every name, symbol and literal of a program reaches its generated
+    functions only as a namespace constant `c<i>`: the source holds generated
+    names and fixed keywords, and no number or string."""
+    widest = "9" * 640
+    text = (entry_dir("tangent") / "program.basm").read_text()
+    text = text.replace("var T : Line", "var T : Line\n  var n : Integer")
+    text = text.replace("r := M(p, q);", f"r := M(p, q);\n    n := {widest};")
+    prog = parse_program(text)
+    program_names = {"p", "q", "C", "D", "r", "s", "T", "n", "I", "M", "Cl", "L"}
+    assert int(widest) in semantics._generate(prog.step_rule)[1].values()
+    for node in (prog.step_rule, prog.halt):
+        source, _ = semantics._generate(node)
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert {n for n in names if not re.fullmatch(r"[ct]\d+", n)} <= GENERATED_NAMES
+        assert not names & program_names
+        assert not [t.string for t in tokens if t.type in (tokenize.NUMBER, tokenize.STRING)]
+        assert widest not in source and "undef" not in source
+
+
+def test_a_node_generates_its_function_once(monkeypatch):
+    generated = []
+
+    def counting(node):
+        generated.append(node)
+        return original(node)
+
+    original = semantics._generate
+    monkeypatch.setattr(semantics, "_generate", counting)
+    prog = _program(INT2, "do until a > 9 { a := a + 1 }")
+    init = _state(prog, "a := 1")
+    assert step(init, prog.step_rule)[0] == step(init, prog.step_rule)[0]
+    assert eval_term(init, prog.halt) == eval_term(init, prog.halt) == (False, [])
+    assert generated == [prog.step_rule, prog.halt]
