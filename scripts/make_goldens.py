@@ -1,47 +1,31 @@
 """Regenerate the recorded traces under corpus/*/golden and the tangent
-oracle scripts. Run from anywhere; paths resolve through the package."""
+oracle scripts, each from the `corpus_run` arguments that `corpus.ENTRIES`
+lists for it. Run from anywhere; paths resolve through the package."""
 from __future__ import annotations
 
 import sys
 
 from basm import corpus_run, render_trace, script_lines
-from basm.corpus import entry_dir
-
-# golden file -> corpus_run keyword arguments
-RUNS = {
-    ("euclid", "a12b8.jsonl"): {},
-    ("euclid_while", "a12b8.jsonl"): {},
-    ("euclid_implicit", "a12b8.jsonl"): {},
-    ("tangent", "choice0.jsonl"): {"choice": 0},
-    ("tangent", "choice1.jsonl"): {"choice": 1},
-    ("tangent_direct", "choice0.jsonl"): {"choice": 0},
-    ("primality", "n15k2_seed42.jsonl"): {"seed": 42},
-    ("enumgraph", "default.jsonl"): {},
-}
-
-# script file -> the golden run whose interactions it replays
-SCRIPTS = {
-    ("tangent", "choice0.jsonl"): {"choice": 0},
-    ("tangent", "choice1.jsonl"): {"choice": 1},
-}
+from basm.corpus import ENTRIES, entry_dir
 
 
 def main() -> int:
-    for (name, fname), kwargs in RUNS.items():
-        trace = corpus_run(name, **kwargs)
-        if trace.outcome.kind != "halted":
-            print(f"{name}/{fname}: run did not halt ({trace.outcome})", file=sys.stderr)
-            return 1
-        path = entry_dir(name) / "golden" / fname
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_trace(trace))
-        print(f"wrote {path} ({len(trace.steps)} steps)")
-    for (name, fname), kwargs in SCRIPTS.items():
-        trace = corpus_run(name, **kwargs)
-        path = entry_dir(name) / "scripts" / fname
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(script_lines(trace)) + "\n")
-        print(f"wrote {path}")
+    for name, entry in ENTRIES.items():
+        for fname, kwargs in entry.golden_files.items():
+            trace = corpus_run(name, **kwargs)
+            if trace.outcome.kind != "halted":
+                print(f"{name}/{fname}: run did not halt ({trace.outcome})", file=sys.stderr)
+                return 1
+            path = entry_dir(name) / "golden" / fname
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(render_trace(trace))
+            print(f"wrote {path} ({len(trace.steps)} steps)")
+        for fname, kwargs in entry.script_files.items():
+            trace = corpus_run(name, **kwargs)
+            path = entry_dir(name) / "scripts" / fname
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(script_lines(trace)) + "\n")
+            print(f"wrote {path}")
     return 0
 
 

@@ -28,7 +28,7 @@ liar_rate(n) ** k.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -45,31 +45,31 @@ from .traceio import load_script
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A bundled program. `golden_files` maps each recorded trace under
+    golden/ to the `corpus_run` arguments that record it, and `script_files`
+    maps each oracle script under scripts/ to those of the run it replays."""
+
     name: str
     init_files: tuple[str, ...]
-    golden_files: tuple[str, ...]
+    golden_files: dict[str, dict]
     policy: str = "builtin"  # builtin | uniform
     seed: int = 0
-    script_files: tuple[str, ...] = ()
+    script_files: dict[str, dict] = field(default_factory=dict)
 
+
+_CHOICES = {"choice0.jsonl": {"choice": 0}, "choice1.jsonl": {"choice": 1}}
 
 ENTRIES: dict[str, CorpusEntry] = {
     e.name: e
     for e in (
-        CorpusEntry("euclid", ("a12b8.state",), ("a12b8.jsonl",)),
-        CorpusEntry("euclid_while", ("a12b8.state",), ("a12b8.jsonl",)),
-        CorpusEntry("euclid_implicit", ("a12b8.state",), ("a12b8.jsonl",)),
-        CorpusEntry(
-            "tangent",
-            ("default.state",),
-            ("choice0.jsonl", "choice1.jsonl"),
-            script_files=("choice0.jsonl", "choice1.jsonl"),
-        ),
-        CorpusEntry("tangent_direct", ("default.state",), ("choice0.jsonl",)),
-        CorpusEntry(
-            "primality", ("n15k2.state",), ("n15k2_seed42.jsonl",), policy="uniform", seed=42
-        ),
-        CorpusEntry("enumgraph", ("default.state",), ("default.jsonl",)),
+        CorpusEntry("euclid", ("a12b8.state",), {"a12b8.jsonl": {}}),
+        CorpusEntry("euclid_while", ("a12b8.state",), {"a12b8.jsonl": {}}),
+        CorpusEntry("euclid_implicit", ("a12b8.state",), {"a12b8.jsonl": {}}),
+        CorpusEntry("tangent", ("default.state",), _CHOICES, script_files=_CHOICES),
+        CorpusEntry("tangent_direct", ("default.state",), {"choice0.jsonl": {"choice": 0}}),
+        CorpusEntry("primality", ("n15k2.state",), {"n15k2_seed42.jsonl": {"seed": 42}},
+                    policy="uniform", seed=42),
+        CorpusEntry("enumgraph", ("default.state",), {"default.jsonl": {}}),
     )
 }
 

@@ -23,10 +23,11 @@ reproduces `p` for any program built with the default symbol classification.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BasmError, ParseError
@@ -109,22 +110,19 @@ class Program:
     mode: str  # DO_UNTIL | ITERATE
     halt: Optional[Term]
     step_rule: Rule
-    _pid: Optional[str] = field(default=None, compare=False, repr=False)
 
-    @property
+    @functools.cached_property
     def program_id(self) -> str:
         """Content hash of the canonical program text.
 
         The text omits which statics are reclassified as oracles, so a line
         naming them is hashed too; with none, the hash is of the text alone.
         """
-        if self._pid is None:
-            text = pretty(self)
-            statics = sorted(self.vocabulary.oracle_statics)
-            if statics:
-                text += "oracle-static " + " ".join(statics) + "\n"
-            self._pid = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self._pid
+        text = pretty(self)
+        statics = sorted(self.vocabulary.oracle_statics)
+        if statics:
+            text += "oracle-static " + " ".join(statics) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:
@@ -245,17 +243,25 @@ _TIGHTEST = max(_OPERATORS.values())
 MAX_NESTING = 48
 
 
+_KEYWORD_LITERALS = {
+    "true": (Lit(True), BOOLEAN),
+    "false": (Lit(False), BOOLEAN),
+    "undef": (Lit(UNDEF), ANY),
+}
+_SHAPES = {"circle": (Circle, CIRCLE), "line": (Line, LINE)}
+
+
 def _differ(a: Sort, b: Sort) -> bool:
     """Whether two sorts differ; `ANY`, the sort of `undef`, differs from none."""
     return a is not b and a is not ANY and b is not ANY
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], oracle_statics=()):
+    def __init__(self, tokens: list[Token], vocab: Vocabulary):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.vocab = Vocabulary(oracle_statics)
+        self.vocab = vocab
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -307,6 +313,14 @@ class _Parser:
             self.fail(f"expected a name, found {tok.text!r}")
         return self.next()
 
+    def comma_list(self, read) -> list:
+        """One or more items, each read by `read()`, separated by commas."""
+        items = [read()]
+        while self.at(","):
+            self.next()
+            items.append(read())
+        return items
+
     # vocabulary ---------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -315,102 +329,61 @@ class _Parser:
         while not self.at("}"):
             self.parse_decl()
         self.expect("}")
-        mode_tok = self.peek()
-        if self.at("do"):
-            self.next()
+        mode_tok = self.next()
+        halt = None
+        if mode_tok.text == "do":
             self.expect("until")
             halt, halt_sort = self.parse_whole_term()
             self._check_sort(halt_sort, BOOLEAN, mode_tok, "halting condition")
             if contains_oracle(halt):
-                self.fail(
-                    "halting condition may not query an oracle",
-                    mode_tok,
-                    kind="interactive-halt",
-                )
-            self.expect("{")
-            rule = self.parse_rule()
-            self.expect("}")
-            mode = DO_UNTIL
-        elif self.at("iterate"):
-            self.next()
-            self.expect("{")
-            rule = self.parse_rule()
-            self.expect("}")
-            for t in rule_terms(rule):
-                if contains_oracle(t):
-                    self.fail(
-                        "implicit iteration cannot contain oracle queries",
-                        mode_tok,
-                        kind="interactive-fixpoint",
-                    )
-            mode, halt = ITERATE, None
-        else:
-            self.fail("expected 'do until' or 'iterate' after the vocab block")
+                message = "halting condition may not query an oracle"
+                self.fail(message, mode_tok, kind="interactive-halt")
+        elif mode_tok.text != "iterate":
+            self.fail("expected 'do until' or 'iterate' after the vocab block", mode_tok)
+        self.expect("{")
+        rule = self.parse_rule()
+        self.expect("}")
+        if halt is None and any(contains_oracle(t) for t in rule_terms(rule)):
+            message = "implicit iteration cannot contain oracle queries"
+            self.fail(message, mode_tok, kind="interactive-fixpoint")
         tok = self.peek()
         if tok.kind != "eof":
             self.fail("trailing input after the program body", tok)
-        return Program(self.vocab, mode, halt, rule)
+        return Program(self.vocab, DO_UNTIL if mode_tok.text == "do" else ITERATE, halt, rule)
 
     def parse_decl(self):
-        tok = self.peek()
+        tok = self.next()
+        kw = tok.text
         try:
-            if self.at("enum"):
-                self.next()
+            if kw == "enum":
                 name = self.expect_ident().text
                 self.expect("{")
-                members = [self.expect_ident().text]
-                while self.at(","):
-                    self.next()
-                    members.append(self.expect_ident().text)
+                members = self.comma_list(lambda: self.expect_ident().text)
                 self.expect("}")
                 self.vocab.declare_enum(name, members)
-            elif self.at("var"):
-                self.next()
-                names = [self.expect_ident()]
-                while self.at(","):
-                    self.next()
-                    names.append(self.expect_ident())
-                if len(names) == 1 and self.at("("):
-                    arg_sorts = self.parse_sort_list()
-                    self.expect(":")
-                    result = self.parse_sort_name()
-                    self.vocab.declare(names[0].text, arg_sorts, result, DYNAMIC)
-                else:
-                    self.expect(":")
-                    result = self.parse_sort_name()
-                    for nm in names:
-                        self.vocab.declare(nm.text, (), result, DYNAMIC)
-            elif self.at("oracle"):
-                self.next()
-                name = self.expect_ident().text
-                arg_sorts = self.parse_sort_list()
+            elif kw in ("var", "oracle", "static"):
+                # `name(sorts): sort`, or for `var` also `a, b: sort`
+                names = self.comma_list(self.expect_ident) if kw == "var" else [self.expect_ident()]
+                arg_sorts = []
+                if kw != "var" or (len(names) == 1 and self.at("(")):
+                    self.expect("(")
+                    if not self.at(")"):
+                        arg_sorts = self.comma_list(self.parse_sort_name)
+                    self.expect(")")
                 self.expect(":")
                 result = self.parse_sort_name()
-                self.vocab.declare(name, arg_sorts, result, ORACLE)
-            elif self.at("static"):
-                self.next()
-                name = self.expect_ident().text
-                arg_sorts = self.parse_sort_list()
-                self.expect(":")
-                result = self.parse_sort_name()
-                self.vocab.redeclare_static(name, arg_sorts, result)
+                for name in names:
+                    if kw == "static":
+                        self.vocab.redeclare_static(name.text, arg_sorts, result)
+                    else:
+                        kind = DYNAMIC if kw == "var" else ORACLE
+                        self.vocab.declare(name.text, arg_sorts, result, kind)
             else:
-                self.fail("expected a declaration (enum, var, static, or oracle)")
+                self.fail("expected a declaration (enum, var, static, or oracle)", tok)
         except ParseError:
             raise
         except BasmError as e:  # vocabulary-level errors get the line position
             self.fail(e.message, tok, kind=e.kind)
-
-    def parse_sort_list(self) -> tuple[Sort, ...]:
-        self.expect("(")
-        sorts = []
-        if not self.at(")"):
-            sorts.append(self.parse_sort_name())
-            while self.at(","):
-                self.next()
-                sorts.append(self.parse_sort_name())
-        self.expect(")")
-        return tuple(sorts)
 
     def parse_sort_name(self) -> Sort:
         tok = self.expect_ident()
@@ -537,17 +510,13 @@ class _Parser:
                 self.fail(f"integer literal longer than {MAX_INT_DIGITS} digits", tok)
             return Lit(int(tok.text)), INTEGER
         if tok.kind == "kw":
-            if tok.text == "true":
+            if tok.text in _KEYWORD_LITERALS:
                 self.next()
-                return Lit(True), BOOLEAN
-            if tok.text == "false":
-                self.next()
-                return Lit(False), BOOLEAN
-            if tok.text == "undef":
-                self.next()
-                return Lit(UNDEF), ANY
-            if tok.text in ("point", "circle", "line"):
-                return self.parse_geometry_literal()
+                return _KEYWORD_LITERALS[tok.text]
+            if tok.text == "point":
+                return Lit(self.parse_point()), POINT
+            if tok.text in _SHAPES:
+                return self.parse_shape()
             self.fail(f"unexpected keyword {tok.text!r} in a term", tok)
         if tok.text == "(":
             self.next()
@@ -596,29 +565,26 @@ class _Parser:
             self._check_sort(sort, sym.arg_sorts[index], arg_tok, f"argument of {sym.name}")
         return term
 
-    def parse_geometry_literal(self) -> tuple[Term, Sort]:
-        head = self.next()
-        if head.text == "point":
-            self.expect("(")
-            x = self.parse_signed_number()
-            self.expect(",")
-            y = self.parse_signed_number()
-            self.expect(")")
-            return Lit(Point(x, y)), POINT
-        make, sort = (Circle, CIRCLE) if head.text == "circle" else (Line, LINE)
+    def parse_shape(self) -> tuple[Term, Sort]:
+        """`circle(point(..), point(..))` or `line(point(..), point(..))`."""
+        make, sort = _SHAPES[self.next().text]
         self.expect("(")
-        first, _ = self.parse_geometry_literal_point()
+        first = self.parse_point()
         self.expect(",")
-        second, _ = self.parse_geometry_literal_point()
+        second = self.parse_point()
         self.expect(")")
         return Lit(make(first, second)), sort
 
-    def parse_geometry_literal_point(self):
-        tok = self.peek()
-        if not (tok.kind == "kw" and tok.text == "point"):
+    def parse_point(self) -> Point:
+        tok = self.next()
+        if tok.text != "point":
             self.fail("expected point(..)", tok)
-        lit, sort = self.parse_geometry_literal()
-        return lit.value, sort
+        self.expect("(")
+        x = self.parse_signed_number()
+        self.expect(",")
+        y = self.parse_signed_number()
+        self.expect(")")
+        return Point(x, y)
 
     def parse_signed_number(self) -> float:
         negative = False
@@ -641,13 +607,12 @@ def parse_program(source: str, oracle_statics=()) -> Program:
     `oracle_statics` names predeclared static symbols (such as `mod`) to treat
     as deterministic oracles in this program.
     """
-    return _Parser(tokenize(source), oracle_statics).parse_program()
+    return _Parser(tokenize(source), Vocabulary(oracle_statics)).parse_program()
 
 
 def parse_term_in(source: str, vocabulary: Vocabulary) -> Term:
     """Parse a single term against an existing vocabulary (mainly for tests)."""
-    parser = _Parser(tokenize(source))
-    parser.vocab = vocabulary
+    parser = _Parser(tokenize(source), vocabulary)
     term, _sort = parser.parse_whole_term()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -691,11 +656,8 @@ def _rule_text(rule: Rule, indent: int) -> str:
     if isinstance(rule, Assign):
         return f"{term_text(rule.target)} := {term_text(rule.rhs)}"
     if isinstance(rule, Par):
-        inner = []
-        for i, r in enumerate(rule.rules):
-            sep = ";" if i < len(rule.rules) - 1 else ""
-            inner.append(f"{pad}  {_rule_text(r, indent + 2)}{sep}")
-        return "par {\n" + "\n".join(inner) + f"\n{pad}}}"
+        inner = ";\n".join(f"{pad}  {_rule_text(r, indent + 2)}" for r in rule.rules)
+        return f"par {{\n{inner}\n{pad}}}"
     if isinstance(rule, Cond):
         then_text = _rule_text(rule.then_rule, indent)
         if rule.else_rule is not None and _ends_with_open_cond(rule.then_rule):

@@ -367,6 +367,21 @@ def test_check_iso_enumgraph():
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("entry, golden, bijections", [
+    ("enumgraph", "default.jsonl", 2),
+    ("tangent", "choice1.jsonl", 1),
+])
+def test_check_iso_takes_a_golden_trace_as_its_script(entry, golden, bijections, capsys):
+    """Run in-process; the golden's answers are replayed by symbol."""
+    d = REPO / "corpus" / entry
+    code = main(["check", "iso", "--program", str(d / "program.basm"),
+                 "--init", str(d / "init" / "default.state"),
+                 "--script", str(d / "golden" / golden)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "check": "iso", "trials": bijections, "failures": []}
+
+
 def test_check_equiv_flags_different_machines():
     r = cli("check", "equiv", "--program", EUCLID, "--init", EUCLID_INIT,
             "--other", "corpus/euclid_while/program.basm")
@@ -446,6 +461,38 @@ def test_oracle_static_round_trip(tmp_path):
     r = cli("replay", "--program", EUCLID, "--trace", str(trace))
     assert r.returncode == 1
     assert "error[program-id]" in r.stderr
+
+
+EQUALITY_QUERIES = """\
+vocab {
+  enum Node { u, v }
+  var cur : Node
+  var here : Point
+  var hops : Integer
+}
+do until hops > 1 {
+  par {
+    if cur = u then cur := v else cur := u;
+    if here = point(0.5, -1.0) then here := point(2.0, 0.0);
+    hops := hops + 1
+  }
+}
+"""
+
+
+def test_a_trace_with_equality_as_an_oracle_reads_back_and_replays(tmp_path, capsys):
+    """Run in-process. The `=` queries take enum members and points, whose
+    sort the trace reader infers from the literal text."""
+    program, init, trace = tmp_path / "p.basm", tmp_path / "init.state", tmp_path / "t.jsonl"
+    program.write_text(EQUALITY_QUERIES)
+    init.write_text("cur := u\nhere := point(0.5, -1.0)\nhops := 0\n")
+    common = ["--program", str(program), "--oracle-static", "="]
+    assert main(["run", *common, "--init", str(init), "--trace", str(trace)]) == 0
+    text = trace.read_text()
+    assert '{"oracle": "=", "args": ["v", "u"], "answer": "false"}' in text
+    assert '"args": ["point(0.5,-1.0)", "point(0.5,-1.0)"], "answer": "true"' in text
+    assert main(["replay", *common, "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.endswith("replay: ok\n")
 
 
 def test_interactive_policy_computes_a_reclassified_static():

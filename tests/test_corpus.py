@@ -6,6 +6,7 @@ import pytest
 
 from basm.corpus import (
     ENTRIES,
+    corpus_dir,
     corpus_run,
     entry_dir,
     liar_rate,
@@ -15,7 +16,7 @@ from basm.corpus import (
 from basm.errors import BasmError
 from basm.literals import state_bindings
 from basm.semantics import replay
-from basm.traceio import read_trace, render_trace
+from basm.traceio import read_trace, render_trace, script_lines
 
 # Hand-checked: 4^2 = 16 = 15 + 1, and 11 = -4 mod 15, so 4 and 11 are the
 # only bases in [2, 13] with a^14 = 1 mod 15. Two liars out of twelve bases.
@@ -88,36 +89,46 @@ def test_tangent_interaction_pattern():
     assert [len(s.interactions) for s in direct.steps] == [1]
 
 
-GOLDEN_RUNS = {
-    ("euclid", "a12b8.jsonl"): {},
-    ("euclid_while", "a12b8.jsonl"): {},
-    ("euclid_implicit", "a12b8.jsonl"): {},
-    ("tangent", "choice0.jsonl"): {"choice": 0},
-    ("tangent", "choice1.jsonl"): {"choice": 1},
-    ("tangent_direct", "choice0.jsonl"): {"choice": 0},
-    ("primality", "n15k2_seed42.jsonl"): {"seed": 42},
-    ("enumgraph", "default.jsonl"): {},
-}
+GOLDENS = sorted((name, g) for name, e in ENTRIES.items() for g in e.golden_files)
 
 
 def test_every_entry_has_a_golden_under_test():
-    listed = {(name, g) for name, e in ENTRIES.items() for g in e.golden_files}
-    assert listed == set(GOLDEN_RUNS)
+    """Every file under corpus/*/golden/ and corpus/*/scripts/ is listed in
+    ENTRIES with the run that records it, and every listed file exists."""
+    assert all(e.golden_files for e in ENTRIES.values())
+    listed = {
+        f"{name}/{folder}/{f}"
+        for name, e in ENTRIES.items()
+        for folder, files in (("golden", e.golden_files), ("scripts", e.script_files))
+        for f in files
+    }
+    root = corpus_dir()
+    on_disk = {p.relative_to(root).as_posix()
+               for p in [*root.glob("*/golden/*"), *root.glob("*/scripts/*")]}
+    assert listed == on_disk
 
 
-@pytest.mark.parametrize("name,fname", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name,fname", GOLDENS)
 def test_goldens_are_byte_stable(name, fname):
     recorded = (entry_dir(name) / "golden" / fname).read_text()
-    rerun = corpus_run(name, **GOLDEN_RUNS[(name, fname)])
+    rerun = corpus_run(name, **ENTRIES[name].golden_files[fname])
     assert render_trace(rerun) == recorded
 
 
-@pytest.mark.parametrize("name,fname", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name,fname", GOLDENS)
 def test_goldens_replay(name, fname):
     program = load_entry_program(name)
     lines = (entry_dir(name) / "golden" / fname).read_text().splitlines()
     trace = read_trace(lines, program)
     assert replay(trace, program)
+
+
+@pytest.mark.parametrize("name,fname", sorted(
+    (name, f) for name, e in ENTRIES.items() for f in e.script_files))
+def test_script_files_are_byte_stable(name, fname):
+    recorded = (entry_dir(name) / "scripts" / fname).read_text()
+    rerun = corpus_run(name, **ENTRIES[name].script_files[fname])
+    assert "\n".join(script_lines(rerun)) + "\n" == recorded
 
 
 def test_tangent_script_files_reproduce_the_choices():

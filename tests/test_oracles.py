@@ -197,6 +197,32 @@ def test_scripted_policy_strict_order_and_exhaustion():
     assert e.value.kind == "script"
 
 
+def test_a_strict_script_entry_for_another_oracle_names_both():
+    v = _vocab()
+    s = OracleSession(ScriptedPolicy([Interaction("I", None, Point(0.0, 0.0))]), v)
+    with pytest.raises(BasmError) as e:
+        s.ask(Location(v.symbol("Random"), (2, 13)))
+    assert (e.value.kind, e.value.message) == (
+        "script", "script expected I, program asked Random(2,13)")
+
+
+def test_uniform_policy_computes_a_reclassified_static_without_a_draw():
+    v = Vocabulary(("mod",))
+    s = OracleSession(UniformRandomPolicy(7), v)
+    before = s.prng.state
+    assert s.ask(Location(v.symbol("mod"), (17, 5))) == 2
+    assert s.prng.state == before
+    assert s.log == [Interaction("mod", (17, 5), 2)]
+
+
+def test_a_strict_reclassified_static_answers_undef_for_an_undef_argument():
+    v = Vocabulary(("mod", "="))
+    s = OracleSession(BuiltinPolicy(), v)
+    assert s.ask(Location(v.symbol("mod"), (UNDEF, 5))) is UNDEF
+    # `=` is not strict: undef equals undef.
+    assert s.ask(Location(v.symbol("="), (UNDEF, UNDEF))) is True
+
+
 def test_scripted_policy_by_symbol_ignores_args():
     v = _vocab()
     policy = ScriptedPolicy([Interaction("Random", None, 4), Interaction("Random", None, 11)])

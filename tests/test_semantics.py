@@ -246,6 +246,16 @@ def test_replay_reproduces_a_random_run():
     assert replay(trace, prog)
 
 
+@pytest.mark.parametrize("max_steps", [0, 1, 2])
+def test_a_step_limit_trace_replays(max_steps):
+    """Replay runs a step-limit trace for exactly its recorded steps, even none."""
+    prog = _program(ORACLE_DECLS, "do until a = 3 { a := R(0, 2) }")
+    trace = run(prog, _state(prog, ""), UniformRandomPolicy(11), max_steps=max_steps)
+    assert (trace.outcome.kind, len(trace.steps)) == ("step-limit", max_steps)
+    read = read_trace(render_trace(trace).splitlines(), prog)
+    assert replay(read, prog)
+
+
 def test_replay_detects_tampering():
     prog, trace = _uniform_trace()
     record = trace.steps[0]

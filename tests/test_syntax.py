@@ -347,6 +347,120 @@ def test_pretty_round_trip_euclid():
     assert pretty(again) == pretty(prog)
 
 
+# A malformed program, as the declarations and the loop that `_program` joins,
+# with the exact kind and message, position included, that it fails with.
+LOOP_DECLS = "var x: Integer\n  var p: Boolean\n  oracle R(Integer): Integer"
+MALFORMED = {
+    "unknown declaration": ("foo x: Integer", "do until p { skip }", "parse",
+                            "expected a declaration (enum, var, static, or oracle) (line 2, column 3)"),
+    "enum without a name": ("enum { u }", "do until p { skip }", "parse",
+                            "expected a name, found '{' (line 2, column 8)"),
+    "enum without a member": ("enum A { }", "do until p { skip }", "parse",
+                              "expected a name, found '}' (line 2, column 12)"),
+    "enum trailing comma": ("enum A { u, }", "do until p { skip }", "parse",
+                            "expected a name, found '}' (line 2, column 15)"),
+    "enum repeated member": ("enum A { u, u }", "do until p { skip }", "sort",
+                             "enum sort A repeats a member (line 2, column 3)"),
+    "var list with arguments": ("var a, b(Integer): Integer", "do until p { skip }", "parse",
+                                "expected ':', found '(' (line 2, column 11)"),
+    "var unclosed sorts": ("var a(Integer: Integer", "do until p { skip }", "parse",
+                           "expected ')', found ':' (line 2, column 16)"),
+    "var without a name": ("var : Integer", "do until p { skip }", "parse",
+                           "expected a name, found ':' (line 2, column 7)"),
+    "unknown result sort": ("var a: Real", "do until p { skip }", "sort",
+                            "unknown sort: Real (line 2, column 10)"),
+    "unknown argument sort": ("var a(Integer, Real): Integer", "do until p { skip }", "sort",
+                              "unknown sort: Real (line 2, column 18)"),
+    "duplicate name": ("var a: Integer\n  oracle a(Integer): Integer", "do until p { skip }", "sort",
+                       "symbol already declared: a (line 3, column 3)"),
+    "oracle without sorts": ("oracle R: Integer", "do until p { skip }", "parse",
+                             "expected '(', found ':' (line 2, column 11)"),
+    "oracle trailing comma": ("oracle R(Integer,): Integer", "do until p { skip }", "parse",
+                              "expected a name, found ')' (line 2, column 20)"),
+    "circle of a circle": (
+        LOOP_DECLS,
+        "do until p { x := circle(circle(point(0, 0), point(1, 0)), point(1, 0)) = undef }",
+        "parse", "expected point(..) (line 6, column 26)"),
+    "line of one point": (LOOP_DECLS, "do until line(point(0, 0)) = undef { skip }", "parse",
+                          "expected ',', found ')' (line 6, column 26)"),
+    "point of a name": (LOOP_DECLS, "do until point(1, x) = undef { skip }", "parse",
+                        "expected a number (line 6, column 19)"),
+    "point past the float range": (
+        LOOP_DECLS, "do until point(1e999, 0) = undef { skip }", "parse",
+        "coordinate out of the float range: 1e999 (line 6, column 16)"),
+    "Integer halting term": (LOOP_DECLS, "do until x + 1 { skip }", "sort",
+                             "halting condition has sort Integer, expected Boolean (line 6, column 1)"),
+    "oracle in the halting term": (
+        LOOP_DECLS, "do until R(x) = 0 { skip }", "interactive-halt",
+        "halting condition may not query an oracle (line 6, column 1)"),
+    "oracle under iterate": (
+        LOOP_DECLS, "iterate { x := R(x) }", "interactive-fixpoint",
+        "implicit iteration cannot contain oracle queries (line 6, column 1)"),
+    "do until without {": (LOOP_DECLS, "do until p skip }", "parse",
+                           "expected '{', found 'skip' (line 6, column 12)"),
+    "do until without }": (LOOP_DECLS, "do until p { skip", "parse",
+                           "expected '}', found '' (line 6, column 18)"),
+    "iterate without {": (LOOP_DECLS, "iterate skip }", "parse",
+                          "expected '{', found 'skip' (line 6, column 9)"),
+    "iterate without }": (LOOP_DECLS, "iterate { skip", "parse",
+                          "expected '}', found '' (line 6, column 15)"),
+    "input after a do until body": (LOOP_DECLS, "do until p { skip } skip", "parse",
+                                    "trailing input after the program body (line 6, column 21)"),
+    "input after an iterate body": (LOOP_DECLS, "iterate { skip } }", "parse",
+                                    "trailing input after the program body (line 6, column 18)"),
+    "do without until": (LOOP_DECLS, "do p { skip }", "parse",
+                         "expected 'until', found 'p' (line 6, column 4)"),
+    "no loop": (LOOP_DECLS, "", "parse",
+                "expected 'do until' or 'iterate' after the vocab block (line 6, column 1)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_program_fails_with_its_exact_error(case):
+    decls, loop, kind, message = MALFORMED[case]
+    with pytest.raises(ParseError) as e:
+        _program(loop, decls)
+    assert (e.value.kind, e.value.message) == (kind, message)
+
+
+STATIC_MENTIONS = """\
+vocab {
+  var q: Point
+  var K: Circle
+  var n: Integer
+  static Inc(Point, Circle): Boolean
+  static powmod(Integer, Integer, Integer): Integer
+}
+do until Inc(q, K) {
+  n := powmod(n, 2, 7)
+}
+"""
+
+
+def test_a_static_mention_parses_and_round_trips():
+    prog = parse_program(STATIC_MENTIONS)
+    assert pretty(prog) == STATIC_MENTIONS
+    assert [(kw, sym.name) for kw, sym in prog.vocabulary.declarations[-2:]] == [
+        ("static", "Inc"), ("static", "powmod")]
+    assert parse_program(pretty(prog)) == prog
+    assert prog.program_id == "5a1a315f283944d6ce4007d5601500e7654fc3e3c12242a00d381e5f82437374"
+
+
+@pytest.mark.parametrize("decl, kind, message", [
+    ("static Inc(Point, Point): Boolean", "sort",
+     "static Inc redeclared with a different signature (line 3, column 3)"),
+    ("static Inc(Point, Circle): Integer", "sort",
+     "static Inc redeclared with a different signature (line 3, column 3)"),
+    ("static Foo(Integer): Integer", "sort", "unknown static symbol: Foo (line 3, column 3)"),
+    ("static mod(Integer, Integer): Integer", "parse",
+     "expected a name, found 'mod' (line 3, column 10)"),
+])
+def test_a_wrong_static_mention_is_an_error_at_its_line(decl, kind, message):
+    with pytest.raises(ParseError) as e:
+        _program("do until true { skip }", "var n: Integer\n  " + decl)
+    assert (e.value.kind, e.value.message) == (kind, message)
+
+
 # Each builds a program body nesting one construct `n` levels deep.
 NESTED = {
     "parentheses": lambda n: "x := " + "x + (" * n + "1" + ")" * n,
