@@ -14,12 +14,19 @@ names the same function), and `state.rendered_bindings` writes bindings.
 A state file holds one binding per line, `symbol := literal` for a variable or
 `symbol(literal, ...) := literal` for an entry of an n-ary dynamic function.
 Blank lines and `#` comments are ignored. Unlisted locations are undef.
+
+Each sort has one reader function, and each dynamic symbol one compiled
+pattern for its location texts; a vocabulary builds them once, on first use
+(see `_Readers`). A text outside the pattern, such as `name()`, an `undef` or
+geometry argument, or a malformed text, is read by the general reader
+(`_spelled_location`, `_parse_literal`), which gives every error message.
 """
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
+import weakref
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
@@ -31,10 +38,12 @@ from .state import (
     INTEGER,
     LINE,
     MAX_INT_DIGITS,
+    ORACLE,
     POINT,
     UNDEF,
     Sort,
     State,
+    Symbol,
     Vocabulary,
     render_key,
     render_value,
@@ -46,7 +55,9 @@ from .state import (
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 
-_INT_RE = re.compile(rf"[-+]?[0-9]{{1,{MAX_INT_DIGITS}}}")
+_INT = rf"[-+]?[0-9]{{1,{MAX_INT_DIGITS}}}"
+_INT_RE = re.compile(_INT)
+_INT_TEXT = re.compile(rf"\s*({_INT})\s*")
 _FLOAT_RE = re.compile(rf"[-+]?{NUMBER}")
 _LOCATION_RE = re.compile(rf"({NAME})\s*(\((.*)\))?")
 
@@ -95,8 +106,9 @@ def _parse_point(text: str) -> Point:
     return Point(_parse_float(args[0]), _parse_float(args[1]))
 
 
-def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
-    """Parse one literal of the given sort; `undef` is accepted at any sort."""
+def _parse_literal(text: str, sort: Sort, vocabulary: Vocabulary | None):
+    """The general reader of a literal of `sort`, and of all its errors;
+    `undef` is accepted at any sort."""
     text = text.strip()
     if text == "undef":
         return UNDEF
@@ -141,15 +153,15 @@ def _infer_value(text: str, vocabulary: Vocabulary | None):
         return int(text)
     for head, sort in (("point", POINT), ("circle", CIRCLE), ("line", LINE)):
         if text.startswith(head + "("):
-            return parse_value(text, sort, vocabulary)
+            return _parse_literal(text, sort, vocabulary)
     if vocabulary is not None and vocabulary.member_sort(text) is not None:
         return text
     raise ParseError(f"cannot read literal {text!r}")
 
 
-def parse_location(text: str, vocabulary: Vocabulary) -> tuple:
-    """Parse `name` or `name(literal, ...)` against the vocabulary, as the
-    location pair `(name, args)` a store is keyed by."""
+def _spelled_location(text: str, vocabulary: Vocabulary) -> tuple:
+    """The general reader of `name` or `name(literal, ...)`, and of all its
+    errors: the location pair `(name, args)` a store is keyed by."""
     text = text.strip()
     m = _LOCATION_RE.fullmatch(text)
     if not m:
@@ -163,7 +175,179 @@ def parse_location(text: str, vocabulary: Vocabulary) -> tuple:
     parts = _split_args(argtext, text) if argtext and argtext.strip() else []
     if len(parts) != sym.arity:
         raise ParseError(f"arity mismatch at {text!r}", kind="sort")
-    return name, tuple(parse_value(p, s, vocabulary) for p, s in zip(parts, sym.arg_sorts))
+    return name, tuple(_parse_literal(p, s, vocabulary) for p, s in zip(parts, sym.arg_sorts))
+
+
+def _read_integer(text):
+    """Plain ASCII digits go to `int` as they are; any other text is read
+    from its matched digits, never whole: `int()` strips another set of
+    characters than `str.strip` does, so `int("\x1c-12\x1c")` fails where
+    the literal reads as -12."""
+    try:
+        if text.isdecimal() and text.isascii() and len(text) <= MAX_INT_DIGITS:
+            return int(text)
+        return int(_INT_TEXT.fullmatch(text)[1])
+    except (AttributeError, TypeError):  # not a string, or no match
+        pass
+    return _parse_literal(text, INTEGER, None)
+
+
+def _table_reader(table: dict, sort: Sort, vocabulary: Vocabulary | None):
+    """The reader of a sort whose canonical literals are the keys of `table`."""
+
+    def read(text):
+        try:
+            return table[text]
+        except (KeyError, TypeError):  # not a key, or not hashable
+            pass
+        return _parse_literal(text, sort, vocabulary)
+
+    return read
+
+
+_BOOLEANS = {"true": True, "false": False}
+_read_boolean = _table_reader(_BOOLEANS, BOOLEAN, None)
+
+
+def _is_name(text: str) -> bool:
+    """Whether `text` is a `NAME`: an ASCII identifier."""
+    return text.isascii() and text.isidentifier()
+
+
+def _plain_members(sort: Sort) -> list[str]:
+    """The members the fast readers may read: names other than `undef`, so
+    that each reads as itself under the general reader too."""
+    return [m for m in sort.members if _is_name(m) and m != "undef"]
+
+
+def _value_reader(sort: Sort, vocabulary: Vocabulary | None):
+    """The one function that reads a literal of `sort` from its text. A
+    canonical literal is read at once; any other text (surrounding
+    whitespace, `undef`, a malformed literal) goes to `_parse_literal`."""
+    if sort is INTEGER:
+        return _read_integer
+    if sort is BOOLEAN:
+        return _read_boolean
+    if sort.is_enum:
+        members = _plain_members(sort)
+        return _table_reader(dict(zip(members, members)), sort, vocabulary)
+    return lambda text: _parse_literal(text, sort, vocabulary)
+
+
+def parse_value(text: str, sort: Sort, vocabulary: Vocabulary | None = None):
+    """Parse one literal of the given sort; `undef` is accepted at any sort."""
+    return _value_reader(sort, vocabulary)(text)
+
+
+def _call(convert, text):
+    return convert(text)
+
+
+# `_Readers.location` finds the symbol of a text by the part before its first
+# parenthesis, stripped, so a pattern reads that part as any text without a
+# parenthesis; for a symbol of no arguments that is the whole check. Inside
+# the parentheses, whitespace is any but a newline, which the general
+# reader's `(.*)` does not match either. A symbol whose pattern is `_NO_TEXT`
+# has each of its texts read by the general reader.
+_HEAD = r"[^(]*"
+_GAP = r"[^\S\n]*"
+_NO_ARGUMENTS = re.compile(_HEAD).fullmatch, ()
+_NO_TEXT = re.compile(r"(?!)").fullmatch, ()
+
+
+def _argument(sort: Sort):
+    """The pattern of a location argument of `sort` and the converter of its
+    text, or None for a sort the location patterns do not read."""
+    if sort is INTEGER:
+        return _INT, int
+    if sort is BOOLEAN:
+        return "true|false", _BOOLEANS.__getitem__
+    members = _plain_members(sort) if sort.is_enum else None
+    return ("|".join(members), str) if members else None
+
+
+def _location_pattern(sym: Symbol) -> tuple:
+    """The `fullmatch` of the symbol's location texts, with a group per
+    argument, and the converter of each group."""
+    if sym.kind != DYNAMIC or not _is_name(sym.name):
+        return _NO_TEXT
+    if not sym.arg_sorts:
+        return _NO_ARGUMENTS
+    arguments = list(map(_argument, sym.arg_sorts))
+    if None in arguments:
+        return _NO_TEXT
+    args = ",".join(f"{_GAP}({arg}){_GAP}" for arg, _ in arguments)
+    return (re.compile(rf"{_HEAD}\({args}\)\s*").fullmatch,
+            tuple(convert for _, convert in arguments))
+
+
+class _SymbolReaders(NamedTuple):
+    symbol: Symbol
+    match: Callable  # the `fullmatch` of the symbol's location pattern
+    converters: tuple  # of its groups to the arguments
+    read: Callable  # the reader of the result sort
+    read_args: tuple  # the reader of each argument sort, for an oracle
+
+
+class _Readers:
+    """The readers of one vocabulary's symbols, each built on first use and
+    kept, so every file read under one program shares them. They depend on
+    the symbol's signature alone, so a symbol declared later gets its own,
+    and a copy of the vocabulary starts with none (see `readers_of`).
+
+    A location text is read by its symbol's pattern, and a text the pattern
+    does not match by `_spelled_location`, which reads a text the pattern
+    matches alike."""
+
+    __slots__ = ("vocabulary", "symbols")
+
+    def __init__(self, vocabulary: Vocabulary):
+        # A proxy, so that the vocabulary, which keeps its readers, forms no
+        # reference cycle with them and is freed as soon as it is dropped.
+        self.vocabulary = weakref.proxy(vocabulary)
+        self.symbols: dict[str, _SymbolReaders] = {}
+
+    def symbol(self, name: str) -> _SymbolReaders | None:
+        """The readers of the symbol `name`, None if the vocabulary has none."""
+        found = self.symbols.get(name)
+        if found is None:
+            sym = self.vocabulary.symbol(name)
+            if sym is None:
+                return None
+            read_args = () if sym.kind != ORACLE else tuple(
+                _value_reader(s, self.vocabulary) for s in sym.arg_sorts)
+            found = self.symbols[name] = _SymbolReaders(
+                sym, *_location_pattern(sym), _value_reader(sym.result_sort, self.vocabulary),
+                read_args)
+        return found
+
+    def location(self, text: str) -> tuple:
+        """The entry `(key, read)` of a location text: its location pair and
+        the reader of its symbol's result sort."""
+        if type(text) is str:
+            name = text.partition("(")[0].strip()
+            found = self.symbols.get(name) or self.symbol(name)
+            m = found and found.match(text)
+            if m:
+                args = tuple(map(_call, found.converters, m.groups()))
+                return (found.symbol.name, args), found.read
+        key = _spelled_location(text, self.vocabulary)
+        return key, self.symbol(key[0]).read
+
+
+def readers_of(vocabulary: Vocabulary) -> _Readers:
+    """The readers of a vocabulary, kept on it. `Vocabulary.copy` builds a
+    new vocabulary, which gets readers of its own."""
+    found = vars(vocabulary).get("_literal_readers")
+    if found is None:
+        found = vocabulary._literal_readers = _Readers(vocabulary)
+    return found
+
+
+def parse_location(text: str, vocabulary: Vocabulary) -> tuple:
+    """Parse `name` or `name(literal, ...)` against the vocabulary, as the
+    location pair `(name, args)` a store is keyed by."""
+    return readers_of(vocabulary).location(text)[0]
 
 
 def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> State:
@@ -191,28 +375,23 @@ def state_bindings(state: State, texts: dict | None = None) -> dict[str, str]:
     return dict(rendered_bindings(state.store, texts))
 
 
-def parse_binding(loc_text: str, lit: str, vocabulary: Vocabulary,
-                  locations: dict) -> tuple[tuple, object]:
-    """A location text and its literal text, read at the location's sort.
-    `locations` maps each location text already read to its location pair,
-    so a text is parsed once per map; only texts that parse are kept in it."""
-    key = locations.get(loc_text)
-    if key is None:
-        key = locations[loc_text] = parse_location(loc_text, vocabulary)
-    return key, parse_value(lit, vocabulary.symbols[key[0]].result_sort, vocabulary)
-
-
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,
                         locations: dict) -> State:
     """The state binding each location text to its literal text, in order;
     `undef` leaves its location unbound. Binding one location twice, under
-    any spelling and with any values, is an error. `locations` is the map of
-    location texts read so far (see `parse_binding`); a trace shares one
-    across its rows."""
+    any spelling and with any values, is an error. `locations` maps each
+    location text read so far to its entry (see `_Readers.location`), so a
+    text is read once per map; only texts that read are kept in it, and a
+    trace shares one map across its rows."""
     store = {}
     cleared = set()  # locations bound to `undef`, which stay out of the store
+    get, location = locations.get, readers_of(vocabulary).location
     for loc_text, lit in bindings:
-        key, value = parse_binding(loc_text, lit, vocabulary, locations)
+        entry = get(loc_text)
+        if entry is None:
+            entry = locations[loc_text] = location(loc_text)
+        key, read = entry
+        value = read(lit)
         if key in store or key in cleared:
             raise ParseError(f"repeated binding for {render_key(key)}")
         if value is UNDEF:

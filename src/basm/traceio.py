@@ -26,10 +26,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
-from .literals import parse_binding, parse_value, state_from_bindings
+from .literals import readers_of, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
-from .state import UpdateSet, Vocabulary, render_value, rendered_bindings
+from .state import ORACLE, UpdateSet, Vocabulary, render_value, rendered_bindings
 from .syntax import Program
 
 
@@ -70,18 +70,20 @@ def render_trace(trace: Trace) -> str:
     return "\n".join(trace_lines(trace)) + "\n"
 
 
-def _parse_interaction(obj: dict, vocabulary: Vocabulary, by_symbol: bool = False) -> Interaction:
-    """An interaction row. With `by_symbol` its args, which may then be null,
-    become None and match any arguments."""
-    sym = vocabulary.symbol(obj["oracle"])
-    if sym is None:
+def _parse_interaction(obj: dict, readers, by_symbol: bool = False) -> Interaction:
+    """An interaction row, read with a vocabulary's `readers`. With
+    `by_symbol` its args, which may then be null, become None and match any
+    arguments."""
+    found = readers.symbol(obj["oracle"])
+    if found is None:
         raise ParseError(f"unknown oracle in trace: {obj['oracle']}", kind="sort")
-    answer = parse_value(obj["answer"], sym.result_sort, vocabulary)
+    sym = found.symbol
+    if sym.kind != ORACLE:
+        raise ParseError(f"not an oracle symbol: {sym.name}", kind="sort")
+    answer = found.read(obj["answer"])
     if by_symbol and obj["args"] is None:
         return Interaction(sym.name, None, answer)
-    args = tuple(
-        parse_value(text, sort, vocabulary) for text, sort in zip(obj["args"], sym.arg_sorts)
-    )
+    args = tuple(read(text) for text, read in zip(obj["args"], found.read_args))
     if len(obj["args"]) != sym.arity:
         raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
     return Interaction(sym.name, None if by_symbol else args, answer)
@@ -110,23 +112,34 @@ class _RowGuard:
 
 
 def read_trace(lines: Iterable[str], program: Program) -> Trace:
+    """The trace of a run of `program`; a trace whose header names another
+    program is refused before any row is read (`program-id`)."""
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
     if len(rows) < 2:
         raise ParseError("not a trace: expected a header line and a final outcome line")
     vocab = program.vocabulary
-    locations: dict = {}  # each location text of the file, parsed once
+    readers = readers_of(vocab)
+    locations: dict = {}  # each location text of the file, read once
+    get, location = locations.get, readers.location
     steps = []
     with _RowGuard("trace") as guard:
         guard.lineno, line = rows[0]
         header = json.loads(line)
         program_id = header["programId"]
+        if program_id != program.program_id:
+            raise BasmError("program-id", "trace was not produced by this program")
         initial = state_from_bindings(header["initialState"].items(), vocab, locations)
         for guard.lineno, line in rows[1:-1]:
             row = json.loads(line)
             updates = UpdateSet()
             for u in row["updates"]:
-                updates.add(*parse_binding(u["loc"], u["value"], vocab, locations))
-            interactions = tuple(_parse_interaction(i, vocab) for i in row["interactions"])
+                text, lit = u["loc"], u["value"]
+                entry = get(text)
+                if entry is None:
+                    entry = locations[text] = location(text)
+                key, read = entry
+                updates.add(key, read(lit))
+            interactions = tuple(_parse_interaction(i, readers) for i in row["interactions"])
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:
                 raise ValueError(f"expected index {len(steps)} and a true or false halted")
@@ -150,7 +163,7 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
     every entry matches its oracle with any arguments."""
     if mode not in ("strict", "by-symbol"):
         raise BasmError("script", f"unknown script mode: {mode}")
-    entries = []
+    entries, readers = [], readers_of(vocabulary)
     with _RowGuard("script") as guard:
         for guard.lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -161,5 +174,5 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
             if "programId" in row or "outcome" in row:
                 continue
             for obj in row["interactions"] if "interactions" in row else [row]:
-                entries.append(_parse_interaction(obj, vocabulary, mode == "by-symbol"))
+                entries.append(_parse_interaction(obj, readers, mode == "by-symbol"))
     return ScriptedPolicy(entries)

@@ -419,9 +419,9 @@ def test_a_trace_parses_each_location_text_once(monkeypatch):
     prog = load_entry_program("euclid_while")
     text = render_trace(run(prog, _state(prog, FIBONACCI), ScriptedPolicy()))
     parsed = []
-    parse_location = literals.parse_location
-    monkeypatch.setattr(literals, "parse_location",
-                        lambda text, vocab: parsed.append(text) or parse_location(text, vocab))
+    location = literals._Readers.location
+    monkeypatch.setattr(literals._Readers, "location",
+                        lambda readers, text: parsed.append(text) or location(readers, text))
     read_trace(text.splitlines(), prog)
     assert parsed == ["a", "b"]
 
