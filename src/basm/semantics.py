@@ -8,18 +8,27 @@ All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
 one generated Python function that is kept on the syntax node. Its source is
-straight-line code: each read, query and operator application is one
+straight-line code: each read, query and static operator application is one
 statement into a local temporary, `if` is an `if ... is True:` block, and
-`par` is its members in order. Every program-derived object (location pair,
-name, symbol, literal value, static function) reaches the function only
-through its namespace, as a constant named `c<i>`; no program text reaches
-`compile`. The function reads with the store's own `get`, by the location
-pair `(name, args)`: a variable's pair is a constant, and an n-ary pair is
-built from the evaluated arguments. So a read, an update and a commit hash
-and compare plain tuples, in C. A static operator evaluates all its
-arguments before it applies its function. A run owns one working store, a
-copy of the initial bindings, and commits each step's updates into it in
-place.
+`par` is its members in order. A static operator evaluates all its arguments
+before it applies itself, and a strict one first tests them for `undef`.
+`+`, `-`, `*`, `mod`, the comparisons, the three-valued connectives, and `=`
+and `!=` on values that `==` compares as the program does, are Python
+expressions over the temporaries, with the integer bound and the zero
+divisor tested inline; `powmod`, the geometry constructors, and `=` and `!=`
+on points, circles and lines, which compare within EPS, stay calls. Each
+write is one statement that inserts into the update set's dict with
+`setdefault`; only a write that finds another value at its location calls
+`clash`, which fails unless the two are equal.
+
+Every program-derived object (location pair, name, symbol, literal value,
+static function) reaches the function only through its namespace, as a
+constant named `c<i>`; no program text reaches `compile`. The function reads
+with the store's own `get`, by the location pair `(name, args)`: a
+variable's pair is a constant, and an n-ary pair is built from the evaluated
+arguments. So a read, an update and a commit hash and compare plain tuples,
+in C. A run owns one working store, a copy of the initial bindings, and
+commits each step's updates into it in place.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
@@ -35,16 +44,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import BasmError
+from .geometry import Circle, Line, Point
 from .oracles import Interaction, OracleSession, ScriptedPolicy
 from .state import (
+    _INT_BOUND,
+    CIRCLE,
     DYNAMIC,
+    LINE,
+    POINT,
     STATIC,
     STATIC_IMPL,
     UNDEF,
     Location,
     State,
     UpdateSet,
+    _mod_by_zero,
+    _too_long,
     changes_nothing,
+    clash,
     commit,
 )
 from .syntax import (
@@ -68,6 +85,56 @@ def _no_session(query: Location):
     raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
 
 
+def _big():
+    raise _too_long()
+
+
+def _modzero():
+    raise _mod_by_zero()
+
+
+# The namespace entries every generated function shares: `U` (undef),
+# `Location` to build a query, the integer bound `B` with `big` to fail past
+# it, `modzero` to fail a `mod` by zero, and `clash` to test a second write
+# to one location.
+_FIXED = {"U": UNDEF, "Location": Location, "B": _INT_BOUND, "big": _big, "modzero": _modzero,
+          "clash": clash}
+
+# The inline expression of a static operator over its operands `a` and `b`
+# (for `not`, both its one operand), assigning `t`, its own temporary. A
+# strict operator is further wrapped in its undef test. `=` and `!=` on
+# points, circles or lines, which compare within EPS, stay calls, as do
+# `powmod` and the geometry constructors. The bound test is `abs(t) < B`, as
+# `-B < t < B` would build the 640-digit `-B` on every operation.
+_INLINE = {
+    **{op: f"{{t}} if abs({{t}} := {{a}} {op} {{b}}) < B else big()" for op in "+-*"},
+    "mod": "{a} % {b} if {b} else modzero()",
+    **{op: f"{{a}} {op} {{b}}" for op in ("<", "<=", ">", ">=")},
+    "=": "{a} == {b}",
+    "!=": "{a} != {b}",
+    "and": "False if {a} is False or {b} is False else U if {a} is U or {b} is U else True",
+    "or": "True if {a} is True or {b} is True else U if {a} is U or {b} is U else False",
+    "not": "U if {a} is U else not {a}",
+}
+_GEOMETRY_SORTS = (POINT, CIRCLE, LINE)
+
+
+def _geometric(term: Term) -> bool:
+    if isinstance(term, Lit):
+        return isinstance(term.value, (Point, Circle, Line))
+    return term.symbol.result_sort in _GEOMETRY_SORTS
+
+
+def _inline(name: str, operands: tuple[Term, ...]) -> Optional[str]:
+    """The inline expression of a static operator on these operands, or None
+    where it stays a call. A `mod` by a nonzero literal needs no zero test."""
+    if name in ("=", "!=") and any(map(_geometric, operands)):
+        return None
+    if name == "mod" and isinstance(operands[1], Lit) and operands[1].value not in (0, UNDEF):
+        return "{a} % {b}"
+    return _INLINE.get(name)
+
+
 class _Source:
     """The lines of one generated function and the namespace it runs in.
 
@@ -76,19 +143,24 @@ class _Source:
 
     def __init__(self):
         self.lines: list[str] = []
-        self.namespace = {"U": UNDEF, "Location": Location}
+        self.namespace = dict(_FIXED)
+        self.consts = 0
         self.pad = " "
 
     def const(self, value) -> str:
-        name = f"c{len(self.namespace) - 2}"  # the first two are `U` and `Location`
+        name = f"c{self.consts}"
+        self.consts += 1
         self.namespace[name] = value
         return name
 
     def line(self, text: str) -> None:
         self.lines.append(self.pad + text)
 
+    def next_temp(self) -> str:
+        return f"t{len(self.lines)}"
+
     def temp(self, expr: str) -> str:
-        name = f"t{len(self.lines)}"
+        name = self.next_temp()
         self.line(f"{name} = {expr}")
         return name
 
@@ -115,27 +187,35 @@ def _emit_term(out: _Source, term: Term) -> str:
     args = [_emit_term(out, a) for a in term.args]
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
-        call = f"{out.const(fn)}({', '.join(args)})"
+        inline = _inline(sym.name, term.args)
+        if inline is None:
+            expr = f"{out.const(fn)}({', '.join(args)})"
+        else:
+            expr = inline.format(t=out.next_temp(), a=args[0], b=args[-1])
         # A strict static tests the operands that may be undef, not a constant.
         undef = " or ".join(f"{a} is U" for a in args if not a.startswith("c")) if strict else ""
-        return out.temp(f"U if {undef} else {call}" if undef else call)
+        return out.temp(f"U if {undef} else ({expr})" if undef else expr)
     if sym.kind == DYNAMIC:
         return out.temp(f"get(({out.const(sym.name)}, {_tuple(args)}), U)")
     return out.temp(f"ask(Location({out.const(sym)}, {_tuple(args)}))")
 
 
 def _emit_rule(out: _Source, rule: Rule) -> None:
-    """Emit the statements that add the rule's updates by `add`, keyed by
-    location pairs. An assignment evaluates its value before its target's
-    arguments; a `par` emits its members in order."""
+    """Emit the statements that insert the rule's updates by `add`, the
+    update set's `setdefault`, keyed by location pairs; a write that finds
+    another value at its location goes to `clash`. An assignment evaluates
+    its value before its target's arguments; a `par` emits its members in
+    order."""
     if isinstance(rule, Assign):
         value, target = _emit_term(out, rule.rhs), rule.target
         if isinstance(target, Var):
             key = out.const((target.symbol.name, ()))
         else:
             args = [_emit_term(out, a) for a in target.args]
-            key = f"({out.const(target.symbol.name)}, {_tuple(args)})"
-        out.line(f"add({key}, {value})")
+            key = out.temp(f"({out.const(target.symbol.name)}, {_tuple(args)})")
+        found = out.next_temp()
+        out.line(f"if ({found} := add({key}, {value})) is not {value}: "
+                 f"clash({key}, {found}, {value})")
     elif isinstance(rule, Cond):
         out.block(f"if {_emit_term(out, rule.guard)} is True:", rule.then_rule)
         if rule.else_rule is not None:
@@ -181,11 +261,14 @@ def eval_term(state: State, term: Term, session: Optional[OracleSession] = None)
 def step(state: State, rule: Rule,
          session: Optional[OracleSession] = None) -> tuple[UpdateSet, list[Interaction]]:
     """Run one step of the rule. The caller clears the session's per-step cache."""
-    start = len(session.log) if session is not None else 0
     updates = UpdateSet()
-    _compiled(rule)(state.store.get, session.ask if session is not None else _no_session,
-                    updates.add)
-    return updates, session.log[start:] if session is not None else []
+    if session is None:
+        _compiled(rule)(state.store.get, _no_session, updates._entries.setdefault)
+        return updates, []
+    log = session.log
+    start = len(log)
+    _compiled(rule)(state.store.get, session.ask, updates._entries.setdefault)
+    return updates, log[start:] if len(log) > start else []
 
 
 @dataclass

@@ -165,9 +165,13 @@ def _mul(a, b):
     raise _too_long()
 
 
+def _mod_by_zero():
+    return BasmError("arith", "mod by zero")
+
+
 def _mod(a, b):
     if b == 0:
-        raise BasmError("arith", "mod by zero")
+        raise _mod_by_zero()
     return a % b
 
 
@@ -355,6 +359,13 @@ class Location(tuple):
         return loc
 
 
+def clash(key: tuple, present, value) -> None:
+    """Fail with "clash" unless a second write of `value` to `key`, where
+    `present` is already written, agrees with it."""
+    if not values_equal(present, value):
+        raise BasmError("clash", f"clash at {render_key(key)}")
+
+
 class UpdateSet:
     """A consistent set of updates, keyed by location pairs `(name, args)`;
     inserting a conflicting value raises "clash"."""
@@ -366,8 +377,8 @@ class UpdateSet:
 
     def add(self, key: tuple, value):
         present = self._entries.setdefault(key, value)
-        if present is not value and not values_equal(present, value):
-            raise BasmError("clash", f"clash at {render_key(key)}")
+        if present is not value:
+            clash(key, present, value)
 
     def items(self):
         """The updates in the order they were added."""

@@ -429,10 +429,11 @@ def test_a_trace_parses_each_location_text_once(monkeypatch):
 # --- the generated kernel ----------------------------------------------------
 
 # The names the generator writes itself: keywords, the function (`rule` or
-# `term`), its parameters, and the two fixed namespace entries `U` (undef)
-# and `Location`.
-GENERATED_NAMES = {"def", "return", "if", "else", "is", "or", "True", "pass",
-                   "rule", "term", "get", "ask", "add", "U", "Location"}
+# `term`), its parameters, the fixed namespace entries `U` (undef),
+# `Location`, `B`, `big`, `modzero` and `clash`, and the builtin `abs`.
+GENERATED_NAMES = {"def", "return", "if", "else", "is", "not", "or", "True", "False", "pass",
+                   "rule", "term", "get", "ask", "add", "U", "Location",
+                   "B", "big", "modzero", "clash", "abs"}
 
 
 def test_no_program_text_reaches_the_generated_source():
