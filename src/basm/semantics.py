@@ -8,18 +8,24 @@ All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
 one generated Python function that is kept on the syntax node. Its source is
-straight-line code: each read, query and static operator application is one
-statement into a local temporary, `if` is an `if ... is True:` block, and
-`par` is its members in order. A static operator evaluates all its arguments
-before it applies itself, and a strict one first tests them for `undef`.
-`+`, `-`, `*`, `mod`, the comparisons, the three-valued connectives, and `=`
-and `!=` on values that `==` compares as the program does, are Python
-expressions over the temporaries, with the integer bound and the zero
-divisor tested inline; `powmod`, the geometry constructors, and `=` and `!=`
-on points, circles and lines, which compare within EPS, stay calls. Each
-write is one statement that inserts into the update set's dict with
-`setdefault`; only a write that finds another value at its location calls
-`clash`, which fails unless the two are equal.
+straight-line code: each query, n-ary read and static operator application is
+one statement into a local temporary, `if` is an `if ... is True:` block, and
+`par` is its members in order. A variable is read by one statement at its
+first use in a block, and later uses in that block or in blocks nested in it
+share the temporary; a read inside one branch of an `if` is made again by the
+other branch and after the `if`. Every read sees the pre-step state and
+cannot fail, so sharing it changes no value, and a step still reads only the
+locations its evaluated subterms name. A static operator evaluates all its
+arguments before it applies itself. `+`, `-`, `*`, `mod`, the comparisons,
+the three-valued connectives, and `=` and `!=` on values that `==` compares
+as the program does, are Python expressions over the temporaries, with the
+integer bound and the zero divisor tested inline; `undef` absorbs the integer
+operators itself (see `state._Undef`), so they test no operand for it.
+`powmod`, the geometry constructors, and `=` and `!=` on points, circles and
+lines, which compare within EPS, stay calls, and a strict call first tests its
+operands for `undef`. Each write is one statement that inserts into the
+update set's dict with `setdefault`; only a write that finds another value at
+its location calls `clash`, which fails unless the two are equal.
 
 Every program-derived object (location pair, name, symbol, literal value,
 static function) reaches the function only through its namespace, as a
@@ -101,14 +107,16 @@ _FIXED = {"U": UNDEF, "Location": Location, "B": _INT_BOUND, "big": _big, "modze
           "clash": clash}
 
 # The inline expression of a static operator over its operands `a` and `b`
-# (for `not`, both its one operand), assigning `t`, its own temporary. A
-# strict operator is further wrapped in its undef test. `=` and `!=` on
-# points, circles or lines, which compare within EPS, stay calls, as do
-# `powmod` and the geometry constructors. The bound test is `abs(t) < B`, as
-# `-B < t < B` would build the 640-digit `-B` on every operation.
+# (for `not`, both its one operand), assigning `t`, its own temporary. `U`
+# absorbs `+`, `-`, `*`, `%`, `abs` and the orderings, and is truthy, so the
+# strict integer operators need no undef test: `abs(U) < B` is `U`, and
+# `undef mod 0` is `undef`. `=` and `!=` on points, circles or lines, which
+# compare within EPS, stay calls, as do `powmod` and the geometry
+# constructors. The bound test is `abs(t) < B`, as `-B < t < B` would build
+# the 640-digit `-B` on every operation.
 _INLINE = {
     **{op: f"{{t}} if abs({{t}} := {{a}} {op} {{b}}) < B else big()" for op in "+-*"},
-    "mod": "{a} % {b} if {b} else modzero()",
+    "mod": "{a} % {b} if {b} or {a} is U else modzero()",
     **{op: f"{{a}} {op} {{b}}" for op in ("<", "<=", ">", ">=")},
     "=": "{a} == {b}",
     "!=": "{a} != {b}",
@@ -139,13 +147,17 @@ class _Source:
     """The lines of one generated function and the namespace it runs in.
 
     Each program-derived object is a namespace constant `c<i>`, and each
-    evaluated subterm a local temporary `t<i>`; `pad` indents the next line."""
+    evaluated subterm a local temporary `t<i>`; `pad` indents the next line.
+    `reads` maps each variable already read in the enclosing blocks to the
+    temporary that holds its value; `block` works on a copy and restores it,
+    so no read made inside a block is used outside it."""
 
     def __init__(self):
         self.lines: list[str] = []
         self.namespace = dict(_FIXED)
         self.consts = 0
         self.pad = " "
+        self.reads: dict[str, str] = {}
 
     def const(self, value) -> str:
         name = f"c{self.consts}"
@@ -167,8 +179,9 @@ class _Source:
     def block(self, head: str, rule: Rule) -> None:
         self.line(head)
         self.pad += " "
+        outer, self.reads = self.reads, dict(self.reads)
         _emit_rule(self, rule)
-        self.pad = self.pad[:-1]
+        self.pad, self.reads = self.pad[:-1], outer
 
 
 def _tuple(names: list[str]) -> str:
@@ -178,23 +191,26 @@ def _tuple(names: list[str]) -> str:
 def _emit_term(out: _Source, term: Term) -> str:
     """Emit the statements that evaluate the term, left to right and
     innermost first; returns the name of its value. A literal needs no
-    statement: `undef` is `U` and any other value a constant."""
+    statement: `undef` is `U` and any other value a constant. A variable is
+    read once, at its first use: a later use sees the same pre-step value."""
     if isinstance(term, Lit):
         return "U" if term.value is UNDEF else out.const(term.value)
     if isinstance(term, Var):
-        return out.temp(f"get({out.const((term.symbol.name, ()))}, U)")
+        name = term.symbol.name
+        if name not in out.reads:
+            out.reads[name] = out.temp(f"get({out.const((name, ()))}, U)")
+        return out.reads[name]
     sym = term.symbol
     args = [_emit_term(out, a) for a in term.args]
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
         inline = _inline(sym.name, term.args)
-        if inline is None:
-            expr = f"{out.const(fn)}({', '.join(args)})"
-        else:
-            expr = inline.format(t=out.next_temp(), a=args[0], b=args[-1])
-        # A strict static tests the operands that may be undef, not a constant.
+        if inline is not None:
+            return out.temp(inline.format(t=out.next_temp(), a=args[0], b=args[-1]))
+        expr = f"{out.const(fn)}({', '.join(args)})"
+        # A strict call tests the operands that may be undef, not a constant.
         undef = " or ".join(f"{a} is U" for a in args if not a.startswith("c")) if strict else ""
-        return out.temp(f"U if {undef} else ({expr})" if undef else expr)
+        return out.temp(f"U if {undef} else {expr}" if undef else expr)
     if sym.kind == DYNAMIC:
         return out.temp(f"get(({out.const(sym.name)}, {_tuple(args)}), U)")
     return out.temp(f"ask(Location({out.const(sym)}, {_tuple(args)}))")

@@ -55,8 +55,20 @@ BUILTIN_SORTS = {s.name: s for s in (INTEGER, BOOLEAN, POINT, CIRCLE, LINE)}
 
 
 class _Undef:
+    """The one `undef` value. It absorbs the integer operators the generated
+    kernel writes inline: `+`, `-`, `*`, `%`, `abs` and the four orderings,
+    with `undef` on either side, give `undef` itself, so a strict integer
+    operator needs no undef test of its own. `undef` is truthy, so the bound
+    test `abs(t) < B` passes it through, and it equals only itself."""
+
     def __repr__(self):
         return "undef"
+
+    def _absorb(self, other=None):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
+    __mod__ = __rmod__ = __lt__ = __le__ = __gt__ = __ge__ = __abs__ = _absorb
 
 
 UNDEF = _Undef()

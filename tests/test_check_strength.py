@@ -63,7 +63,9 @@ def emit_par_reading_sequentially(out, rule):
     """`par` whose later members read what earlier members wrote: its members
     run with `get` and `add` rebound to read back the writes made so far. The
     rebound `add` returns what the update set's `add` returns, so a write
-    clashes only where it would without the mutant."""
+    clashes only where it would without the mutant. Each member forgets the
+    variables read before it, so it reads them again through the rebound
+    `get`."""
     if not isinstance(rule, Par):
         return ORIGINAL_EMIT_RULE(out, rule)
     n = len(out.lines)
@@ -71,6 +73,7 @@ def emit_par_reading_sequentially(out, rule):
     out.line(f"get = lambda k, d: w{n}[k] if k in w{n} else g{n}(k, d)")
     out.line(f"add = lambda k, v: (w{n}.__setitem__(k, v), a{n}(k, v))[1]")
     for r in rule.rules:
+        out.reads.clear()
         semantics._emit_rule(out, r)
     out.line(f"get, add = g{n}, a{n}")
 

@@ -18,7 +18,8 @@ from basm import semantics
 from basm.errors import BasmError
 from basm.geometry import Circle, Line, Point
 from basm.literals import load_state
-from basm.semantics import step
+from basm.oracles import ScriptedPolicy
+from basm.semantics import eval_term, run, step
 from basm.state import (
     ANY,
     BOOLEAN,
@@ -35,7 +36,7 @@ from basm.state import (
     Symbol,
     UpdateSet,
 )
-from basm.syntax import App, Lit, Var, parse_program
+from basm.syntax import App, Lit, Var, parse_program, parse_term_in
 
 BIG = 10**MAX_INT_DIGITS - 1
 P, P_NEAR, Q = Point(1.0, 2.0), Point(1.0, 2.0 + 1e-12), Point(4.0, 6.0)
@@ -142,3 +143,35 @@ def test_writes_of_two_integers_to_one_location_clash_as_the_update_set_does(tar
     key = ("a", ()) if target == "a" else ("cell", (1,))
     assert (caught.value.kind, caught.value.message) == _clash_message(key, 1, 2)
     assert caught.value.message == f"clash at {target}"
+
+
+# `undef` absorbs the inline integer operators by itself, with no undef test.
+UNDEF_TERMS = parse_program("vocab {\n  var x, i : Integer\n}\ndo until i >= 3 { skip }\n")
+
+
+def _eval(text, state_text=""):
+    vocabulary = UNDEF_TERMS.vocabulary
+    return _outcome(lambda: eval_term(load_state(state_text, vocabulary),
+                                      parse_term_in(text, vocabulary))[0])
+
+
+@pytest.mark.parametrize("text", ["undef mod 0", "x mod 0", "undef < 3", "3 >= undef",
+                                  "x + undef", "undef * x", "-x", "(x - 1) mod x"])
+def test_undef_absorbs_the_inline_integer_operators(text):
+    assert _eval(text) == ("value", type(UNDEF), UNDEF)
+
+
+@pytest.mark.parametrize("text", ["(x mod 0) + undef", "undef + (x mod 0)"])
+def test_a_mod_by_zero_fails_beside_an_undef_operand(text):
+    assert _eval(text, "x := 5") == ("error", "arith", "mod by zero")
+
+
+def test_a_halting_test_over_an_unbound_counter_does_not_halt():
+    trace = run(UNDEF_TERMS, load_state("", UNDEF_TERMS.vocabulary), ScriptedPolicy(),
+                max_steps=3)
+    assert trace.outcome.kind == "step-limit" and len(trace.steps) == 3
+
+
+def test_undef_equals_only_itself():
+    assert (UNDEF == 0) is False and (0 == UNDEF) is False
+    assert (UNDEF == UNDEF) is True and (UNDEF != UNDEF) is False

@@ -12,7 +12,10 @@ halting term must give the same value or error before each step.
 The programs cover `undef` literals and `undef` writes, strict statics and
 `=`/`!=` on points, `and`/`or`/`not` with `undef` operands, n-ary reads and
 writes whose arguments read state, oracle queries, clashes, `mod` by zero, a
-sum or product past 640 digits, and nested `if`/`par`.
+sum or product past 640 digits, and nested `if`/`par`. The listed cases below
+also pin the reads the kernel shares: a variable read twice in one term, a
+guard's read used in both branches, and a read inside one branch that the
+other branch and the code after the `if` must make again.
 """
 import pytest
 from hypothesis import given, settings
@@ -324,15 +327,25 @@ CASES = {
     "oracle": ("par { x := R(x, y + 3); y := R(1, 2) + R(x, y + 3) }", "x := 1\ny := 2"),
     "nested": ("if not p then par { if x > 0 then par { y := x; x := x - 1 } else skip; "
                "p := x = 0 }", "x := 2\np := false"),
+    # The kernel reads a variable once per block. A read made inside `then`
+    # is not reused by `else` or after the `if`, each stepped from a state
+    # taking each branch.
+    "read first in a branch": ("par { if p then y := x + 1 else y := x - 1; x := x * 2 }",
+                               "x := 3\np := true", "x := 3\np := false", "x := 3"),
+    "guard read in both branches": ("if x > 0 then y := x else par { y := x - 1; x := 1 }",
+                                    "x := 2", "x := -2", "y := 1"),
+    "one variable twice in a term": ("par { y := x + x; p := x * x > y }",
+                                     "x := 3\ny := 1", "y := 4", f"x := {BIG}"),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_each_listed_case_steps_as_the_closure_compiler(case):
-    body, state_text = CASES[case]
+    body, *state_texts = CASES[case]
     prog = parse_program(VOCAB_TEXT + "do until false { " + body + " }\n")
-    init = load_state(state_text, prog.vocabulary)
-    for make_policy in (lambda: ScriptedPolicy.from_answers([2, 1, 3]),
-                        lambda: UniformRandomPolicy(5)):
-        expected = _observed(prog, init, make_policy, reference_step, reference_eval)
-        assert _observed(prog, init, make_policy, step, generated_eval) == expected
+    for state_text in state_texts:
+        init = load_state(state_text, prog.vocabulary)
+        for make_policy in (lambda: ScriptedPolicy.from_answers([2, 1, 3]),
+                            lambda: UniformRandomPolicy(5)):
+            expected = _observed(prog, init, make_policy, reference_step, reference_eval)
+            assert _observed(prog, init, make_policy, step, generated_eval) == expected

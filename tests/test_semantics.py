@@ -457,6 +457,25 @@ def test_no_program_text_reaches_the_generated_source():
         assert widest not in source and "undef" not in source
 
 
+def test_a_wide_par_reads_its_variable_once_and_tests_no_operand_for_undef():
+    """A `par` of k table writes over one counter `t`, shaped as the
+    `big_state` benchmark's rule, reads `t` by one `get`, and its inline
+    `+` and `mod` carry no undef test."""
+    k, n = 8, 97
+    writes = ";\n    ".join(f"cell((t + {i}) mod {n}) := cell((t + {3 * i}) mod {n}) + t"
+                           for i in range(k))
+    prog = _program("var t : Integer\n  var cell(Integer) : Integer",
+                    f"do until t >= 5 {{\n  par {{\n    t := t + 1;\n    {writes}\n  }}\n}}")
+    source, namespace = semantics._generate(prog.step_rule)
+    reads_of_t = [c for c in re.findall(r"get\((c\d+), U\)", source)
+                  if namespace[c] == ("t", ())]
+    assert len(reads_of_t) == 1
+    assert source.count("get(") == 1 + k and " is U" not in source
+    updates = dict(step(_state(prog, "t := 2\ncell(5) := 10"), prog.step_rule)[0].items())
+    assert updates[("t", ())] == 3 and updates[("cell", (3,))] == 12
+    assert updates[("cell", (2,))] is UNDEF  # cell(2) + t with cell(2) unbound
+
+
 def test_a_node_generates_its_function_once(monkeypatch):
     generated = []
 
