@@ -17,8 +17,10 @@ Blank lines and `#` comments are ignored. Unlisted locations are undef.
 
 Each sort has one reader function, and each dynamic symbol one compiled
 pattern for its location texts; a vocabulary builds them once, on first use
-(see `_Readers`). A text outside the pattern, such as `name()`, an `undef` or
-geometry argument, or a malformed text, is read by the general reader
+(see `_Readers`). A point, circle or line is read by one pattern of exactly
+the spelling `render_value` writes, with no whitespace. A text outside these
+patterns, such as `name()`, an `undef` or geometry location argument, a
+whitespace-padded or malformed text, is read by the general reader
 (`_spelled_location`, `_parse_literal`), which gives every error message.
 """
 from __future__ import annotations
@@ -192,6 +194,33 @@ def _read_integer(text):
     return _parse_literal(text, INTEGER, None)
 
 
+def _geometry_reader(pattern: str, sort: Sort, make: Callable):
+    """The reader of a point, circle or line: a text of `pattern`, one group
+    per coordinate, whose coordinates are all finite is read at once; any
+    other text goes to `_parse_literal`."""
+    match = re.compile(pattern).fullmatch
+
+    def read(text):
+        try:
+            coords = [*map(float, match(text).groups())]
+        except (AttributeError, TypeError):  # not a string, or no match
+            pass
+        else:
+            if all(map(math.isfinite, coords)):
+                return make(*coords)
+        return _parse_literal(text, sort, None)
+
+    return read
+
+
+_POINT = rf"point\(({_FLOAT_RE.pattern}),({_FLOAT_RE.pattern})\)"
+_read_point = _geometry_reader(_POINT, POINT, Point)
+_read_circle = _geometry_reader(rf"circle\({_POINT},{_POINT}\)", CIRCLE,
+                                lambda x1, y1, x2, y2: Circle(Point(x1, y1), Point(x2, y2)))
+_read_line = _geometry_reader(rf"line\({_POINT},{_POINT}\)", LINE,
+                              lambda x1, y1, x2, y2: Line(Point(x1, y1), Point(x2, y2)))
+
+
 def _table_reader(table: dict, sort: Sort, vocabulary: Vocabulary | None):
     """The reader of a sort whose canonical literals are the keys of `table`."""
 
@@ -228,6 +257,12 @@ def _value_reader(sort: Sort, vocabulary: Vocabulary | None):
         return _read_integer
     if sort is BOOLEAN:
         return _read_boolean
+    if sort is POINT:
+        return _read_point
+    if sort is CIRCLE:
+        return _read_circle
+    if sort is LINE:
+        return _read_line
     if sort.is_enum:
         members = _plain_members(sort)
         return _table_reader(dict(zip(members, members)), sort, vocabulary)

@@ -26,10 +26,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
-from .literals import readers_of, state_from_bindings
+from .literals import _call, readers_of, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
-from .state import ORACLE, UpdateSet, Vocabulary, render_value, rendered_bindings
+from .state import ORACLE, UpdateSet, Vocabulary, clash, render_value, rendered_bindings
 from .syntax import Program
 
 
@@ -83,7 +83,7 @@ def _parse_interaction(obj: dict, readers, by_symbol: bool = False) -> Interacti
     answer = found.read(obj["answer"])
     if by_symbol and obj["args"] is None:
         return Interaction(sym.name, None, answer)
-    args = tuple(read(text) for text, read in zip(obj["args"], found.read_args))
+    args = tuple(map(_call, found.read_args, obj["args"]))
     if len(obj["args"]) != sym.arity:
         raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
     return Interaction(sym.name, None if by_symbol else args, answer)
@@ -132,13 +132,16 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         for guard.lineno, line in rows[1:-1]:
             row = json.loads(line)
             updates = UpdateSet()
+            add = updates._entries.setdefault  # as in the kernel: only a second write clashes
             for u in row["updates"]:
                 text, lit = u["loc"], u["value"]
                 entry = get(text)
                 if entry is None:
                     entry = locations[text] = location(text)
                 key, read = entry
-                updates.add(key, read(lit))
+                value = read(lit)
+                if (present := add(key, value)) is not value:
+                    clash(key, present, value)
             interactions = tuple(_parse_interaction(i, readers) for i in row["interactions"])
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:

@@ -78,9 +78,9 @@ def emit_par_reading_sequentially(out, rule):
     out.line(f"get, add = g{n}, a{n}")
 
 
-def transport_ignoring_arguments(state, bijection):
+def transport_ignoring_arguments(state, bijection, move=None):
     """`transport` that renames values but leaves location arguments as they are."""
-    move = renaming(state.vocabulary, bijection)
+    move = move or renaming(state.vocabulary, bijection)
     return State(state.vocabulary, {key: move(v) for key, v in state.store.items()})
 
 

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import pytest
 
+from basm import checks
+from basm import state as state_module
 from basm.checks import (
     behaviorally_equivalent,
     check_bounded_exploration,
@@ -147,6 +149,24 @@ def test_enumgraph_commutes_with_every_renaming():
     for bijection in enum_bijections(prog.vocabulary):
         report = check_iso_invariance(prog, state, bijection)
         assert report.passed, (bijection, report.failures)
+
+
+def test_an_iso_check_builds_one_member_table(monkeypatch):
+    """The twin state is moved with the renaming the check already holds."""
+    built = []
+
+    def counting(vocabulary, bijection):
+        built.append(bijection)
+        return renaming(vocabulary, bijection)
+
+    monkeypatch.setattr(checks, "renaming", counting)
+    monkeypatch.setattr(state_module, "renaming", counting)
+    prog = load_entry_program("enumgraph")
+    state = load_entry_state("enumgraph")
+    bijections = list(enum_bijections(prog.vocabulary))[:6]
+    for bijection in bijections:
+        assert check_iso_invariance(prog, state, bijection).passed
+    assert built == bijections
 
 
 def test_member_naming_program_breaks_invariance():

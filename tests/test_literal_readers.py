@@ -10,16 +10,22 @@ must give the same location pair and value, or the same error kind and
 message, on texts made of every `str.isspace` character, names of each kind,
 `name()`, `undef`, signed, zero-padded, 640- and 641-digit and non-ASCII
 integers, Boolean, enum and geometry arguments, and stray parentheses and
-commas; `load_state` must fail on the same line.
+commas; `load_state` must fail on the same line. Points, circles and lines
+are read by one pattern per sort, checked the same way on padded, signed,
+infinite, non-ASCII, wrong-headed and unbalanced spellings and on texts of
+`repr` floats; the committed goldens and scripts never reach the general
+reader.
 """
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basm import literals
+from basm.corpus import load_entry_program
 from basm.errors import BasmError, ParseError
 from basm.literals import (_call_body, _parse_point, _split_args, load_state, parse_location,
                            parse_value, readers_of)
@@ -29,7 +35,7 @@ from basm.semantics import run
 from basm.state import (ANY, BOOLEAN, CIRCLE, DYNAMIC, INTEGER, LINE, MAX_INT_DIGITS, POINT,
                         UNDEF, State, Vocabulary, render_key)
 from basm.syntax import parse_program
-from basm.traceio import load_script, read_trace, render_trace
+from basm.traceio import _interaction_text, load_script, read_trace, render_trace
 
 # --- the reference reader ----------------------------------------------------
 
@@ -271,7 +277,7 @@ def test_a_state_file_loads_as_the_reference_loads_it(bindings):
 
 def test_values_that_are_not_text_fail_as_they_always_did():
     for sort in SORTS:
-        for value in (5, None, [], {}, 2.5, True):
+        for value in (5, None, [], {}, 2.5, True, 1e999, ["point(1.0,2.0)"], {"x": "1.0"}):
             assert _error(parse_value, value, sort, VOCAB) == \
                 _error(reference_parse_value, value, sort, VOCAB)
     for value in (5, None, 2.5, True):
@@ -346,3 +352,80 @@ def test_a_trace_of_another_program_is_refused_before_its_rows():
     with pytest.raises(BasmError) as e:
         read_trace(lines, plain)
     assert e.value.kind == "program-id"
+
+
+# --- points, circles and lines ---------------------------------------------------
+
+# The fast geometry readers read only the spelling `render_value` writes; each
+# of these texts, read directly or passed on to the general reader, must give
+# what the reference gives. The padded, signed, `E`, infinite, `nan`,
+# non-ASCII, wrong-headed and unbalanced spellings are the edges of that split.
+GEOMETRY_SPELLINGS = [
+    "point(1.0,2.0)", " point(1.0,2.0)", "point(1.0,2.0)\n", "point( 1.0,2.0)", "point(1.0 ,2.0)",
+    "point(1.0,\t2.0)", "point (1.0,2.0)", "point(+1.5,1E5)", "point(1e+16,-0.0)",
+    "point(-0.0,0.0)", "point(1e999,0.0)", "point(0.0,-1e999)", "point(1e-999,5e-324)",
+    "point(٣,0.0)", "point(1.0,١)", "point(nan,0.0)", "point(inf,0.0)", "point(0.0,-inf)",
+    "point(1,2)", "point(.5,1.0)", "point(1.,2.0)", "point(1.0,2.0", "point(1.0,2.0))",
+    "point((1.0,2.0)", "point(1.0,2.0,3.0)", "point()", "point", "Point(1.0,2.0)",
+    "circle(point(0.0,0.0),point(5.0,0.0))", " circle(point(0.0,0.0), point(5.0,0.0)) ",
+    "circle(point(0.0,0.0),point(1e999,0.0))", "circle(point(nan,0.0),point(5.0,0.0))",
+    "circle(line(point(0.0,0.0),point(1.0,0.0)),point(1.0,0.0))",
+    "circle(point(0.0,0.0),point(5.0,0.0)", "circle(point(0.0,0.0)),point(5.0,0.0))",
+    "circle(point(0.0,0.0),point(5.0,0.0)))", "circle(point(0.0,0.0))",
+    "circle(point(0.0,0.0),point(5.0,0.0),point(1.0,1.0))",
+    "line(point(10.0,0.0),point(2.5,-4.330127018922194))", "line(point(1.0,2.0) ,point(3.0,4.0))",
+    "line(circle(point(0.0,0.0),point(5.0,0.0)),point(1.0,0.0))",
+    "line(point(0.0,0.0),point(+0.0,1E-5))",
+    "line(point(0.0,0.0),point(1.0,0.0)", "line(point(0.0,0.0)),point(1.0,0.0))",
+    "line(point(1e308,0.0),point(-1e308,0.0))", "line(point(0.0,0.0),point(-inf,0.0))",
+    "circle(point(0.0,0.0),point(5.0,0.0))x", "undef", " undef ", "",
+]
+GEOMETRY_SORTS = [POINT, CIRCLE, LINE, ANY]
+
+
+@pytest.mark.parametrize("sort", GEOMETRY_SORTS, ids=lambda s: s.name)
+def test_each_geometry_spelling_reads_as_the_reference_reads_it(sort):
+    for text in GEOMETRY_SPELLINGS:
+        assert _outcome(parse_value, text, sort, VOCAB) == \
+            _outcome(reference_parse_value, text, sort, VOCAB), text
+
+
+coordinates = st.floats().map(repr)  # `nan`, `inf`, `-0.0`, `5e-324`, `1e+16` and all between
+
+
+@st.composite
+def geometry_texts(draw):
+    point = st.builds("point({},{})".format, coordinates, coordinates)
+    head = draw(st.sampled_from(["point", "circle", "line"]))
+    text = draw(point) if head == "point" else f"{head}({draw(point)},{draw(point)})"
+    return draw(st.sampled_from(["", " "])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GEOMETRY_SORTS), geometry_texts())
+def test_a_geometry_literal_of_repr_floats_reads_as_the_reference_reads_it(sort, text):
+    assert _outcome(parse_value, text, sort, VOCAB) == \
+        _outcome(reference_parse_value, text, sort, VOCAB)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+CORPUS_FILES = sorted(CORPUS.glob("*/golden/*.jsonl")) + sorted(CORPUS.glob("*/scripts/*.jsonl"))
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_a_golden_trace_or_script_reads_without_the_general_reader(monkeypatch, path):
+    """Every literal and location text the corpus writes is canonical, so
+    reading it never reaches `_parse_literal` or the argument splitter."""
+    def general(*args):
+        raise AssertionError(f"the general reader read {args[0]!r}")
+
+    program = load_entry_program(path.parent.parent.name)
+    monkeypatch.setattr(literals, "_parse_literal", general)
+    monkeypatch.setattr(literals, "_split_args", general)
+    text = path.read_text()
+    lines = text.splitlines()
+    script = load_script(lines, program.vocabulary)
+    if path.parent.name == "scripts":
+        assert "".join(f"{_interaction_text(i)}\n" for i in script.entries) == text
+    else:
+        assert render_trace(read_trace(lines, program)) == text

@@ -6,7 +6,8 @@ short, or one of its fields is given a value of another JSON type or another
 field's text. `read_trace` and `load_script` must then read the file or
 raise `BasmError`, never another exception. A bad location text spliced into
 a row after the text's first good use fails on that row's line, with the
-kind its text has on its own.
+kind its text has on its own. A faulty interaction fails with a pinned
+kind, message and line.
 """
 import json
 from pathlib import Path
@@ -146,3 +147,32 @@ def test_a_bad_location_text_fails_on_its_own_line(splice, breaking):
     with pytest.raises(ParseError) as e:
         read_trace(lines, program)
     assert (e.value.line, e.value.kind) == (row_index + 1, alone.value.kind)
+
+
+TANGENT = REPO / "corpus" / "tangent" / "golden" / "choice0.jsonl"
+# (field, value, kind, message) of one damaged interaction of the tangent
+# golden's fourth row. Its args are read before their count is tested, so a
+# short list holding a bad literal fails on the literal.
+INTERACTION_FAULTS = [
+    ("args", ["circle(point(0.0,0.0),point(nan,0.0))"], "parse", "bad number: 'nan'"),
+    ("args", 5, "parse", "bad {what} line: 'int' object is not iterable"),
+    ("answer", 2.5, "parse", "bad {what} line: 'float' object has no attribute 'strip'"),
+    ("answer", "point(2.5,1e999)", "parse", "coordinate out of the float range: '1e999'"),
+]
+
+
+@pytest.mark.parametrize("field, value, kind, message", INTERACTION_FAULTS,
+                         ids=["short-args-bad-literal", "args-not-a-list", "answer-not-a-string",
+                              "answer-not-finite"])
+def test_a_faulty_interaction_fails_with_its_kind_message_and_line(field, value, kind, message):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[3])
+    row["interactions"][0][field] = value
+    lines[3] = json.dumps(row)
+    for what, read in (("trace", lambda: read_trace(lines, program)),
+                       ("script", lambda: load_script(lines, program.vocabulary))):
+        with pytest.raises(ParseError) as e:
+            read()
+        text = message.format(what=what)
+        assert (e.value.kind, e.value.message, e.value.line) == \
+            (kind, f"{text} (line 4, column 1)", 4)
