@@ -45,8 +45,8 @@ from .state import (
     Symbol,
     UpdateSet,
     Vocabulary,
+    _moved,
     renaming,
-    transport,
 )
 from .syntax import Program, Term, iter_subterms, rule_terms
 
@@ -182,7 +182,7 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
     """
     vocab = program.vocabulary
     move = renaming(vocab, bijection)
-    moved_state = transport(state, bijection, move)
+    moved_state = _moved(state, move)
     answers = list(scripted_answers)
     sx = OracleSession(ScriptedPolicy.from_answers(answers), vocab)
     sy = OracleSession(ScriptedPolicy.from_answers([move(a) for a in answers]), vocab)

@@ -135,14 +135,11 @@ def _geometric(term: Term) -> bool:
 
 def _inline(name: str, operands: tuple[Term, ...]) -> Optional[str]:
     """The inline expression of a static operator on these operands, or None
-    where it stays a call. A `mod` by a nonzero literal needs no zero test,
-    and one of a literal other than `undef` no undef test."""
+    where it stays a call. A `mod` by a nonzero literal needs no zero test."""
     if name in ("=", "!=") and any(map(_geometric, operands)):
         return None
     if name == "mod" and isinstance(operands[1], Lit) and operands[1].value not in (0, UNDEF):
         return "{a} % {b}"
-    if name == "mod" and isinstance(operands[0], Lit) and operands[0].value is not UNDEF:
-        return "{a} % {b} if {b} else modzero()"
     return _INLINE.get(name)
 
 

@@ -526,10 +526,11 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
     return move
 
 
-def transport(state: State, bijection: Mapping[str, Mapping[str, str]],
-              move: Callable | None = None) -> State:
-    """Rename enum universe members throughout a state (see `renaming`);
-    `move`, if given, is `renaming(state.vocabulary, bijection)`, already
-    built by the caller."""
-    move = move or renaming(state.vocabulary, bijection)
+def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
+    """Rename enum universe members throughout a state (see `renaming`)."""
+    return _moved(state, renaming(state.vocabulary, bijection))
+
+
+def _moved(state: State, move: Callable) -> State:
+    """The state with `move`, a `renaming`, applied to every key and value."""
     return State(state.vocabulary, {move(key): move(v) for key, v in state.store.items()})

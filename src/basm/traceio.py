@@ -29,7 +29,7 @@ from .errors import BasmError, ParseError
 from .literals import _call, readers_of, state_from_bindings
 from .oracles import Interaction, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
-from .state import ORACLE, UpdateSet, Vocabulary, clash, render_value, rendered_bindings
+from .state import ORACLE, UpdateSet, Vocabulary, render_value, rendered_bindings
 from .syntax import Program
 
 
@@ -132,16 +132,13 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         for guard.lineno, line in rows[1:-1]:
             row = json.loads(line)
             updates = UpdateSet()
-            add = updates._entries.setdefault  # as in the kernel: only a second write clashes
             for u in row["updates"]:
                 text, lit = u["loc"], u["value"]
                 entry = get(text)
                 if entry is None:
                     entry = locations[text] = location(text)
                 key, read = entry
-                value = read(lit)
-                if (present := add(key, value)) is not value:
-                    clash(key, present, value)
+                updates.add(key, read(lit))
             interactions = tuple(_parse_interaction(i, readers) for i in row["interactions"])
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:

@@ -23,7 +23,7 @@ from basm.oracles import (
     UniformRandomPolicy,
 )
 from basm.semantics import StepRecord, replay, run, step
-from basm.state import STATIC_IMPL, UNDEF, State, UpdateSet, render_key, renaming
+from basm.state import STATIC_IMPL, UNDEF, State, UpdateSet, render_key
 from basm.syntax import App, Par, parse_program
 from basm.traceio import read_trace, render_trace
 
@@ -78,9 +78,9 @@ def emit_par_reading_sequentially(out, rule):
     out.line(f"get, add = g{n}, a{n}")
 
 
-def transport_ignoring_arguments(state, bijection, move=None):
-    """`transport` that renames values but leaves location arguments as they are."""
-    move = move or renaming(state.vocabulary, bijection)
+def moved_ignoring_arguments(state, move):
+    """`transport`'s move of a state that renames values but leaves location
+    arguments as they are."""
     return State(state.vocabulary, {key: move(v) for key, v in state.store.items()})
 
 
@@ -257,7 +257,7 @@ ROWS = [
      replay_of_a_recorded_undef_write),
     ("par-reads-sequentially", semantics, "_emit_rule", emit_par_reading_sequentially,
      replay_of_the_euclid_golden),
-    ("transport-ignores-arguments", checks, "transport", transport_ignoring_arguments,
+    ("transport-ignores-arguments", checks, "_moved", moved_ignoring_arguments,
      iso_on_enumgraph),
     ("short-circuit-and", semantics, "_emit_term", emit_short_circuit_and,
      witness_reads_of_a_decided_and),

@@ -11,7 +11,6 @@ integer bound on both sides, `mod` by zero, booleans and `undef`, enum
 members, and points 1e-12 apart, which `=` takes as equal within EPS.
 """
 import itertools
-import re
 
 import pytest
 
@@ -144,20 +143,6 @@ def test_writes_of_two_integers_to_one_location_clash_as_the_update_set_does(tar
     key = ("a", ()) if target == "a" else ("cell", (1,))
     assert (caught.value.kind, caught.value.message) == _clash_message(key, 1, 2)
     assert caught.value.message == f"clash at {target}"
-
-
-@pytest.mark.parametrize("left", [7, 0, -7, BIG], ids=["7", "0", "-7", "bound"])
-def test_a_mod_of_a_literal_tests_no_constant_for_undef(left):
-    """`7 mod y` tests `y` for zero only; `undef mod y` keeps its undef test."""
-    y = Var(Symbol("y", (), INTEGER, DYNAMIC))
-    term = App(STATIC_SYMBOLS["mod"], (Lit(left), y))
-    source = semantics._generate(term)[0]
-    assert "% " in source and not re.search(r"c\d+ is U", source)
-    for value in GRID[INTEGER]:
-        store = {} if value is UNDEF else {("y", ()): value}
-        got = _outcome(semantics._compiled(term), store.get, None)
-        assert got == _expected("mod", (left, value)), (left, value)
-    assert "U is U" in semantics._generate(App(STATIC_SYMBOLS["mod"], (Lit(UNDEF), y)))[0]
 
 
 # `undef` absorbs the inline integer operators by itself, with no undef test.
