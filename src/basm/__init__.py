@@ -24,6 +24,7 @@ from .oracles import (
     Interaction,
     InteractivePolicy,
     OracleSession,
+    Refused,
     ScriptedPolicy,
     SplitMix64,
     UniformRandomPolicy,
@@ -58,6 +59,7 @@ __all__ = [
     "ParseError",
     "Point",
     "Program",
+    "Refused",
     "ScriptedPolicy",
     "SplitMix64",
     "State",

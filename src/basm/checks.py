@@ -13,11 +13,12 @@ executable checks over programs and traces:
 
 Bounded exploration and isomorphism invariance observe one step with
 `semantics.observe_step`, as the run loop does: its step record (update set
-and interactions, or no updates and the interactions made before a failure)
-and its error outcome, if any. Both compare with the equality replay uses
-(update values exactly, by `==`, not within the kernel EPS; error outcomes
-by kind), and the isomorphism check renames the original record
-with `state.renaming`, the map `transport` applies to the state.
+and interactions, or no updates and the interactions made before a failure,
+a refused query included) and its error outcome, if any. Both compare with
+the equality replay uses (update values exactly, by `==`, not within the
+kernel EPS; error outcomes by kind), and the isomorphism check renames the
+original record with `state.renaming`, the map `transport` applies to the
+state.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .checks import (
@@ -26,7 +25,7 @@ from .checks import (
     junk_state_sampler,
 )
 from .corpus import ENTRIES, corpus_run, entry_dir
-from .errors import BasmError, ParseError
+from .errors import BasmError, ParseError, read_text
 from .literals import load_state, state_bindings
 from .oracles import UniformRandomPolicy, choose_policy
 from .semantics import Trace, replay, run
@@ -35,11 +34,11 @@ from .traceio import load_script, read_trace, write_trace
 
 
 def _load_program(path: str, oracle_statics) -> Program:
-    return parse_program(Path(path).read_text(), oracle_statics=tuple(oracle_statics or ()))
+    return parse_program(read_text(path), oracle_statics=tuple(oracle_statics or ()))
 
 
 def _load_init(path: str, program: Program):
-    return load_state(Path(path).read_text(), program.vocabulary, source=path)
+    return load_state(read_text(path), program.vocabulary, source=path)
 
 
 def _program_and_init(args):
@@ -49,7 +48,7 @@ def _program_and_init(args):
 
 def _build_policy(args, program: Program):
     def script():
-        lines = Path(args.script).read_text().splitlines()
+        lines = read_text(args.script).splitlines()
         return load_script(lines, program.vocabulary, mode=args.script_mode)
 
     return choose_policy(args.policy, args.seed, args.choice,
@@ -80,19 +79,31 @@ def _report_outcome(trace: Trace, quiet: bool) -> int:
     return 0 if out.kind == "halted" else 3
 
 
-# Every option of `run` and `check`, by flag; each command takes the ones it reads.
+def _count(text: str) -> int:
+    """The value of an option that counts steps or trials: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer, 0 or more, got {text!r}")
+    return value
+
+
+# Every option of `run`, `check` and `corpus`, by flag; each command takes the
+# ones it reads.
 _OPTIONS = {
     "--init": dict(required=True, help="initial state file"),
     "--policy": dict(choices=["builtin", "uniform", "scripted", "interactive"]),
     "--seed": dict(type=int, default=None, help="seed for the uniform policy"),
-    "--choice": dict(type=int, default=None,
+    "--choice": dict(type=int, choices=(0, 1), default=None,
                      help="intersection pick for the builtin policy (0 or 1)"),
     "--script": dict(help="oracle script file (trace or script JSONL)"),
     "--script-mode": dict(choices=["strict", "by-symbol"], default="strict"),
-    "--max-steps": dict(type=int, default=None),
+    "--max-steps": dict(type=_count, default=None),
     "--oracle-static": dict(action="append", default=[], metavar="NAME",
                             help="treat this builtin static (e.g. mod) as an oracle"),
-    "--trials": dict(type=int, default=100),
+    "--trials": dict(type=_count, default=100),
     "--other": dict(required=True, help="second program for equiv"),
 }
 _RUN_OPTIONS = ("--init", "--policy", "--seed", "--choice", "--script", "--script-mode",
@@ -115,7 +126,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     program = _load_program(args.program, args.oracle_static)
-    lines = Path(args.trace).read_text().splitlines()
+    lines = read_text(args.trace).splitlines()
     trace = read_trace(lines, program)
     if replay(trace, program):
         print("replay: ok")
@@ -139,7 +150,7 @@ def _check_iso(args) -> int:
     program, init = _program_and_init(args)
     answers = []
     if args.script:
-        policy = load_script(Path(args.script).read_text().splitlines(),
+        policy = load_script(read_text(args.script).splitlines(),
                              program.vocabulary, mode="by-symbol")
         answers = [e.answer for e in policy.entries]
     failures: list = []
@@ -246,10 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="run a bundled example")
     p_corpus.add_argument("name", nargs="?", help="entry name, or 'list'")
     p_corpus.add_argument("--init", help="initial state file name within the entry")
-    p_corpus.add_argument("--seed", type=int, default=None)
-    p_corpus.add_argument("--choice", type=int, default=None)
     p_corpus.add_argument("--script", help="script file name within the entry")
-    p_corpus.add_argument("--max-steps", type=int, default=None)
+    for flag in ("--seed", "--choice", "--max-steps"):
+        p_corpus.add_argument(flag, **_OPTIONS[flag])
     p_corpus.add_argument("--set", action="append", metavar="VAR=VALUE",
                           help="override an initial-state variable")
     p_corpus.add_argument("--trace", help="write trace JSONL here ('-' for stdout)")

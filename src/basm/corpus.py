@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import BasmError
+from .errors import BasmError, read_text
 from .geometry import Circle, Line, Point
 from .literals import load_state, parse_value
 from .oracles import ScriptedPolicy, choose_policy
@@ -101,7 +101,7 @@ _state_cache: dict[tuple[str, str], State] = {}
 def load_entry_program(name: str) -> Program:
     if name not in _program_cache:
         path = entry_dir(name) / "program.basm"
-        _program_cache[name] = parse_program(path.read_text())
+        _program_cache[name] = parse_program(read_text(path))
     return _program_cache[name]
 
 
@@ -112,7 +112,7 @@ def load_entry_state(name: str, init_file: Optional[str] = None) -> State:
     if key not in _state_cache:
         program = load_entry_program(name)
         path = entry_dir(name) / "init" / init_file
-        _state_cache[key] = load_state(path.read_text(), program.vocabulary, source=str(path))
+        _state_cache[key] = load_state(read_text(path), program.vocabulary, source=str(path))
     return _state_cache[key]
 
 
@@ -169,7 +169,7 @@ def corpus_run(name: str, *, init_file: Optional[str] = None, seed: Optional[int
 def _script_policy(entry: CorpusEntry, program: Program, script) -> ScriptedPolicy:
     if isinstance(script, str):
         path = entry_dir(entry.name) / "scripts" / script
-        return load_script(path.read_text().splitlines(), program.vocabulary, mode="strict")
+        return load_script(read_text(path).splitlines(), program.vocabulary, mode="strict")
     return ScriptedPolicy.from_answers(script)
 
 

@@ -1,4 +1,5 @@
-"""Error types shared across the interpreter.
+"""Error types shared across the interpreter, and `read_text`, which reads
+every file basm takes and turns bytes that are not UTF-8 into a `parse` error.
 
 Every failure carries a short machine-readable kind so callers (and the CLI)
 can react without string matching. Kinds in use:
@@ -19,6 +20,7 @@ can react without string matching. Kinds in use:
   program-id            trace does not belong to the given program
   corpus                bad corpus entry name or argument
 """
+from pathlib import Path
 
 
 class BasmError(Exception):
@@ -37,3 +39,13 @@ class ParseError(BasmError):
         super().__init__(kind, message)
         self.line = line
         self.column = column
+
+
+def read_text(path) -> str:
+    """The text of a file basm reads: a program, state, trace or script. A
+    file that is not UTF-8 is a `parse` error naming it; an unreadable one
+    raises `OSError` as before."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None

@@ -3,6 +3,10 @@
 A session owns the full interaction log of a run and a per-step answer cache:
 within one step, asking the same query again returns the cached answer and
 records nothing new. The cache is cleared at step boundaries by the run loop.
+A query the policy refuses with a `BasmError`, or answers with a value of
+the wrong sort, is logged too, with a `Refused` holding the error kind in
+place of its answer, before the error goes on; so the trace of a failed step
+names the query that failed it, and a script replays the refusal.
 
 Answer policies:
 
@@ -80,10 +84,22 @@ class SplitMix64:
                 return b + (v % n)
 
 
+# The error kinds a policy may refuse a query with, the last one for an
+# answer of the wrong sort.
+REFUSALS = frozenset({"oracle-domain", "script", "aborted", "arith", "sort"})
+
+
+@dataclass(frozen=True)
+class Refused:
+    """The answer slot of a refused query: the kind of the error raised."""
+
+    kind: str
+
+
 @dataclass(frozen=True)
 class Interaction:
-    """One query and its answer. In a script, an oracle or args of None
-    matches any oracle or any arguments."""
+    """One query and its answer, or a `Refused`. In a script, an oracle or
+    args of None matches any oracle or any arguments."""
 
     oracle: Optional[str]
     args: Optional[tuple]
@@ -166,7 +182,8 @@ class ScriptedPolicy:
     """Replays prepared answers.
 
     The script is a list of interactions, consumed in order. Each must match
-    the query's oracle name and arguments, where None matches anything.
+    the query's oracle name and arguments, where None matches anything. A
+    matched `Refused` entry raises its recorded kind.
     """
 
     def __init__(self, entries: Iterable[Interaction] = ()):
@@ -190,6 +207,8 @@ class ScriptedPolicy:
         if entry.args is not None and entry.args != query.args:
             raise BasmError("script", f"script arguments do not match {query.render()}")
         self.cursor += 1
+        if type(entry.answer) is Refused:
+            raise BasmError(entry.answer.kind, f"the script refuses {query.render()}")
         return entry.answer
 
 
@@ -290,13 +309,17 @@ class OracleSession:
         cached = self.per_step_cache.get(query, _MISS)
         if cached is not _MISS:
             return cached
-        answer = self.policy.answer(self, query)
-        if not value_conforms(answer, query.symbol.result_sort):
-            raise BasmError(
-                "sort",
-                f"oracle answer {render_value(answer)} is not a "
-                f"{query.symbol.result_sort.name} (query {query.render()})",
-            )
+        try:
+            answer = self.policy.answer(self, query)
+            if not value_conforms(answer, query.symbol.result_sort):
+                raise BasmError(
+                    "sort",
+                    f"oracle answer {render_value(answer)} is not a "
+                    f"{query.symbol.result_sort.name} (query {query.render()})",
+                )
+        except BasmError as e:
+            self.log.append(Interaction(query.symbol.name, query.args, Refused(e.kind)))
+            raise
         self.log.append(Interaction(query.symbol.name, query.args, answer))
         self.per_step_cache[query] = answer
         return answer

@@ -40,8 +40,8 @@ Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
 whose updates change nothing. A step whose updates conflict ("clash"), or
 whose evaluation fails, ends the run with an error outcome; the failing step
-is kept in the trace with the interactions it managed to make and no updates,
-so an errored trace still replays exactly.
+is kept in the trace with no updates and the interactions it made, the query
+a policy refused included, so an errored trace still replays exactly.
 """
 from __future__ import annotations
 
@@ -269,22 +269,19 @@ def _compiled(node):
 
 def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):
     """Evaluate a term; returns (value, interactions made by this evaluation)."""
-    start = len(session.log) if session is not None else 0
-    value = _compiled(term)(state.store.get, session.ask if session is not None else _no_session)
-    return value, session.log[start:] if session is not None else []
+    ask, log = (_no_session, []) if session is None else (session.ask, session.log)
+    start = len(log)
+    return _compiled(term)(state.store.get, ask), log[start:]
 
 
 def step(state: State, rule: Rule,
          session: Optional[OracleSession] = None) -> tuple[UpdateSet, list[Interaction]]:
     """Run one step of the rule. The caller clears the session's per-step cache."""
-    updates = UpdateSet()
-    if session is None:
-        _compiled(rule)(state.store.get, _no_session, updates._entries.setdefault)
-        return updates, []
-    log = session.log
+    ask, log = (_no_session, []) if session is None else (session.ask, session.log)
     start = len(log)
-    _compiled(rule)(state.store.get, session.ask, updates._entries.setdefault)
-    return updates, log[start:] if len(log) > start else []
+    updates = UpdateSet()
+    _compiled(rule)(state.store.get, ask, updates.setdefault)
+    return updates, log[start:]
 
 
 @dataclass
@@ -306,14 +303,15 @@ def observe_step(index: int, state: State, rule: Rule, session: OracleSession,
                  step_fn: Callable) -> tuple[StepRecord, Optional[Outcome]]:
     """One step by `step_fn` (`step` or a stand-in) as the record a trace
     keeps, and the error outcome if it failed; a failed step keeps no updates
-    and the interactions made before the failure."""
+    and the interactions made before the failure, a refused query included."""
     start = session.begin_step()
+    failed = None
     try:
         updates, interactions = step_fn(state, rule, session)
     except BasmError as e:
+        updates, interactions = UpdateSet(), session.log[start:]
         failed = Outcome("error", e.kind, e.message)
-        return StepRecord(index, UpdateSet(), tuple(session.log[start:])), failed
-    return StepRecord(index, updates, tuple(interactions)), None
+    return StepRecord(index, updates, tuple(interactions)), failed
 
 
 @dataclass
@@ -387,13 +385,12 @@ def same_steps(a: Trace, b: Trace) -> bool:
 
 
 def replay(trace: Trace, program: Program) -> bool:
-    """Re-run a trace feeding back its recorded answers; true iff it reproduces."""
+    """Re-run a trace feeding back its recorded answers and refusals; true iff
+    it reproduces."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
     policy = ScriptedPolicy(i for record in trace.steps for i in record.interactions)
-    if trace.outcome.kind == "step-limit":
-        max_steps = len(trace.steps)
-    else:
-        max_steps = len(trace.steps) + 1
-    rerun = run(program, trace.initial_state, policy, max_steps=max_steps)
+    # The halting term is tested before the budget, so a rerun that agrees
+    # with the trace halts, fails or stops within the trace's own length.
+    rerun = run(program, trace.initial_state, policy, max_steps=len(trace.steps))
     return same_steps(trace, rerun) and rerun.final_state == trace.final_state

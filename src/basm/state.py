@@ -378,31 +378,18 @@ def clash(key: tuple, present, value) -> None:
         raise BasmError("clash", f"clash at {render_key(key)}")
 
 
-class UpdateSet:
-    """A consistent set of updates, keyed by location pairs `(name, args)`;
-    inserting a conflicting value raises "clash"."""
+class UpdateSet(dict):
+    """A consistent set of updates: a dict from location pairs `(name, args)`
+    to values, in the order they were added. `add` raises "clash" on a
+    second, different value for one location; the generated rule does the
+    same with the dict's own `setdefault`."""
 
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: dict[tuple, object] = {}
+    __slots__ = ()
 
     def add(self, key: tuple, value):
-        present = self._entries.setdefault(key, value)
+        present = self.setdefault(key, value)
         if present is not value:
             clash(key, present, value)
-
-    def items(self):
-        """The updates in the order they were added."""
-        return self._entries.items()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, UpdateSet):
-            return NotImplemented
-        return self._entries == other._entries
 
     def __repr__(self):
         return "{" + ", ".join(f"{loc}:={v}" for loc, v in rendered_bindings(self)) + "}"

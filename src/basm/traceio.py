@@ -18,6 +18,9 @@ A script file is JSON-lines too, one {"oracle", "args", "answer"} object per
 line, which is exactly the shape of a trace's interaction records; in
 "by-symbol" mode "args" may be null. A trace is accepted as a script: its step
 rows give their interactions in order, and its header and outcome rows give none.
+A query the policy refused is spelled {"oracle", "args", "refused": kind},
+where "refused" takes the place of "answer" and names one of
+`oracles.REFUSALS`.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Iterable, TextIO
 
 from .errors import BasmError, ParseError
 from .literals import _call, readers_of, state_from_bindings
-from .oracles import Interaction, ScriptedPolicy
+from .oracles import REFUSALS, Interaction, Refused, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
 from .state import ORACLE, UpdateSet, Vocabulary, render_value, rendered_bindings
 from .syntax import Program
@@ -35,8 +38,9 @@ from .syntax import Program
 
 def _interaction_text(i: Interaction) -> str:
     args = ", ".join([_quote(render_value(a)) for a in i.args])
-    return (f'{{"oracle": {_quote(i.oracle)}, "args": [{args}], '
-            f'"answer": {_quote(render_value(i.answer))}}}')
+    answer = (f'"refused": {_quote(i.answer.kind)}' if type(i.answer) is Refused
+              else f'"answer": {_quote(render_value(i.answer))}')
+    return f'{{"oracle": {_quote(i.oracle)}, "args": [{args}], {answer}}}'
 
 
 def _map_text(bindings, texts: dict) -> str:
@@ -80,7 +84,14 @@ def _parse_interaction(obj: dict, readers, by_symbol: bool = False) -> Interacti
     sym = found.symbol
     if sym.kind != ORACLE:
         raise ParseError(f"not an oracle symbol: {sym.name}", kind="sort")
-    answer = found.read(obj["answer"])
+    if "refused" not in obj:
+        answer = found.read(obj["answer"])
+    elif "answer" in obj:
+        raise ValueError("an interaction holds both an answer and a refusal")
+    elif obj["refused"] not in REFUSALS:
+        raise ValueError(f"unknown refusal kind {obj['refused']!r}")
+    else:
+        answer = Refused(obj["refused"])
     if by_symbol and obj["args"] is None:
         return Interaction(sym.name, None, answer)
     args = tuple(map(_call, found.read_args, obj["args"]))

@@ -1,5 +1,7 @@
 """End-to-end command line runs in a subprocess, including exit codes."""
+import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -579,3 +581,117 @@ def test_deeply_nested_json_line_exits_2(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     assert cli("bogus").returncode == 2
+
+
+REFUSING = """\
+vocab {
+  var x : Integer
+  oracle R(Integer, Integer) : Integer
+}
+do until x > 5 { x := R(5, 1) }
+"""
+
+
+def _refusing(tmp_path, query="R(5, 1)"):
+    program, init = tmp_path / "r.basm", tmp_path / "r.state"
+    program.write_text(REFUSING.replace("R(5, 1)", query))
+    init.write_text("x := 0\n")
+    return str(program), str(init)
+
+
+@pytest.mark.parametrize("query, flags, message", [
+    ("R(5, 1)", [], "empty segment [5, 1]"),
+    (f"R(0, {10**23})", ["--seed", "3"], f"segment [0, {10**23}] is wider than 2^64"),
+])
+def test_the_trace_of_a_refused_query_replays(tmp_path, capsys, query, flags, message):
+    program, init = _refusing(tmp_path, query)
+    trace = tmp_path / "e.jsonl"
+    assert main(["run", "--program", program, "--init", init, "--trace", str(trace), *flags]) == 1
+    assert capsys.readouterr().err == f"error[oracle-domain]: {message}\n"
+    assert '"refused": "oracle-domain"' in trace.read_text()
+    assert main(["replay", "--program", program, "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "replay: ok\n"
+
+
+def test_check_replay_passes_on_a_refused_query(tmp_path, capsys):
+    program, init = _refusing(tmp_path, f"R(0, {10**23})")
+    assert main(["check", "replay", "--program", program, "--init", init,
+                 "--seed", "3", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
+def test_an_interactive_run_whose_input_closes_replays(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    trace = tmp_path / "i.jsonl"
+    assert main(["run", "--program", str(REPO / TANGENT), "--init", str(REPO / TANGENT_INIT),
+                 "--policy", "interactive", "--trace", str(trace)]) == 1
+    assert "error[aborted]: oracle input closed at I(" in capsys.readouterr().err
+    assert '"refused": "aborted"' in trace.read_text()
+    assert main(["replay", "--program", str(REPO / TANGENT), "--trace", str(trace)]) == 0
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+def test_a_program_that_is_not_utf8_exits_2_without_a_traceback(tmp_path):
+    program = tmp_path / "bin.basm"
+    program.write_bytes(NOT_UTF8)
+    r = cli("run", "--program", str(program), "--init", EUCLID_INIT)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr == f"error[parse]: {program}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("where", ["--init", "replay --trace", "--script", "corpus --init",
+                                   "corpus --script"])
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, where):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(REPO / "corpus" / "tangent", corpus / "tangent")
+    monkeypatch.setenv("BASM_CORPUS_DIR", str(corpus))
+    bad = {"--init": corpus / "tangent" / "init" / "bin.state",
+           "corpus --init": corpus / "tangent" / "init" / "bin.state",
+           "corpus --script": corpus / "tangent" / "scripts" / "bin.jsonl"}.get(
+        where, tmp_path / "bin.jsonl")
+    bad.write_bytes(NOT_UTF8)
+    program = ["--program", str(REPO / TANGENT)]
+    argv = {"--init": ["run", *program, "--init", str(bad)],
+            "replay --trace": ["replay", *program, "--trace", str(bad)],
+            "--script": ["run", *program, "--init", str(REPO / TANGENT_INIT), "--script", str(bad)],
+            "corpus --init": ["corpus", "tangent", "--init", bad.name],
+            "corpus --script": ["corpus", "tangent", "--script", bad.name]}[where]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error[parse]: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+EUCLID_RUN = ["--program", str(REPO / EUCLID), "--init", str(REPO / EUCLID_INIT)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "bexp", *EUCLID_RUN, "--trials", "-5"],
+     "argument --trials: expected an integer, 0 or more, got '-5'"),
+    (["check", "replay", *EUCLID_RUN, "--trials", "-1"],
+     "argument --trials: expected an integer, 0 or more, got '-1'"),
+    (["run", *EUCLID_RUN, "--max-steps", "-2"],
+     "argument --max-steps: expected an integer, 0 or more, got '-2'"),
+    (["corpus", "euclid", "--max-steps", "-2"],
+     "argument --max-steps: expected an integer, 0 or more, got '-2'"),
+    (["run", *EUCLID_RUN, "--max-steps", "x"],
+     "argument --max-steps: expected an integer, 0 or more, got 'x'"),
+    (["run", *EUCLID_RUN, "--choice", "2"], "argument --choice: invalid choice: 2 (choose from 0, 1)"),
+    (["check", "equiv", *EUCLID_RUN, "--other", str(REPO / EUCLID), "--choice", "-1"],
+     "argument --choice: invalid choice: -1 (choose from 0, 1)"),
+    (["corpus", "tangent", "--choice", "2"], "argument --choice: invalid choice: 2 (choose from 0, 1)"),
+])
+def test_an_out_of_range_number_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_trials_and_zero_steps_stay_legal(capsys):
+    assert main(["check", "bexp", *EUCLID_RUN, "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 0
+    assert main(["run", *EUCLID_RUN, "--max-steps", "0"]) == 3
+    assert "steps: 0" in capsys.readouterr().out

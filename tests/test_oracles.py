@@ -12,6 +12,7 @@ from basm.oracles import (
     Interaction,
     InteractivePolicy,
     OracleSession,
+    Refused,
     ScriptedPolicy,
     SplitMix64,
     UniformRandomPolicy,
@@ -260,6 +261,38 @@ def test_session_rejects_ill_sorted_answers():
     with pytest.raises(BasmError) as e:
         s.ask(Location(v.symbol("Random"), (0, 1)))
     assert e.value.kind == "sort"
+
+
+@pytest.mark.parametrize("policy, kind", [
+    (BuiltinPolicy(), "oracle-domain"),
+    (UniformRandomPolicy(3), "oracle-domain"),
+    (ScriptedPolicy(), "script"),
+    (ScriptedPolicy([Interaction("Random", None, True)]), "sort"),
+    (InteractivePolicy(io.StringIO(""), io.StringIO()), "aborted"),
+])
+def test_a_refused_query_is_logged_with_its_kind_before_the_error_goes_on(policy, kind):
+    v = _vocab()
+    s = OracleSession(policy, v)
+    s.begin_step()
+    with pytest.raises(BasmError) as e:
+        s.ask(Location(v.symbol("Random"), (5, 1)))
+    assert e.value.kind == kind
+    assert s.log == [Interaction("Random", (5, 1), Refused(kind))]
+
+
+def test_a_script_refuses_where_it_recorded_a_refusal():
+    v = _vocab()
+    q = Location(v.symbol("Random"), (5, 1))
+    s = OracleSession(ScriptedPolicy([Interaction("Random", (5, 1), Refused("arith"))]), v)
+    with pytest.raises(BasmError) as e:
+        s.ask(q)
+    assert (e.value.kind, e.value.message) == ("arith", "the script refuses Random(5,1)")
+    assert s.log == [Interaction("Random", (5, 1), Refused("arith"))]
+    # A refusal is matched as an answer is: another query gets a script error.
+    other = OracleSession(ScriptedPolicy([Interaction("Random", (5, 2), Refused("arith"))]), v)
+    with pytest.raises(BasmError) as e:
+        other.ask(q)
+    assert e.value.kind == "script"
 
 
 def test_interactive_policy_picks_candidate_by_index():

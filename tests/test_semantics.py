@@ -13,7 +13,8 @@ from basm.checks import junk_state_sampler
 from basm.corpus import corpus_run, entry_dir, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state, state_bindings
-from basm.oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
+from basm.oracles import (BuiltinPolicy, Interaction, OracleSession, Refused, ScriptedPolicy,
+                          UniformRandomPolicy)
 from basm.semantics import default_max_steps, eval_term, replay, run, step
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import load_script, read_trace, render_trace, script_lines
@@ -294,6 +295,53 @@ def test_replay_covers_error_traces():
     trace = run(prog, _state(prog, "b := 1\nc := 0"), _answers(prog, [4]))
     assert trace.outcome.kind == "error"
     assert replay(trace, prog)
+
+
+# One program for each way a run can end: (declarations, rule, initial state,
+# step budget, outcome kind and error).
+ENDINGS = {
+    "do-until": (INT2, "do until a = 3 { a := a + 1 }", "a := 0", None, ("halted", None)),
+    "iterate": (INT2, "iterate { if a < 3 then a := a + 1 }", "a := 0", None, ("halted", None)),
+    "step-limit": (INT2, "do until a < 0 { a := a + 1 }", "a := 0", 3, ("step-limit", None)),
+    "failing-step": (ORACLE_DECLS,
+                     "do until false { if a = 2 then a := R(1, 0) else a := a + 1 }",
+                     "a := 0", None, ("error", "oracle-domain")),
+    "failing-halt": (INT2, "do until 1 mod a = 0 { a := a - 2 }", "a := 4", None,
+                     ("error", "arith")),
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_every_ending_replays_within_the_length_of_its_trace(ending):
+    """Replay gives the rerun the trace's own length as its budget, whatever
+    the outcome: each ending replays, and fails once its last step row is
+    dropped."""
+    decls, body, init, max_steps, outcome = ENDINGS[ending]
+    prog = _program(decls, body)
+    trace = run(prog, _state(prog, init), BuiltinPolicy(), max_steps=max_steps)
+    assert (trace.outcome.kind, trace.outcome.error) == outcome
+    assert len(trace.steps) >= 2
+    lines = render_trace(trace).splitlines()
+    assert replay(read_trace(lines, prog), prog)
+    assert not replay(read_trace(lines[:-2] + lines[-1:], prog), prog)
+
+
+def test_a_refused_query_is_kept_in_the_trace_and_replays():
+    prog = _program(ORACLE_DECLS, "do until a > 5 { a := R(5, 1) }")
+    trace = run(prog, _state(prog, "a := 0"), BuiltinPolicy())
+    assert (trace.outcome.kind, trace.outcome.error) == ("error", "oracle-domain")
+    (record,) = trace.steps
+    assert record.interactions == (Interaction("R", (5, 1), Refused("oracle-domain")),)
+    text = render_trace(trace)
+    assert text.splitlines()[1] == (
+        '{"index": 0, "updates": [], "interactions": [{"oracle": "R", "args": ["5", "1"], '
+        '"refused": "oracle-domain"}], "halted": false}')
+    assert replay(trace, prog) and replay(read_trace(text.splitlines(), prog), prog)
+    # A refusal replays only at the query it names, and with its own kind.
+    for edited in (text.replace('["5", "1"]', '["5", "2"]'),
+                   text.replace('"refused": "oracle-domain"', '"refused": "arith"')):
+        assert edited != text
+        assert not replay(read_trace(edited.splitlines(), prog), prog)
 
 
 def test_trace_round_trips_through_jsonl():

@@ -142,6 +142,17 @@ def test_update_set_clash():
     assert "x" in e.value.message
 
 
+def test_an_update_set_is_a_dict_that_adds_only_add_and_repr():
+    assert [name for name in vars(UpdateSet) if name not in ("__module__", "__doc__", "__slots__")] \
+        == ["add", "__repr__"]
+    ups = UpdateSet()
+    assert ups == {} and len(ups) == 0 and not hasattr(ups, "__dict__")
+    ups.add(("x", ()), 1)
+    ups.add(("f", (2,)), 5)
+    assert ups == {("x", ()): 1, ("f", (2,)): 5}
+    assert list(ups.items()) == [(("x", ()), 1), (("f", (2,)), 5)]  # the order they were added
+
+
 def test_update_set_items_are_sorted_by_location():
     # The set keeps no order of its own; its written forms sort by location.
     v = _vocab()

@@ -10,7 +10,7 @@ from basm.errors import BasmError, ParseError
 from basm.geometry import Point
 from basm.literals import MAX_INT_DIGITS, load_state, parse_location, parse_value
 from basm.oracles import BuiltinPolicy, OracleSession, UniformRandomPolicy
-from basm.semantics import StepRecord, eval_term, run, step
+from basm.semantics import StepRecord, eval_term, replay, run, step
 from basm.state import (
     BOOLEAN,
     DYNAMIC,
@@ -43,6 +43,7 @@ from basm.syntax import (
     term_text,
     tokenize,
 )
+from basm.traceio import _interaction_text, load_script, read_trace, render_trace, script_lines
 
 EUCLID = """\
 vocab {
@@ -647,6 +648,27 @@ def test_committed_updates_conform_to_their_sorts(prog, x, y, p, cur, table, see
             assert all(value_conforms(a, s) for a, s in zip(args, sym.arg_sorts))
             assert value_conforms(value, sym.result_sort)
         state = apply_updates(state, updates)
+
+
+@settings(max_examples=120, deadline=None)
+@given(program(), st.integers(-20, 20), st.integers(-20, 20),
+       st.dictionaries(st.integers(-5, 5), st.integers(-20, 20), max_size=3),
+       st.one_of(st.none(), st.integers(0, 2**32)))
+def test_every_trace_of_a_parsed_program_replays_and_re_renders(prog, x, y, table, seed):
+    """The whole pipeline over programs the parser accepts, error traces
+    included: a run under the builtin policy (no seed) or the seeded uniform
+    one renders, reads back, replays and re-renders byte for byte, and the
+    trace read as a script gives back its interactions byte for byte."""
+    prog = parse_program(pretty(prog))
+    text = f"x := {x}\ny := {y}\n" + "".join(f"f({k}) := {v}\n" for k, v in table.items())
+    policy = BuiltinPolicy() if seed is None else UniformRandomPolicy(seed)
+    trace = run(prog, load_state(text, prog.vocabulary), policy, max_steps=6)
+    rendered = render_trace(trace)
+    back = read_trace(rendered.splitlines(), prog)
+    assert replay(trace, prog) and replay(back, prog)
+    assert render_trace(back) == rendered
+    script = load_script(rendered.splitlines(), prog.vocabulary)
+    assert [_interaction_text(i) for i in script.entries] == script_lines(trace)
 
 
 def _fold_of_steps(prog, init, seed, max_steps):

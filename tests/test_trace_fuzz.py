@@ -7,7 +7,7 @@ field's text. `read_trace` and `load_script` must then read the file or
 raise `BasmError`, never another exception. A bad location text spliced into
 a row after the text's first good use fails on that row's line, with the
 kind its text has on its own. A faulty interaction fails with a pinned
-kind, message and line.
+kind, message and line, as does one that holds no one answer or refusal.
 """
 import json
 from pathlib import Path
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from basm.corpus import load_entry_program
 from basm.errors import BasmError, ParseError
 from basm.literals import parse_location
+from basm.oracles import REFUSALS, Refused
 from basm.traceio import load_script, read_trace, render_trace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -176,3 +177,46 @@ def test_a_faulty_interaction_fails_with_its_kind_message_and_line(field, value,
         text = message.format(what=what)
         assert (e.value.kind, e.value.message, e.value.line) == \
             (kind, f"{text} (line 4, column 1)", 4)
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_a_refusal_reads_back_in_a_trace_and_a_script(kind):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[3])
+    interaction = row["interactions"][0]
+    del interaction["answer"]
+    interaction["refused"] = kind
+    lines[3] = json.dumps(row)
+    trace = read_trace(lines, program)
+    assert trace.steps[2].interactions[0].answer == Refused(kind)
+    assert render_trace(trace).splitlines() == lines
+    script = load_script(lines, program.vocabulary)
+    assert script.entries == [i for record in trace.steps for i in record.interactions]
+
+
+# The fields after "args" of an interaction that holds no one answer or
+# refusal kind, and the message it fails with.
+REFUSAL_FAULTS = [
+    ({"refused": "clash"}, "bad {what} line: unknown refusal kind 'clash'"),
+    ({"refused": None}, "bad {what} line: unknown refusal kind None"),
+    ({"refused": ["script"]}, "bad {what} line: unhashable type: 'list'"),
+    ({"answer": "point(2.5,4.330127018922194)", "refused": "script"},
+     "bad {what} line: an interaction holds both an answer and a refusal"),
+    ({}, "bad {what} line: 'answer'"),
+]
+
+
+@pytest.mark.parametrize("tail, message", REFUSAL_FAULTS,
+                         ids=["other-kind", "null-kind", "list-kind", "both", "neither"])
+def test_an_interaction_without_one_answer_or_refusal_is_a_bad_line(tail, message):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[3])
+    interaction = row["interactions"][0]
+    row["interactions"][0] = {"oracle": interaction["oracle"], "args": interaction["args"], **tail}
+    lines[3] = json.dumps(row)
+    for what, read in (("trace", lambda: read_trace(lines, program)),
+                       ("script", lambda: load_script(lines, program.vocabulary))):
+        with pytest.raises(ParseError) as e:
+            read()
+        assert (e.value.kind, e.value.message) == \
+            ("parse", f"{message.format(what=what)} (line 4, column 1)")
