@@ -14,17 +14,17 @@ executable checks over programs and traces:
 Bounded exploration and isomorphism invariance observe one step with
 `semantics.observe_step`, as the run loop does: its step record (update set
 and interactions, or no updates and the interactions made before a failure,
-a refused query included) and its error outcome, if any. Both compare with
-the equality replay uses (update values exactly, by `==`, not within the
-kernel EPS; error outcomes by kind), and the isomorphism check renames the
-original record with `state.renaming`, the map `transport` applies to the
-state.
+a refused query included) and its error outcome, if any. The isomorphism
+check renames the original record with `state.renaming`, the map `transport`
+applies to the state.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same
-way; `semantics.same_steps` decides it, as it does for replay. Two runs that
-change state identically but talk to their oracles differently are distinct
-behaviors on purpose.
+way. Two runs that change state identically but talk to their oracles
+differently are distinct behaviors on purpose. `semantics.divergence` decides
+it, replay and both step checks (update values exactly, by `==`, not within
+the kernel EPS; error outcomes by kind); a failing check reports its text,
+the first differing step and field.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BasmError
 from .oracles import Interaction, OracleSession, ScriptedPolicy, UniformRandomPolicy
-from .semantics import StepRecord, Trace, observe_step, same_steps, step
+from .semantics import Outcome, StepRecord, Trace, divergence, observe_step, step
 from .state import (
     BOOLEAN,
     DYNAMIC,
@@ -148,6 +148,15 @@ def junk_state_sampler(program: Program, base_state: State):
     return sample
 
 
+def _observe(program: Program, state: State, policy,
+             step_fn: Optional[Callable] = None) -> tuple[StepRecord, Optional[Outcome]]:
+    """One step of the program from the state, by `step_fn` or `step`, under
+    a fresh session of the policy: its record and its error outcome, if any."""
+    # `step` is looked up per call, so a patched module global is seen.
+    return observe_step(0, state, program.step_rule, OracleSession(policy, state.vocabulary),
+                        step_fn or step)
+
+
 def check_bounded_exploration(program: Program, sampler, trials: int, seed: int,
                               step_fn: Optional[Callable] = None) -> CheckReport:
     """States agreeing on the witness must step identically.
@@ -161,15 +170,11 @@ def check_bounded_exploration(program: Program, sampler, trials: int, seed: int,
     for trial in range(trials):
         x, y = sampler(rng)
         trial_seed = rng.getrandbits(63)
-        sx = OracleSession(UniformRandomPolicy(trial_seed), x.vocabulary)
-        sy = OracleSession(UniformRandomPolicy(trial_seed), y.vocabulary)
-        # `step` is looked up per call, so a patched module global is seen.
-        ox = observe_step(0, x, program.step_rule, sx, step_fn or step)
-        oy = observe_step(0, y, program.step_rule, sy, step_fn or step)
-        if ox != oy:
-            failures.append(
-                f"trial {trial} (seed {trial_seed}): steps differ: {ox!r} vs {oy!r}"
-            )
+        x_record, x_failed = _observe(program, x, UniformRandomPolicy(trial_seed), step_fn)
+        y_record, y_failed = _observe(program, y, UniformRandomPolicy(trial_seed), step_fn)
+        differs = divergence([x_record], x_failed, [y_record], y_failed)
+        if differs is not None:
+            failures.append(f"trial {trial} (seed {trial_seed}): {differs}")
     return CheckReport("bexp", trials, failures)
 
 
@@ -181,26 +186,13 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
     scripted answers (the twin's answers are renamed too), and compares the
     twin's step against the renamed original step.
     """
-    vocab = program.vocabulary
-    move = renaming(vocab, bijection)
-    moved_state = _moved(state, move)
+    move = renaming(program.vocabulary, bijection)
     answers = list(scripted_answers)
-    sx = OracleSession(ScriptedPolicy.from_answers(answers), vocab)
-    sy = OracleSession(ScriptedPolicy.from_answers([move(a) for a in answers]), vocab)
-    original, failed = observe_step(0, state, program.step_rule, sx, step)
-    expected = _rename(original, move)
-    got, got_failed = observe_step(0, moved_state, program.step_rule, sy, step)
-    if failed != got_failed:
-        failures = [f"outcomes differ under {bijection!r}: {failed!r} vs {got_failed!r}"]
-    else:
-        failures = [
-            f"{name} do not commute with {bijection!r}: expected {want!r}, got {have!r}"
-            for name, want, have in (
-                ("updates", expected.updates, got.updates),
-                ("interactions", expected.interactions, got.interactions),
-            )
-            if want != have
-        ]
+    original, failed = _observe(program, state, ScriptedPolicy.from_answers(answers))
+    got, got_failed = _observe(program, _moved(state, move),
+                               ScriptedPolicy.from_answers([move(a) for a in answers]))
+    differs = divergence([_rename(original, move)], failed, [got], got_failed)
+    failures = [] if differs is None else [f"under {bijection!r}: {differs}"]
     return CheckReport("iso", 1, failures)
 
 
@@ -226,4 +218,4 @@ def behaviorally_equivalent(a: Trace, b: Trace) -> bool:
     """Stepwise equality of update sets and interaction sequences, same outcome."""
     if a.initial_state.vocabulary != b.initial_state.vocabulary:
         raise BasmError("vocab", "traces are over different vocabularies")
-    return same_steps(a, b)
+    return divergence(a.steps, a.outcome, b.steps, b.outcome) is None

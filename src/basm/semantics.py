@@ -91,20 +91,12 @@ def _no_session(query: Location):
     raise BasmError("oracle-domain", f"no oracle session for query {query.render()}")
 
 
-def _big():
-    raise _too_long()
-
-
-def _modzero():
-    raise _mod_by_zero()
-
-
 # The namespace entries every generated function shares: `U` (undef),
 # `Location` to build a query, the integer bound `B` with `big` to fail past
 # it, `modzero` to fail a `mod` by zero, and `clash` to test a second write
 # to one location.
-_FIXED = {"U": UNDEF, "Location": Location, "B": _INT_BOUND, "big": _big, "modzero": _modzero,
-          "clash": clash}
+_FIXED = {"U": UNDEF, "Location": Location, "B": _INT_BOUND, "big": _too_long,
+          "modzero": _mod_by_zero, "clash": clash}
 
 # The inline expression of a static operator over its operands `a` and `b`
 # (for `not`, both its one operand), assigning `t`, its own temporary. `U`
@@ -325,12 +317,15 @@ class Trace:
 
 def default_max_steps() -> int:
     env = os.environ.get("ASM_MAX_STEPS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise BasmError("corpus", f"ASM_MAX_STEPS is not an integer: {env!r}") from None
-    return DEFAULT_MAX_STEPS
+    if env is None:
+        return DEFAULT_MAX_STEPS
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise BasmError("corpus", f"ASM_MAX_STEPS is not an integer of 0 or more: {env!r}")
+    return budget
 
 
 def run(program: Program, init: State, policy, max_steps: Optional[int] = None) -> Trace:
@@ -376,12 +371,21 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     return Trace(program.program_id, init, steps, state, outcome)
 
 
-def same_steps(a: Trace, b: Trace) -> bool:
-    """Step-by-step equality of two traces: the same outcome kind and error,
-    and equal step records in order, each compared on its index, update set,
-    interactions and halted mark. Replay and behavioural equivalence both
-    decide by it."""
-    return a.outcome == b.outcome and a.steps == b.steps
+def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
+               b_steps: list[StepRecord], b_outcome: Optional[Outcome]) -> Optional[str]:
+    """None when two runs agree step by step: equal step records in order,
+    each compared on its index, update set, interactions and halted mark,
+    and the same outcome kind and error. Otherwise the first difference, as
+    text with both values: a step and field, or the outcomes and step counts.
+    Replay, behavioural equivalence, bexp and iso all decide by it."""
+    if a_steps == b_steps and a_outcome == b_outcome:
+        return None
+    for n, (a, b) in enumerate(zip(a_steps, b_steps)):
+        for (name, x), y in zip(vars(a).items(), vars(b).values()):
+            if x != y:
+                return f"step {n} {name}: {x!r} vs {y!r}"
+    return (f"outcome: {a_outcome!r} after {len(a_steps)} steps vs "
+            f"{b_outcome!r} after {len(b_steps)} steps")
 
 
 def replay(trace: Trace, program: Program) -> bool:
@@ -393,4 +397,5 @@ def replay(trace: Trace, program: Program) -> bool:
     # The halting term is tested before the budget, so a rerun that agrees
     # with the trace halts, fails or stops within the trace's own length.
     rerun = run(program, trace.initial_state, policy, max_steps=len(trace.steps))
-    return same_steps(trace, rerun) and rerun.final_state == trace.final_state
+    return (divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome) is None
+            and rerun.final_state == trace.final_state)

@@ -153,37 +153,24 @@ _INT_BOUND = 10**MAX_INT_DIGITS
 
 
 def _too_long():
-    return BasmError("arith", f"integer result of more than {MAX_INT_DIGITS} digits")
+    raise BasmError("arith", f"integer result of more than {MAX_INT_DIGITS} digits")
 
 
-def _add(a, b):
-    r = a + b
-    if -_INT_BOUND < r < _INT_BOUND:
-        return r
-    raise _too_long()
-
-
-def _sub(a, b):
-    r = a - b
-    if -_INT_BOUND < r < _INT_BOUND:
-        return r
-    raise _too_long()
-
-
-def _mul(a, b):
-    r = a * b
-    if -_INT_BOUND < r < _INT_BOUND:
-        return r
-    raise _too_long()
+def _bounded(op: Callable) -> Callable:
+    """The integer operator `op`, failing with `arith` on a result past the bound."""
+    def bounded(a, b):
+        r = op(a, b)
+        return r if -_INT_BOUND < r < _INT_BOUND else _too_long()
+    return bounded
 
 
 def _mod_by_zero():
-    return BasmError("arith", "mod by zero")
+    raise BasmError("arith", "mod by zero")
 
 
 def _mod(a, b):
     if b == 0:
-        raise _mod_by_zero()
+        _mod_by_zero()
     return a % b
 
 
@@ -217,9 +204,9 @@ def _not(a):
 
 # (name, arg sorts, result sort, implementation, strict-on-undef)
 _STATIC_DEFS = [
-    ("+", (INTEGER, INTEGER), INTEGER, _add, True),
-    ("-", (INTEGER, INTEGER), INTEGER, _sub, True),
-    ("*", (INTEGER, INTEGER), INTEGER, _mul, True),
+    ("+", (INTEGER, INTEGER), INTEGER, _bounded(operator.add), True),
+    ("-", (INTEGER, INTEGER), INTEGER, _bounded(operator.sub), True),
+    ("*", (INTEGER, INTEGER), INTEGER, _bounded(operator.mul), True),
     ("mod", (INTEGER, INTEGER), INTEGER, _mod, True),
     ("powmod", (INTEGER, INTEGER, INTEGER), INTEGER, _powmod, True),
     ("<", (INTEGER, INTEGER), BOOLEAN, operator.lt, True),

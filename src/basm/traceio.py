@@ -94,6 +94,8 @@ def _parse_interaction(obj: dict, readers, by_symbol: bool = False) -> Interacti
         answer = Refused(obj["refused"])
     if by_symbol and obj["args"] is None:
         return Interaction(sym.name, None, answer)
+    if isinstance(obj["args"], (str, dict)):  # other non-lists fail as they are iterated
+        raise ValueError("an interaction's args must be a list")
     args = tuple(map(_call, found.read_args, obj["args"]))
     if len(obj["args"]) != sym.arity:
         raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
@@ -160,6 +162,9 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
         outcome = Outcome(final["outcome"], final.get("error"))
         if outcome.kind not in ("halted", "step-limit", "error"):
             raise ValueError(f"unknown outcome {outcome.kind!r}")
+        kind_given = type(outcome.error) is str
+        if kind_given != (outcome.kind == "error") or kind_given != ("error" in final):
+            raise ValueError("expected an error kind string exactly when the outcome is error")
         final_state = state_from_bindings(final["finalState"].items(), vocab, locations)
     return Trace(program_id, initial, steps, final_state, outcome)
 

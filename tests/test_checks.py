@@ -1,4 +1,5 @@
 """Exploration witness, bounded exploration, renaming invariance, equivalence."""
+import dataclasses
 import random
 import tracemalloc
 from itertools import permutations
@@ -18,8 +19,8 @@ from basm.checks import (
 from basm.corpus import corpus_run, load_entry_program, load_entry_state
 from basm.errors import BasmError
 from basm.literals import load_state
-from basm.oracles import OracleSession, UniformRandomPolicy
-from basm.semantics import replay, step
+from basm.oracles import Interaction, OracleSession, Refused, UniformRandomPolicy
+from basm.semantics import Outcome, divergence, replay, step
 from basm.state import Location, State, UpdateSet, Vocabulary, renaming, transport
 from basm.syntax import parse_program, parse_term_in
 from basm.traceio import read_trace, render_trace
@@ -306,3 +307,74 @@ def test_the_junk_symbols_do_not_collide_with_the_program_s_own():
     assert x.read(("zz_junk0", (0,))) is True
     report = check_bounded_exploration(prog, junk_state_sampler(prog, init), trials=20, seed=1)
     assert report.passed, report.failures
+
+
+def test_divergence_is_none_on_equal_runs():
+    a, b = corpus_run("euclid"), corpus_run("euclid")
+    assert divergence(a.steps, a.outcome, b.steps, b.outcome) is None
+    assert divergence([], None, [], None) is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("index", 7),
+    ("updates", UpdateSet({("a", ()): 9})),
+    ("interactions", (Interaction("R", (0, 5), Refused("script")),)),
+    ("halted_after", True),
+])
+def test_divergence_names_the_first_differing_step_and_field(field, value):
+    trace = corpus_run("euclid")
+    steps = list(trace.steps)
+    steps[1] = dataclasses.replace(steps[1], **{field: value})
+    steps[2] = dataclasses.replace(steps[2], halted_after=False)  # a later difference
+    want = getattr(trace.steps[1], field)
+    assert divergence(trace.steps, trace.outcome, steps, trace.outcome) == \
+        f"step 1 {field}: {want!r} vs {value!r}"
+
+
+def test_divergence_names_the_outcomes_and_step_counts():
+    trace = corpus_run("euclid")
+    limit = Outcome("step-limit")
+    assert divergence(trace.steps, trace.outcome, trace.steps, limit) == \
+        f"outcome: {trace.outcome!r} after 3 steps vs {limit!r} after 3 steps"
+    assert divergence(trace.steps, trace.outcome, trace.steps[:2], trace.outcome) == \
+        f"outcome: {trace.outcome!r} after 3 steps vs {trace.outcome!r} after 2 steps"
+
+
+def test_bexp_reports_the_updates_of_a_peeking_step():
+    prog = load_entry_program("euclid")
+    sampler = junk_state_sampler(prog, load_entry_state("euclid"))
+
+    def peeking_step(state, rule, session):
+        updates, interactions = step(state, rule, session)
+        updates = UpdateSet(updates)
+        updates.add(("zz_flag", ()), state.read(("zz_junk0", (0,))) % 2 == 0)
+        return updates, interactions
+
+    report = check_bounded_exploration(prog, sampler, trials=60, seed=5, step_fn=peeking_step)
+    assert len(report.failures) > 10
+    assert all(": step 0 updates: {" in f for f in report.failures), report.failures[:3]
+
+
+def test_bexp_reports_the_interactions_of_steps_refused_at_different_queries():
+    """X and Y each ask an empty segment, so the policy refuses both steps
+    with one kind, but at queries that depend on a junk location."""
+    prog = load_entry_program("primality")
+    sampler = junk_state_sampler(prog, load_entry_state("primality"))
+
+    def asks_an_empty_segment(state, rule, session):
+        j = state.read(("zz_junk0", (0,)))
+        session.ask(Location(state.vocabulary.symbol("Random"), (j, j - 1)))
+
+    report = check_bounded_exploration(prog, sampler, trials=60, seed=5,
+                                       step_fn=asks_an_empty_segment)
+    assert len(report.failures) > 10
+    assert all(": step 0 interactions: (Interaction(oracle='Random'" in f
+               for f in report.failures), report.failures[:3]
+
+
+def test_iso_reports_the_updates_of_a_member_naming_program():
+    prog = parse_program("vocab {\n  enum Node { u, v }\n  var cur : Node\n}\n"
+                         "do until false { cur := u }\n")
+    swap = {"Node": {"u": "v", "v": "u"}}
+    report = check_iso_invariance(prog, load_state("cur := u", prog.vocabulary), swap)
+    assert report.failures == [f"under {swap!r}: step 0 updates: {{cur:=v}} vs {{cur:=u}}"]

@@ -695,3 +695,69 @@ def test_zero_trials_and_zero_steps_stay_legal(capsys):
     assert json.loads(capsys.readouterr().out)["trials"] == 0
     assert main(["run", *EUCLID_RUN, "--max-steps", "0"]) == 3
     assert "steps: 0" in capsys.readouterr().out
+
+
+def test_a_negative_step_budget_in_the_environment_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("ASM_MAX_STEPS", "-2")
+    assert main(["run", *EUCLID_RUN]) == 1
+    assert capsys.readouterr() == \
+        ("", "error[corpus]: ASM_MAX_STEPS is not an integer of 0 or more: '-2'\n")
+
+
+ONE_PICK = """\
+vocab {
+  var x : Integer
+  oracle R(Integer, Integer) : Integer
+}
+do until x > 0 { x := R(1, 5) }
+"""
+
+
+def _damaged_one_pick_trace(tmp_path, capsys, damage):
+    """The path of a recorded one-pick trace whose rows `damage` rewrites,
+    and its program's path."""
+    program, init, trace = tmp_path / "p.basm", tmp_path / "p.state", tmp_path / "t.jsonl"
+    program.write_text(ONE_PICK)
+    init.write_text("x := 0\n")
+    assert main(["run", "--program", str(program), "--init", str(init), "--seed", "1",
+                 "--trace", str(trace)]) == 0
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert rows[1]["interactions"][0]["args"] == ["1", "5"]
+    damage(rows)
+    trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    return str(program), str(trace)
+
+
+@pytest.mark.parametrize("args", ["15", {"1": "a", "5": "b"}], ids=["string", "object"])
+def test_interaction_args_that_are_no_list_exit_2(tmp_path, capsys, args):
+    def retype(rows):
+        rows[1]["interactions"][0]["args"] = args
+    program, trace = _damaged_one_pick_trace(tmp_path, capsys, retype)
+    assert main(["replay", "--program", program, "--trace", trace]) == 2
+    assert capsys.readouterr().err == \
+        "error[parse]: bad trace line: an interaction's args must be a list (line 2, column 1)\n"
+
+
+@pytest.mark.parametrize("fields", [{"outcome": "error"}, {"outcome": "error", "error": 5},
+                                    {"outcome": "halted", "error": "clash"}],
+                         ids=["error-without-kind", "error-kind-a-number", "halted-with-kind"])
+def test_an_outcome_row_with_a_malformed_error_field_exits_2(tmp_path, capsys, fields):
+    def rewrite(rows):
+        rows[-1] = {**fields, "finalState": rows[-1]["finalState"]}
+    program, trace = _damaged_one_pick_trace(tmp_path, capsys, rewrite)
+    assert main(["replay", "--program", program, "--trace", trace]) == 2
+    assert capsys.readouterr().err == (
+        "error[parse]: bad trace line: expected an error kind string exactly when the outcome "
+        "is error (line 3, column 1)\n")
+
+
+def test_a_failing_iso_check_names_the_step_and_field(tmp_path, capsys):
+    program, init = tmp_path / "n.basm", tmp_path / "n.state"
+    program.write_text("vocab {\n  enum Node { u, v }\n  var cur : Node\n}\n"
+                       "do until false { cur := u }\n")
+    init.write_text("cur := u\n")
+    assert main(["check", "iso", "--program", str(program), "--init", str(init)]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures == \
+        ["under {'Node': {'u': 'v', 'v': 'u'}}: step 0 updates: {cur:=v} vs {cur:=u}"]

@@ -166,6 +166,17 @@ def test_env_var_sets_default_step_budget(monkeypatch):
     assert len(trace.steps) == 3
 
 
+@pytest.mark.parametrize("budget", ["-2", "x"])
+def test_a_negative_or_non_integer_step_budget_is_a_corpus_error(monkeypatch, budget):
+    monkeypatch.setenv("ASM_MAX_STEPS", budget)
+    with pytest.raises(BasmError) as e:
+        default_max_steps()
+    assert (e.value.kind, e.value.message) == \
+        ("corpus", f"ASM_MAX_STEPS is not an integer of 0 or more: {budget!r}")
+    monkeypatch.setenv("ASM_MAX_STEPS", "0")
+    assert default_max_steps() == 0
+
+
 def test_failing_step_is_recorded_with_its_interactions():
     prog = _program(ORACLE_DECLS,
                     "do until false { par { a := R(0, 5); b := b mod c } }")

@@ -157,14 +157,16 @@ TANGENT = REPO / "corpus" / "tangent" / "golden" / "choice0.jsonl"
 INTERACTION_FAULTS = [
     ("args", ["circle(point(0.0,0.0),point(nan,0.0))"], "parse", "bad number: 'nan'"),
     ("args", 5, "parse", "bad {what} line: 'int' object is not iterable"),
+    ("args", "05", "parse", "bad {what} line: an interaction's args must be a list"),
+    ("args", {"0": "1"}, "parse", "bad {what} line: an interaction's args must be a list"),
     ("answer", 2.5, "parse", "bad {what} line: 'float' object has no attribute 'strip'"),
     ("answer", "point(2.5,1e999)", "parse", "coordinate out of the float range: '1e999'"),
 ]
 
 
 @pytest.mark.parametrize("field, value, kind, message", INTERACTION_FAULTS,
-                         ids=["short-args-bad-literal", "args-not-a-list", "answer-not-a-string",
-                              "answer-not-finite"])
+                         ids=["short-args-bad-literal", "args-not-a-list", "args-a-string",
+                              "args-an-object", "answer-not-a-string", "answer-not-finite"])
 def test_a_faulty_interaction_fails_with_its_kind_message_and_line(field, value, kind, message):
     program, lines = _golden(TANGENT)
     row = json.loads(lines[3])
@@ -220,3 +222,40 @@ def test_an_interaction_without_one_answer_or_refusal_is_a_bad_line(tail, messag
             read()
         assert (e.value.kind, e.value.message) == \
             ("parse", f"{message.format(what=what)} (line 4, column 1)")
+
+
+@pytest.mark.parametrize("args", ["05", {"0": "1"}], ids=["string", "object"])
+def test_a_by_symbol_script_refuses_args_that_are_no_list_or_null(args):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[3])
+    row["interactions"][0]["args"] = args
+    lines[3] = json.dumps(row)
+    with pytest.raises(ParseError) as e:
+        load_script(lines, program.vocabulary, mode="by-symbol")
+    assert (e.value.kind, e.value.message) == \
+        ("parse", "bad script line: an interaction's args must be a list (line 4, column 1)")
+
+
+# Outcome rows whose "error" field is missing, not a string, or present
+# on an outcome other than "error".
+OUTCOME_FAULTS = [
+    {"outcome": "error"},
+    {"outcome": "error", "error": 5},
+    {"outcome": "error", "error": None},
+    {"outcome": "halted", "error": "clash"},
+    {"outcome": "step-limit", "error": None},
+]
+
+
+@pytest.mark.parametrize("head", OUTCOME_FAULTS,
+                         ids=["error-without-kind", "error-kind-a-number", "error-kind-null",
+                              "halted-with-kind", "step-limit-with-null-kind"])
+def test_an_outcome_row_with_a_malformed_error_field_is_a_bad_line(head):
+    program, lines = _golden(TANGENT)
+    lines[-1] = json.dumps({**head, "finalState": json.loads(lines[-1])["finalState"]})
+    with pytest.raises(ParseError) as e:
+        read_trace(lines, program)
+    assert (e.value.kind, e.value.message) == \
+        ("parse", "bad trace line: expected an error kind string exactly when the outcome is "
+                  f"error (line {len(lines)}, column 1)")
+
