@@ -119,11 +119,13 @@ def load_entry_state(name: str, init_file: Optional[str] = None) -> State:
 def _coerce(value, sort, vocabulary):
     if isinstance(value, str):
         return parse_value(value, sort, vocabulary)
-    if isinstance(value, tuple) and len(value) == 2 and all(
+    # A point, circle or line is a tuple too; only a plain tuple is built
+    # into one, so a circle given for a line fails the sort test below.
+    if type(value) is tuple and len(value) == 2 and all(
         isinstance(c, (int, float)) for c in value
     ):
         value = Point(float(value[0]), float(value[1]))
-    if isinstance(value, tuple) and len(value) == 2 and all(
+    if type(value) is tuple and len(value) == 2 and all(
         isinstance(c, Point) for c in value
     ):
         value = Circle(*value) if sort is CIRCLE else Line(*value)

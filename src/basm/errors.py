@@ -22,6 +22,13 @@ can react without string matching. Kinds in use:
 """
 from pathlib import Path
 
+# The kinds listed above, one entry each; a trace's error outcome names one.
+KINDS = frozenset({
+    "parse", "sort", "arith", "clash", "script", "aborted", "oracle-domain",
+    "interactive-fixpoint", "interactive-halt", "iso", "unsupported-iso", "vocab",
+    "program-id", "corpus",
+})
+
 
 class BasmError(Exception):
     def __init__(self, kind: str, message: str):

@@ -4,57 +4,62 @@ Circles are stored as (center, through-point); the radius is derived. All
 kernel comparisons use EPS = 1e-9. End-to-end tests on top of the interpreter
 use a looser 1e-6. A midpoint or intersection point with a coordinate that is
 not finite is an `arith` error, so every point a run holds reads back.
+
+`Point`, `Circle` and `Line` are `namedtuple` subclasses: they are hashed and
+compared in C, built with no per-field `object.__setattr__`, and their reprs
+name their fields. As plain tuples a circle and a line through the same two
+points compare equal, and a point equals the pair of its coordinates; so
+code that tells values apart (`state.values_equal`, `render_value`,
+`value_conforms`, `renaming`, `corpus._coerce`) tests the exact type, never
+`isinstance(value, tuple)`. The kernel below unpacks coordinates rather than
+reading them by name.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BasmError
 
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """A point; a `-0.0` coordinate becomes `0.0`, so equal points render alike."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __init__(self, x: float, y: float):
-        object.__setattr__(self, "x", x + 0.0)
-        object.__setattr__(self, "y", y + 0.0)
+    def __new__(cls, x: float, y: float):
+        return tuple.__new__(cls, (x + 0.0, y + 0.0))
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    through: Point
+class Circle(namedtuple("Circle", "center through")):
+    __slots__ = ()
 
     @property
     def radius(self) -> float:
         return dist(self.center, self.through)
 
 
-@dataclass(frozen=True)
-class Line:
-    p1: Point
-    p2: Point
+class Line(namedtuple("Line", "p1 p2")):
+    __slots__ = ()
 
 
 def dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
+    (px, py), (qx, qy) = p, q
+    return math.hypot(px - qx, py - qy)
 
 
 def _finite(p: Point) -> Point:
-    if math.isfinite(p.x) and math.isfinite(p.y):
+    x, y = p
+    if math.isfinite(x) and math.isfinite(y):
         return p
     raise BasmError("arith", "non-finite point coordinate")
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return _finite(Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0))
+    (px, py), (qx, qy) = p, q
+    return _finite(Point((px + qx) / 2.0, (py + qy) / 2.0))
 
 
 def circle_through(center: Point, through: Point) -> Circle:
@@ -75,8 +80,9 @@ def intersect_circles(a: Circle, b: Circle) -> tuple[Point, Point]:
     Tangent circles (internal or external, within EPS) give the touching point
     twice. Disjoint, nested, or concentric circles are outside the domain.
     """
-    ra, rb = a.radius, b.radius
-    d = dist(a.center, b.center)
+    (a_center, a_through), (b_center, b_through) = a, b
+    ra, rb = dist(a_center, a_through), dist(b_center, b_through)
+    d = dist(a_center, b_center)
     if d <= EPS:
         raise BasmError("oracle-domain", "concentric circles do not intersect in two points")
     if d > ra + rb + EPS:
@@ -87,16 +93,17 @@ def intersect_circles(a: Circle, b: Circle) -> tuple[Point, Point]:
     ax = (d * d + ra * ra - rb * rb) / (2.0 * d)
     h_sq = ra * ra - ax * ax
     h = math.sqrt(h_sq) if h_sq > 0.0 else 0.0
-    ux = (b.center.x - a.center.x) / d
-    uy = (b.center.y - a.center.y) / d
-    fx = a.center.x + ax * ux
-    fy = a.center.y + ax * uy
+    (cx, cy), (ex, ey) = a_center, b_center
+    ux = (ex - cx) / d
+    uy = (ey - cy) / d
+    fx = cx + ax * ux
+    fy = cy + ax * uy
     p = _finite(Point(fx - h * uy, fy + h * ux))
     q = _finite(Point(fx + h * uy, fy - h * ux))
     if h <= EPS:
         double = Point(fx, fy)
         return (double, double)
-    return (p, q) if (p.x, p.y) <= (q.x, q.y) else (q, p)
+    return (p, q) if p <= q else (q, p)
 
 
 def incident(s: Point, c: Circle) -> bool:
@@ -104,11 +111,13 @@ def incident(s: Point, c: Circle) -> bool:
 
 
 def dist_point_line(x: Point, l: Line) -> float:
-    dx = l.p2.x - l.p1.x
-    dy = l.p2.y - l.p1.y
+    (px, py), ((x1, y1), (x2, y2)) = x, l
+    dx = x2 - x1
+    dy = y2 - y1
     length = math.hypot(dx, dy)
-    return abs(dx * (x.y - l.p1.y) - dy * (x.x - l.p1.x)) / length
+    return abs(dx * (py - y1) - dy * (px - x1)) / length
 
 
 def points_close(p: Point, q: Point) -> bool:
-    return abs(p.x - q.x) <= EPS and abs(p.y - q.y) <= EPS
+    (px, py), (qx, qy) = p, q
+    return abs(px - qx) <= EPS and abs(py - qy) <= EPS

@@ -22,6 +22,13 @@ the spelling `render_value` writes, with no whitespace. A text outside these
 patterns, such as `name()`, an `undef` or geometry location argument, a
 whitespace-padded or malformed text, is read by the general reader
 (`_spelled_location`, `_parse_literal`), which gives every error message.
+
+A trace or script keeps one `Locations` map per file: each location text
+and each point, circle or line literal text is read once per file, as the
+same circle or point recurs on many rows. Geometry values are `namedtuple`s
+(see `geometry`), so a circle and a line through the same points compare
+equal as plain tuples; each is read by its own sort's reader, and the
+per-file maps are kept per reader.
 """
 from __future__ import annotations
 
@@ -370,6 +377,44 @@ class _Readers:
         return key, self.symbol(key[0]).read
 
 
+def _read_once(read: Callable) -> Callable:
+    """`read`, keeping each text it read and the value, so a text is read
+    once; a text that fails is not kept, and fails again wherever it is."""
+    values = {}
+
+    def read_once(text):
+        try:
+            return values[text]
+        except (KeyError, TypeError):  # not read yet, or not hashable
+            pass
+        value = values[text] = read(text)
+        return value
+
+    return read_once
+
+
+class Locations(dict):
+    """The location texts of one file, each mapped to its entry `(key, read)`:
+    `readers.location(text)` with `read` replaced by `reads.get(read, read)`.
+    An entry is built on first use and kept, so a text is read once per
+    file; a text that fails is not kept. `reads` maps the point, circle and
+    line readers to the file's own copies, which read each literal text once
+    too; integer, boolean and enum texts are read afresh, as keeping them
+    costs more than reading them. The readers fill the map inline
+    (`state_from_bindings`, `read_trace`): a method call per new text costs
+    a 20 000-entry state about 3% of its read time."""
+
+    __slots__ = ("readers", "reads")
+
+    def __init__(self, vocabulary: Vocabulary):
+        self.readers = readers_of(vocabulary)
+        self.reads = {read: _read_once(read) for read in (_read_point, _read_circle, _read_line)}
+
+    def reader(self, read: Callable) -> Callable:
+        """The file's reader in place of a sort's reader `read`."""
+        return self.reads.get(read, read)
+
+
 def readers_of(vocabulary: Vocabulary) -> _Readers:
     """The readers of a vocabulary, kept on it. `Vocabulary.copy` builds a
     new vocabulary, which gets readers of its own."""
@@ -399,7 +444,7 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
                 yield line.split(":=", 1)
 
     try:
-        return state_from_bindings(bindings(), vocabulary, {})
+        return state_from_bindings(bindings(), vocabulary, Locations(vocabulary))
     except ParseError as e:
         raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
@@ -411,20 +456,19 @@ def state_bindings(state: State, texts: dict | None = None) -> dict[str, str]:
 
 
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,
-                        locations: dict) -> State:
+                        locations: Locations) -> State:
     """The state binding each location text to its literal text, in order;
     `undef` leaves its location unbound. Binding one location twice, under
-    any spelling and with any values, is an error. `locations` maps each
-    location text read so far to its entry (see `_Readers.location`), so a
-    text is read once per map; only texts that read are kept in it, and a
-    trace shares one map across its rows."""
+    any spelling and with any values, is an error. `locations` is the file's
+    map of location texts, which a trace shares across its rows."""
     store = {}
     cleared = set()  # locations bound to `undef`, which stay out of the store
-    get, location = locations.get, readers_of(vocabulary).location
+    get, location, reads = locations.get, locations.readers.location, locations.reads
     for loc_text, lit in bindings:
         entry = get(loc_text)
         if entry is None:
-            entry = locations[loc_text] = location(loc_text)
+            key, read = location(loc_text)
+            entry = locations[loc_text] = key, reads.get(read, read)
         key, read = entry
         value = read(lit)
         if key in store or key in cleared:

@@ -33,6 +33,7 @@ docs/formats.md).
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
@@ -96,14 +97,12 @@ class Refused:
     kind: str
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(namedtuple("Interaction", "oracle args answer")):
     """One query and its answer, or a `Refused`. In a script, an oracle or
-    args of None matches any oracle or any arguments."""
+    args of None matches any oracle or any arguments. A `namedtuple`, so it
+    is hashed and compared in C, and its repr names its fields."""
 
-    oracle: Optional[str]
-    args: Optional[tuple]
-    answer: object
+    __slots__ = ()
 
 
 # Query shapes the builtin and uniform policies answer: (argument sorts, result sort).

@@ -83,11 +83,11 @@ def value_conforms(value, sort: Sort) -> bool:
     if sort is INTEGER:
         return isinstance(value, int) and not isinstance(value, bool)
     if sort is POINT:
-        return isinstance(value, Point)
+        return type(value) is Point
     if sort is CIRCLE:
-        return isinstance(value, Circle)
+        return type(value) is Circle
     if sort is LINE:
-        return isinstance(value, Line)
+        return type(value) is Line
     if sort.is_enum:
         return isinstance(value, str) and value in sort.members
     return False
@@ -99,13 +99,13 @@ def values_equal(a, b) -> bool:
     States and update sets compare their values exactly, with `==`."""
     if a is UNDEF or b is UNDEF:
         return a is UNDEF and b is UNDEF
-    if isinstance(a, Point):
-        return isinstance(b, Point) and geometry.points_close(a, b)
-    if isinstance(a, (Circle, Line)):  # two points each, compared field by field
-        return type(b) is type(a) and all(
-            map(geometry.points_close, vars(a).values(), vars(b).values()))
-    if type(a) is not type(b):
+    kind = type(a)
+    if kind is not type(b):  # so a circle never equals a line through the same points
         return False
+    if kind is Point:
+        return geometry.points_close(a, b)
+    if kind is Circle or kind is Line:  # two points each, compared point by point
+        return all(map(geometry.points_close, a, b))
     return a == b
 
 
@@ -117,11 +117,12 @@ def render_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, Point):
+    kind = type(value)
+    if kind is Point:
         return f"point({float(value.x)!r},{float(value.y)!r})"
-    if isinstance(value, Circle):
+    if kind is Circle:
         return f"circle({render_value(value.center)},{render_value(value.through)})"
-    if isinstance(value, Line):
+    if kind is Line:
         return f"line({render_value(value.p1)},{render_value(value.p2)})"
     if isinstance(value, str):  # an enum member
         return value
@@ -493,7 +494,8 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
     def move(value):
         if isinstance(value, str):  # an enum member
             return table.get(value, value)
-        if isinstance(value, tuple):  # a location pair; no value is a tuple
+        kind = type(value)
+        if kind is tuple or kind is Location:  # a location pair; a geometry value is a tuple too
             return value[0], tuple(map(move, value[1]))
         return value
 

@@ -331,6 +331,26 @@ def test_divergence_names_the_first_differing_step_and_field(field, value):
         f"step 1 {field}: {want!r} vs {value!r}"
 
 
+# The text the step comparison gives for two tangent runs whose third steps
+# differ only in the intersection point the oracle answered; it is the same
+# whether an interaction and a point are frozen dataclasses or tuples.
+TANGENT_DIVERGENCE = (
+    "step 2 interactions: (Interaction(oracle='I', args=(Circle(center=Point(x=0.0, y=0.0), "
+    "through=Point(x=5.0, y=0.0)), Circle(center=Point(x=5.0, y=0.0), through=Point(x=10.0, "
+    "y=0.0))), answer=Point(x=2.5, y=-4.330127018922194)),) vs (Interaction(oracle='I', "
+    "args=(Circle(center=Point(x=0.0, y=0.0), through=Point(x=5.0, y=0.0)), "
+    "Circle(center=Point(x=5.0, y=0.0), through=Point(x=10.0, y=0.0))), "
+    "answer=Point(x=2.5, y=4.330127018922194)),)"
+)
+
+
+def test_divergence_on_the_interactions_field_keeps_its_text():
+    a, b = corpus_run("tangent", choice=0), corpus_run("tangent", choice=1)
+    steps = list(b.steps)
+    steps[2] = dataclasses.replace(steps[2], updates=a.steps[2].updates)
+    assert divergence(a.steps, a.outcome, steps, b.outcome) == TANGENT_DIVERGENCE
+
+
 def test_divergence_names_the_outcomes_and_step_counts():
     trace = corpus_run("euclid")
     limit = Outcome("step-limit")

@@ -761,3 +761,16 @@ def test_a_failing_iso_check_names_the_step_and_field(tmp_path, capsys):
     failures = json.loads(capsys.readouterr().out)["failures"]
     assert failures == \
         ["under {'Node': {'u': 'v', 'v': 'u'}}: step 0 updates: {cur:=v} vs {cur:=u}"]
+
+
+def test_replay_refuses_an_outcome_with_an_unknown_error_kind(tmp_path, capsys):
+    """Run in-process: an error kind outside `errors.KINDS` is a bad trace
+    line (exit 2), not a replay mismatch."""
+    lines = (REPO / "corpus" / "euclid" / "golden" / "a12b8.jsonl").read_text().splitlines()
+    final = json.loads(lines[-1])["finalState"]
+    lines[-1] = json.dumps({"outcome": "error", "error": "no-such-kind", "finalState": final})
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--program", str(REPO / EUCLID), "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == \
+        f"error[parse]: bad trace line: unknown error kind 'no-such-kind' (line {len(lines)}, column 1)\n"

@@ -14,6 +14,7 @@ from basm.corpus import (
     load_entry_state,
 )
 from basm.errors import BasmError
+from basm.geometry import Circle, Line, Point
 from basm.literals import state_bindings
 from basm.semantics import replay
 from basm.traceio import read_trace, render_trace, script_lines
@@ -168,3 +169,15 @@ def test_default_state_files_load():
 def test_uniform_draw_from_a_segment_wider_than_2_to_the_64_is_an_error():
     t = corpus_run("primality", n=2**89 - 1, k=3, seed=7)
     assert (t.outcome.kind, t.outcome.error) == ("error", "oracle-domain")
+
+
+@pytest.mark.parametrize("var, make, sort", [("T", Circle, "Line"), ("C", Line, "Circle")])
+def test_a_geometry_override_of_another_sort_is_a_sort_error(var, make, sort):
+    """A circle and a line through the same two points are equal tuples; an
+    override of one at a location of the other still fails, and is not
+    rebuilt as the location's sort."""
+    value = make(Point(0.0, 0.0), Point(5.0, 0.0))
+    with pytest.raises(BasmError) as e:
+        corpus_run("tangent", **{var: value})
+    assert (e.value.kind, e.value.message) == \
+        ("sort", f"override value {value!r} does not fit sort {sort}")

@@ -3,6 +3,9 @@ import ast
 import re
 from pathlib import Path
 
+from basm.errors import KINDS
+from basm.oracles import REFUSALS
+
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "basm"
 
@@ -36,3 +39,16 @@ def test_every_raised_kind_is_documented():
     documented = set(re.findall(r"`([a-z-]+)`", section))
     assert kinds - listed == set(), "kinds missing from the list in errors.py"
     assert kinds - documented == set(), "kinds missing under 'Error kinds' in docs/formats.md"
+
+
+def test_the_kinds_table_and_both_lists_name_the_same_kinds():
+    errors_doc = (SRC / "errors.py").read_text().split('"""')[1]
+    assert set(re.findall(r"^  ([a-z-]+)\s", errors_doc, re.M)) == KINDS
+    formats = (REPO / "docs" / "formats.md").read_text()
+    listing = formats.split("## Error kinds", 1)[1].split(".", 1)[0]  # the prose after it quotes more
+    assert set(re.findall(r"`([a-z-]+)`", listing)) == KINDS
+    assert _raised_kinds() <= KINDS
+
+
+def test_every_refusal_is_an_error_kind():
+    assert REFUSALS <= KINDS

@@ -156,3 +156,12 @@ def test_circles_through_a_common_point_intersect(ax, ay, bx, by, tx, ty):
     for s in intersect_circles(a, b):
         assert abs(dist(s, c1) - a.radius) < 1e-6
         assert abs(dist(s, c2) - b.radius) < 1e-6
+
+
+def test_records_are_tuples_whose_reprs_name_their_fields():
+    p, q = Point(1.0, 2.0), Point(3.0, 4.0)
+    assert p == (1.0, 2.0) and not hasattr(p, "__dict__")
+    assert hash(Circle(p, q)) == hash(((1.0, 2.0), (3.0, 4.0)))
+    assert repr(Circle(p, q)) == "Circle(center=Point(x=1.0, y=2.0), through=Point(x=3.0, y=4.0))"
+    assert repr(Line(p, q)) == "Line(p1=Point(x=1.0, y=2.0), p2=Point(x=3.0, y=4.0))"
+    assert Circle(p, q).radius == dist(p, q)

@@ -12,9 +12,12 @@ from basm.literals import load_state
 from basm.semantics import Outcome, StepRecord, Trace
 from basm.state import (
     BOOLEAN,
+    CIRCLE,
     INTEGER,
+    LINE,
     MAX_INT_DIGITS,
     STATIC_IMPL,
+    POINT,
     UNDEF,
     Location,
     State,
@@ -22,6 +25,7 @@ from basm.state import (
     Vocabulary,
     apply_updates,
     changes_nothing,
+    render_value,
     renaming,
     transport,
     value_conforms,
@@ -280,3 +284,50 @@ def test_values_are_written_by_state_and_read_by_literals():
             assert node in top_level, f"import inside a function at line {node.lineno}"
             assert "literals" not in ast.dump(node)
     assert literals.render_value is state.render_value
+
+
+# --- geometry values are tuples ----------------------------------------------
+
+P, Q = Point(0.0, 0.0), Point(5.0, 0.0)
+
+
+def test_a_circle_never_equals_a_line_through_the_same_points():
+    assert Circle(P, Q) == Line(P, Q)  # as plain tuples they do
+    assert not values_equal(Circle(P, Q), Line(P, Q))
+    assert not values_equal(Line(P, Q), Circle(P, Q))
+    assert not values_equal(P, (0.0, 0.0))
+    assert not value_conforms(Circle(P, Q), LINE)
+    assert not value_conforms(Line(P, Q), CIRCLE)
+    assert not value_conforms((0.0, 0.0), POINT)
+
+
+def test_render_value_writes_each_record_under_its_own_head():
+    assert render_value(P) == "point(0.0,0.0)"
+    assert render_value(Circle(P, Q)) == "circle(point(0.0,0.0),point(5.0,0.0))"
+    assert render_value(Line(P, Q)) == "line(point(0.0,0.0),point(5.0,0.0))"
+    with pytest.raises(BasmError) as e:
+        render_value((0.0, 0.0))
+    assert e.value.kind == "sort"
+
+
+def test_a_negative_zero_coordinate_renders_as_zero():
+    assert render_value(Point(-0.0, 0.0)) == "point(0.0,0.0)"
+    assert render_value(Point(0.0, -0.0)) == "point(0.0,0.0)"
+    assert render_value(Circle(Point(-0.0, -0.0), Q)) == "circle(point(0.0,0.0),point(5.0,0.0))"
+
+
+def test_transport_leaves_geometry_values_whole():
+    v = Vocabulary()
+    node = v.declare_enum("Node", ["u", "w"])
+    v.declare("cur", (), node, "dynamic")
+    v.declare("mark", (POINT,), node, "dynamic")
+    for name, sort in (("here", POINT), ("C", CIRCLE), ("T", LINE)):
+        v.declare(name, (), sort, "dynamic")
+    values = {("here", ()): P, ("C", ()): Circle(P, Q), ("T", ()): Line(P, Q)}
+    s = State(v, {("cur", ()): "u", ("mark", (Q,)): "u", **values})
+    moved = transport(s, {"Node": {"u": "w", "w": "u"}})
+    assert moved.store == {("cur", ()): "w", ("mark", (Q,)): "w", **values}
+    for key, value in values.items():
+        assert type(moved.read(key)) is type(value)
+    (key,) = [k for k in moved.store if k[0] == "mark"]
+    assert type(key[1][0]) is Point

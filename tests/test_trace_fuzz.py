@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from basm.corpus import load_entry_program
 from basm.errors import BasmError, ParseError
-from basm.literals import parse_location
+from basm.literals import parse_location, parse_value
 from basm.oracles import REFUSALS, Refused
+from basm.state import CIRCLE, POINT
 from basm.traceio import load_script, read_trace, render_trace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -259,3 +260,131 @@ def test_an_outcome_row_with_a_malformed_error_field_is_a_bad_line(head):
         ("parse", "bad trace line: expected an error kind string exactly when the outcome is "
                   f"error (line {len(lines)}, column 1)")
 
+
+
+def test_an_outcome_row_with_an_unknown_error_kind_is_a_bad_line():
+    program, lines = _golden(TANGENT)
+    final = json.loads(lines[-1])["finalState"]
+    lines[-1] = json.dumps({"outcome": "error", "error": "clash", "finalState": final})
+    assert read_trace(lines, program).outcome.error == "clash"
+    lines[-1] = json.dumps({"outcome": "error", "error": "no-such-kind", "finalState": final})
+    with pytest.raises(ParseError) as e:
+        read_trace(lines, program)
+    assert (e.value.kind, e.value.message) == \
+        ("parse", f"bad trace line: unknown error kind 'no-such-kind' (line {len(lines)}, column 1)")
+
+
+# --- each text once per file, and no error hidden by it ----------------------
+#
+# A trace keeps what it has read of each location text, geometry literal
+# text, oracle name and oracle argument list; only what read is kept. The
+# tangent golden names the circle D on rows 3 to 6 and asks the oracle I on
+# rows 4 and 5 (lines counted from 1).
+
+def _damage(row: dict, field: str, bad: str):
+    if field == "value":
+        next(u for u in row["updates"] if u["loc"] == "D")["value"] = bad
+    elif field == "arg":
+        row["interactions"][0]["args"][1] = bad
+    else:
+        row["interactions"][0]["answer"] = bad
+
+
+def _damaged(field: str, bad: str, rows: tuple):
+    program, lines = _golden(TANGENT)
+    for i in rows:
+        row = json.loads(lines[i])
+        _damage(row, field, bad)
+        lines[i] = json.dumps(row)
+    return program, lines
+
+
+# (field, sort, bad text): a text out of the float range, and a text that
+# the same file reads elsewhere under another sort (p is point(0.0,0.0), C
+# is the circle below).
+GEOMETRY_FAULTS = [
+    ("value", CIRCLE, "circle(point(5.0,0.0),point(1e999,0.0))"),
+    ("value", CIRCLE, "point(0.0,0.0)"),
+    ("arg", CIRCLE, "circle(point(5.0,0.0),point(nan,0.0))"),
+    ("arg", CIRCLE, "point(0.0,0.0)"),
+    ("answer", POINT, "point(2.5,1e999)"),
+    ("answer", POINT, "circle(point(0.0,0.0),point(5.0,0.0))"),
+]
+
+
+@pytest.mark.parametrize("field, sort, bad", GEOMETRY_FAULTS)
+def test_a_bad_geometry_text_on_two_rows_fails_at_the_first(field, sort, bad):
+    with pytest.raises(ParseError) as alone:
+        parse_value(bad, sort)
+    for rows, line in (((3, 4), 4), ((4,), 5)):
+        program, lines = _damaged(field, bad, rows)
+        readers = [read_trace] if field == "value" else [
+            read_trace, lambda lines, program: load_script(lines, program.vocabulary)]
+        for read in readers:
+            with pytest.raises(ParseError) as e:
+                read(lines, program)
+            assert (e.value.line, e.value.kind) == (line, alone.value.kind)
+
+
+@pytest.mark.parametrize("args", [
+    ["circle(point(0.0,0.0),point(5.0,0.0))"],
+    ["circle(point(0.0,0.0),point(5.0,0.0))", "circle(point(5.0,0.0),point(10.0,0.0))",
+     "circle(point(5.0,0.0),point(10.0,0.0))"],
+], ids=["one", "three"])
+def test_a_known_oracle_with_a_wrong_arg_count_on_a_later_row_is_a_sort_error(args):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[4])
+    row["interactions"][0]["args"] = args
+    lines[4] = json.dumps(row)
+    for read in (lambda: read_trace(lines, program),
+                 lambda: load_script(lines, program.vocabulary)):
+        with pytest.raises(ParseError) as e:
+            read()
+        assert (e.value.kind, e.value.message) == \
+            ("sort", "arity mismatch in trace interaction for I (line 5, column 1)")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("p", "not an oracle symbol: p"),
+    ("M", "not an oracle symbol: M"),
+    ("zz", "unknown oracle in trace: zz"),
+])
+@pytest.mark.parametrize("row_index", [3, 4])
+def test_a_name_that_is_no_oracle_fails_on_every_row_that_uses_it(row_index, name, message):
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[row_index])
+    row["interactions"][0]["oracle"] = name
+    lines[row_index] = json.dumps(row)
+    for read in (lambda: read_trace(lines, program),
+                 lambda: load_script(lines, program.vocabulary),
+                 lambda: load_script(lines, program.vocabulary, mode="by-symbol")):
+        with pytest.raises(ParseError) as e:
+            read()
+        assert (e.value.kind, e.value.message) == \
+            ("sort", f"{message} (line {row_index + 1}, column 1)")
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_a_whitespace_padded_row_still_reads(path):
+    program, lines = _golden(path)
+    padded = [f" \t{line}\r\n " for line in lines]
+    assert render_trace(read_trace(padded, program)) == path.read_text()
+    assert load_script(padded, program.vocabulary).entries == \
+        load_script(lines, program.vocabulary).entries
+
+
+@pytest.mark.parametrize("damage", [lambda line: f"{line} {line}", lambda line: f'{line}{{"a": 1}}',
+                                    lambda line: "\ufeff" + line],
+                         ids=["two-rows", "extra-object", "bom"])
+@pytest.mark.parametrize("row_index", [0, 3, 5])
+def test_a_row_that_is_not_one_json_value_fails_as_json_says_at_its_line(row_index, damage):
+    program, lines = _golden(TANGENT)
+    lines[row_index] = damage(lines[row_index])
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(lines[row_index])
+    for what, read in (("trace", lambda: read_trace(lines, program)),
+                       ("script", lambda: load_script(lines, program.vocabulary))):
+        with pytest.raises(ParseError) as e:
+            read()
+        assert (e.value.kind, e.value.message) == \
+            ("parse", f"bad {what} line: {decoded.value} (line {row_index + 1}, column 1)")
