@@ -15,8 +15,9 @@ Bounded exploration and isomorphism invariance observe one step with
 `semantics.observe_step`, as the run loop does: its step record (update set
 and interactions, or no updates and the interactions made before a failure,
 a refused query included) and its error outcome, if any. The isomorphism
-check renames the original record with `state.renaming`, the map `transport`
-applies to the state.
+check renames the state, the scripted answers and the original record with
+one `state.renaming`, the member table `transport` applies to a state: each
+location and value moves by a lookup in it.
 
 `behaviorally_equivalent` is the strictest trace equivalence: traces must
 agree stepwise on update sets and on interaction sequences, and end the same
@@ -24,7 +25,8 @@ way. Two runs that change state identically but talk to their oracles
 differently are distinct behaviors on purpose. `semantics.divergence` decides
 it, replay and both step checks (update values exactly, by `==`, not within
 the kernel EPS; error outcomes by kind); a failing check reports its text,
-the first differing step and field.
+the first differing step and field, and `equivalence_divergence` gives it
+for two traces.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .state import (
     BOOLEAN,
     DYNAMIC,
     INTEGER,
+    Renaming,
     Sort,
     State,
     Symbol,
@@ -83,15 +86,15 @@ class CheckReport:
         )
 
 
-def _rename(record: StepRecord, move: Callable) -> StepRecord:
-    """A step record with every location and value in it renamed by `move`."""
-    updates = UpdateSet()
-    for key, v in record.updates.items():
-        updates.add(move(key), move(v))
-    interactions = tuple(
-        Interaction(i.oracle, tuple(map(move, i.args)), move(i.answer))
-        for i in record.interactions
-    )
+def _rename(record: StepRecord, move: Renaming) -> StepRecord:
+    """A step record with every location and value in it renamed by lookups
+    in `move`'s member table. A bijection moves no two keys onto one, so the
+    renamed update set is built whole, with no clash test."""
+    get = move.get
+    updates = UpdateSet(move.bindings(record.updates))
+    interactions = tuple(Interaction(i.oracle, tuple(map(get, i.args, i.args)),
+                                     get(i.answer, i.answer))
+                         for i in record.interactions)
     return StepRecord(record.index, updates, interactions)
 
 
@@ -190,7 +193,7 @@ def check_iso_invariance(program: Program, state: State, bijection: dict,
     answers = list(scripted_answers)
     original, failed = _observe(program, state, ScriptedPolicy.from_answers(answers))
     got, got_failed = _observe(program, _moved(state, move),
-                               ScriptedPolicy.from_answers([move(a) for a in answers]))
+                               ScriptedPolicy.from_answers(map(move.get, answers, answers)))
     differs = divergence([_rename(original, move)], failed, [got], got_failed)
     failures = [] if differs is None else [f"under {bijection!r}: {differs}"]
     return CheckReport("iso", 1, failures)
@@ -214,8 +217,14 @@ def enum_bijections(vocab: Vocabulary) -> Iterator[dict]:
     return from_sort(0)
 
 
-def behaviorally_equivalent(a: Trace, b: Trace) -> bool:
-    """Stepwise equality of update sets and interaction sequences, same outcome."""
+def equivalence_divergence(a: Trace, b: Trace) -> Optional[str]:
+    """None when two traces are strictly equivalent, otherwise the first
+    difference, as `semantics.divergence` names it."""
     if a.initial_state.vocabulary != b.initial_state.vocabulary:
         raise BasmError("vocab", "traces are over different vocabularies")
-    return divergence(a.steps, a.outcome, b.steps, b.outcome) is None
+    return divergence(a.steps, a.outcome, b.steps, b.outcome)
+
+
+def behaviorally_equivalent(a: Trace, b: Trace) -> bool:
+    """Stepwise equality of update sets and interaction sequences, same outcome."""
+    return equivalence_divergence(a, b) is None

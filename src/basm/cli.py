@@ -21,14 +21,14 @@ from .checks import (
     check_bounded_exploration,
     check_iso_invariance,
     enum_bijections,
-    behaviorally_equivalent,
+    equivalence_divergence,
     junk_state_sampler,
 )
 from .corpus import ENTRIES, corpus_run, entry_dir
 from .errors import BasmError, ParseError, read_text
 from .literals import load_state, state_bindings
 from .oracles import UniformRandomPolicy, choose_policy
-from .semantics import Trace, replay, run
+from .semantics import Trace, replay_divergence, run
 from .syntax import Program, parse_program
 from .traceio import load_script, read_trace, write_trace
 
@@ -128,10 +128,11 @@ def _cmd_replay(args) -> int:
     program = _load_program(args.program, args.oracle_static)
     lines = read_text(args.trace).splitlines()
     trace = read_trace(lines, program)
-    if replay(trace, program):
+    differs = replay_divergence(trace, program)
+    if differs is None:
         print("replay: ok")
         return 0
-    print("replay: mismatch", file=sys.stderr)
+    print(f"replay: mismatch: {differs}", file=sys.stderr)
     return 1
 
 
@@ -167,8 +168,9 @@ def _check_replay(args) -> int:
     base = args.seed or 0
     for trial in range(args.trials):
         trace = run(program, init, UniformRandomPolicy(base + trial), max_steps=args.max_steps)
-        if not replay(trace, program):
-            failures.append(f"trial {trial}: replay diverged")
+        differs = replay_divergence(trace, program)
+        if differs is not None:
+            failures.append(f"trial {trial}: replay diverged: {differs}")
     return _print_report(CheckReport("replay", args.trials, failures))
 
 
@@ -179,8 +181,9 @@ def _check_equiv(args) -> int:
     trace_b = run(other, _load_init(args.init, other),
                   _build_policy(args, other), max_steps=args.max_steps)
     failures = []
-    if not behaviorally_equivalent(trace_a, trace_b):
-        failures.append(f"{args.program} and {args.other} are not step equivalent")
+    differs = equivalence_divergence(trace_a, trace_b)
+    if differs is not None:
+        failures.append(f"{args.program} and {args.other} are not step equivalent: {differs}")
     return _print_report(CheckReport("equiv", 1, failures))
 
 

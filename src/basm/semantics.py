@@ -10,12 +10,18 @@ Each rule and term is compiled once, on its first step or evaluation, into
 one generated Python function that is kept on the syntax node. Its source is
 straight-line code: each query, n-ary read and static operator application is
 one statement into a local temporary, `if` is an `if ... is True:` block, and
-`par` is its members in order. A variable is read by one statement at its
-first use in a block, and later uses in that block or in blocks nested in it
-share the temporary; a read inside one branch of an `if` is made again by the
-other branch and after the `if`. Every read sees the pre-step state and
-cannot fail, so sharing it changes no value, and a step still reads only the
-locations its evaluated subterms name. A static operator evaluates all its
+`par` is its members in order. Each subterm is evaluated once per block: a
+variable, or a symbol applied to operands already evaluated to the same
+temporaries or constants, is evaluated by one statement at its first use in
+a block, and later uses in that block or in blocks nested in it share the
+temporary; a subterm evaluated inside one branch of an `if` is evaluated
+again by the other branch and after the `if`. Equal literals share one
+constant, one per value and type. Every read sees the pre-step state, a
+static operator is a function of its operands, and a repeated query is
+answered from the step's cache without a second interaction, so sharing
+changes no value and no interaction; a first evaluation that fails ends the
+step before any repeat. A step still reads only the locations its evaluated
+subterms name. A static operator evaluates all its
 arguments before it applies itself. `+`, `-`, `*`, `mod`, the comparisons,
 the three-valued connectives, and `=` and `!=` on values that `==` compares
 as the program does, are Python expressions over the temporaries, with the
@@ -69,6 +75,7 @@ from .state import (
     changes_nothing,
     clash,
     commit,
+    rendered_bindings,
 )
 from .syntax import (
     DO_UNTIL,
@@ -140,9 +147,11 @@ class _Source:
 
     Each program-derived object is a namespace constant `c<i>`, and each
     evaluated subterm a local temporary `t<i>`; `pad` indents the next line.
-    `reads` maps each variable already read in the enclosing blocks to the
-    temporary that holds its value; `block` works on a copy and restores it,
-    so no read made inside a block is used outside it."""
+    `reads` maps each subterm already evaluated in the enclosing blocks to
+    the name that holds its value: a variable by its name, an application by
+    its symbol's name and its operands' names, a literal by its type and
+    value. `block` works on a copy and restores it, so nothing evaluated
+    inside a block is used outside it."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -183,17 +192,35 @@ def _tuple(names: list[str]) -> str:
 def _emit_term(out: _Source, term: Term) -> str:
     """Emit the statements that evaluate the term, left to right and
     innermost first; returns the name of its value. A literal needs no
-    statement: `undef` is `U` and any other value a constant. A variable is
-    read once, at its first use: a later use sees the same pre-step value."""
+    statement: `undef` is `U` and any other value a constant, one per value
+    and type, so `1` and `true` stay apart. A subterm already evaluated in
+    this block or an enclosing one, a variable or an application of one
+    symbol to the same operands, is not evaluated again: its first value is
+    used."""
     if isinstance(term, Lit):
-        return "U" if term.value is UNDEF else out.const(term.value)
+        value = term.value
+        if value is UNDEF:
+            return "U"
+        key = (type(value), value)
+        if key not in out.reads:
+            out.reads[key] = out.const(value)
+        return out.reads[key]
     if isinstance(term, Var):
         name = term.symbol.name
         if name not in out.reads:
             out.reads[name] = out.temp(f"get({out.const((name, ()))}, U)")
         return out.reads[name]
-    sym = term.symbol
     args = [_emit_term(out, a) for a in term.args]
+    key = (term.symbol.name, *args)
+    if key not in out.reads:
+        out.reads[key] = _emit_application(out, term, args)
+    return out.reads[key]
+
+
+def _emit_application(out: _Source, term: Term, args: list[str]) -> str:
+    """Emit the statement that applies the term's symbol to its evaluated
+    operands `args`: a static operator, an n-ary read or an oracle query."""
+    sym = term.symbol
     if sym.kind == STATIC:
         fn, strict = STATIC_IMPL[sym.name]
         inline = _inline(sym.name, term.args)
@@ -388,14 +415,30 @@ def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
             f"{b_outcome!r} after {len(b_steps)} steps")
 
 
-def replay(trace: Trace, program: Program) -> bool:
-    """Re-run a trace feeding back its recorded answers and refusals; true iff
-    it reproduces."""
+def replay_divergence(trace: Trace, program: Program) -> Optional[str]:
+    """Re-run a trace feeding back its recorded answers and refusals. None
+    when it reproduces; otherwise `divergence`'s text, or, where only the
+    final states differ, `final-state: {...} vs {...}` with the bindings that
+    differ, the trace's first (an absent binding reads `undef`)."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
     policy = ScriptedPolicy(i for record in trace.steps for i in record.interactions)
     # The halting term is tested before the budget, so a rerun that agrees
     # with the trace halts, fails or stops within the trace's own length.
     rerun = run(program, trace.initial_state, policy, max_steps=len(trace.steps))
-    return (divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome) is None
-            and rerun.final_state == trace.final_state)
+    differs = divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome)
+    if differs is None and rerun.final_state != trace.final_state:
+        a, b = trace.final_state.store, rerun.final_state.store
+        keys = [k for k in a.keys() | b.keys() if a.get(k, UNDEF) != b.get(k, UNDEF)]
+        differs = f"final-state: {_bindings_text(a, keys)} vs {_bindings_text(b, keys)}"
+    return differs
+
+
+def _bindings_text(store: dict, keys: list) -> str:
+    bindings = rendered_bindings({key: store.get(key, UNDEF) for key in keys})
+    return "{" + ", ".join(f"{loc}={v}" for loc, v in bindings) + "}"
+
+
+def replay(trace: Trace, program: Program) -> bool:
+    """Whether a trace reproduces when re-run (see `replay_divergence`)."""
+    return replay_divergence(trace, program) is None

@@ -470,16 +470,40 @@ def changes_nothing(state: State, updates: UpdateSet) -> bool:
     return all(values_equal(get(key, UNDEF), value) for key, value in updates.items())
 
 
-def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]]) -> Callable:
-    """The value map of an enum-member renaming, checked against the vocabulary.
-    It moves a location pair too, by moving its arguments.
+class Renaming(dict):
+    """An enum-member renaming as its member table: a dict from each moved
+    member to its image. Only members are keys, so `get(v, v)` moves any
+    value in C: integers, booleans, geometry values, `undef` and refused
+    answers pass through. Called, it moves a value or a location pair, whose
+    arguments it moves."""
+
+    __slots__ = ()
+
+    def __call__(self, value):
+        kind = type(value)
+        if kind is tuple or kind is Location:  # a location pair; a geometry value is a tuple too
+            get, args = self.get, value[1]
+            return value[0], tuple(map(get, args, args))
+        return self.get(value, value)
+
+    def bindings(self, bindings: Mapping) -> dict:
+        """A store or an update set with every location and value moved, as
+        a dict in the same order; a bijection moves no two keys onto one."""
+        get = self.get
+        return {(name, tuple(map(get, args, args))): get(v, v)
+                for (name, args), v in bindings.items()}
+
+
+def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]]) -> Renaming:
+    """The member table of an enum-member renaming, checked against the
+    vocabulary (see `Renaming`).
 
     `bijection` maps enum sort names to total member-to-member bijections.
     Sorts not mentioned are left alone; builtin sorts cannot be moved. A
     vocabulary gives each member name one sort, so the bijections merge into
     one member table.
     """
-    table: dict[str, str] = {}
+    table = Renaming()
     for sort_name, perm in bijection.items():
         sort = vocabulary.sorts.get(sort_name)
         if sort is None:
@@ -487,19 +511,10 @@ def renaming(vocabulary: Vocabulary, bijection: Mapping[str, Mapping[str, str]])
         if not sort.is_enum:
             raise BasmError("unsupported-iso", f"bijection touches builtin sort {sort_name}")
         members = set(sort.members)
-        if set(perm.keys()) != members or set(perm.values()) != members:
+        if perm.keys() != members or set(perm.values()) != members:
             raise BasmError("iso", f"map on {sort_name} is not a bijection of its universe")
         table.update(perm)
-
-    def move(value):
-        if isinstance(value, str):  # an enum member
-            return table.get(value, value)
-        kind = type(value)
-        if kind is tuple or kind is Location:  # a location pair; a geometry value is a tuple too
-            return value[0], tuple(map(move, value[1]))
-        return value
-
-    return move
+    return table
 
 
 def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State:
@@ -507,6 +522,6 @@ def transport(state: State, bijection: Mapping[str, Mapping[str, str]]) -> State
     return _moved(state, renaming(state.vocabulary, bijection))
 
 
-def _moved(state: State, move: Callable) -> State:
+def _moved(state: State, move: Renaming) -> State:
     """The state with `move`, a `renaming`, applied to every key and value."""
-    return State(state.vocabulary, {move(key): move(v) for key, v in state.store.items()})
+    return State(state.vocabulary, move.bindings(state.store))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from basm import cli as cli_module, semantics
 from basm.cli import main
 from basm.syntax import MAX_NESTING
 
@@ -774,3 +775,83 @@ def test_replay_refuses_an_outcome_with_an_unknown_error_kind(tmp_path, capsys):
     assert main(["replay", "--program", str(REPO / EUCLID), "--trace", str(trace)]) == 2
     assert capsys.readouterr().err == \
         f"error[parse]: bad trace line: unknown error kind 'no-such-kind' (line {len(lines)}, column 1)\n"
+
+
+def _pick_fields(rows):
+    """The one-pick trace's answer, as text, and a different value."""
+    answer = rows[1]["interactions"][0]["answer"]
+    return answer, str(int(answer) % 5 + 1)
+
+
+def _rewrite_update(rows):
+    rows[1]["updates"][0]["value"] = _pick_fields(rows)[1]
+
+
+def _clear_halted(rows):
+    rows[1]["halted"] = False
+
+
+def _limit_outcome(rows):
+    rows[-1]["outcome"] = "step-limit"
+
+
+def _rewrite_final_state(rows):
+    rows[-1]["finalState"]["x"] = _pick_fields(rows)[1]
+
+
+# Each rewrites a recorded one-pick trace so that its replay first parts from
+# the rerun at one field, and gives the divergence text, from the trace's
+# answer `a` and the other value `b`.
+REPLAY_DIVERGENCES = {
+    "updates": (_rewrite_update, "step 0 updates: {{x:={b}}} vs {{x:={a}}}"),
+    "halted_after": (_clear_halted, "step 0 halted_after: False vs True"),
+    "outcome": (_limit_outcome, "outcome: Outcome(kind='step-limit', error=None, detail=None) "
+                                "after 1 steps vs Outcome(kind='halted', error=None, "
+                                "detail=None) after 1 steps"),
+    "final-state": (_rewrite_final_state, "final-state: {{x={b}}} vs {{x={a}}}"),
+}
+
+
+@pytest.mark.parametrize("field", REPLAY_DIVERGENCES)
+def test_replay_names_the_field_it_parts_at(tmp_path, capsys, field):
+    damage, text = REPLAY_DIVERGENCES[field]
+    program, trace = _damaged_one_pick_trace(tmp_path, capsys, damage)
+    a, b = _pick_fields([json.loads(line) for line in Path(trace).read_text().splitlines()])
+    assert main(["replay", "--program", program, "--trace", trace]) == 1
+    assert capsys.readouterr() == ("", f"replay: mismatch: {text.format(a=a, b=b)}\n")
+
+
+def test_replay_names_the_interactions_of_a_refused_query(tmp_path, capsys):
+    """The rerun asks `R(5, 1)` where the trace recorded `R(5, 2)`: the script
+    refuses it, and both failing steps keep no updates."""
+    program, init = _refusing(tmp_path)
+    trace = tmp_path / "e.jsonl"
+    assert main(["run", "--program", program, "--init", init, "--trace", str(trace)]) == 1
+    trace.write_text(trace.read_text().replace('"args": ["5", "1"]', '"args": ["5", "2"]'))
+    capsys.readouterr()
+    assert main(["replay", "--program", program, "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "replay: mismatch: step 0 interactions: (Interaction(oracle='R', args=(5, 2), "
+        "answer=Refused(kind='oracle-domain')),) vs (Interaction(oracle='R', args=(5, 1), "
+        "answer=Refused(kind='script')),)\n")
+
+
+def test_check_replay_reports_the_divergence(capsys, monkeypatch):
+    """A run whose trace claims a final binding the steps never wrote."""
+    def run_claiming_more(program, init, policy, max_steps=None):
+        trace = semantics.run(program, init, policy, max_steps)
+        trace.final_state.store[("d", ())] = 5
+        return trace
+
+    monkeypatch.setattr(cli_module, "run", run_claiming_more)
+    assert main(["check", "replay", *EUCLID_RUN, "--trials", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == \
+        ["trial 0: replay diverged: final-state: {d=5} vs {d=4}"]
+
+
+def test_check_equiv_reports_the_divergence(capsys):
+    assert main(["check", "equiv", *EUCLID_RUN,
+                 "--other", str(REPO / "corpus" / "euclid_while" / "program.basm")]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        f"{REPO / EUCLID} and {REPO / 'corpus/euclid_while/program.basm'} are not step "
+        "equivalent: step 1 halted_after: False vs True"]

@@ -13,10 +13,15 @@ The programs cover `undef` literals and `undef` writes, strict statics and
 `=`/`!=` on points, `and`/`or`/`not` with `undef` operands, n-ary reads and
 writes whose arguments read state, oracle queries, clashes, `mod` by zero, a
 sum or product past 640 digits, and nested `if`/`par`. The listed cases below
-also pin the reads the kernel shares: a variable read twice in one term, a
-guard's read used in both branches, and a read inside one branch that the
-other branch and the code after the `if` must make again.
+also pin the subterms the kernel shares: a variable read twice in one term, a
+guard's read used in both branches, a repeated static application, n-ary read
+or query, equal literals, a repeat inside one branch that the other branch and
+the code after the `if` must make again, and a repeat whose first evaluation
+fails. `test_a_repeated_subterm_is_evaluated_once_per_block` counts the
+evaluations themselves, which the two kernels' outputs cannot show.
 """
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +341,21 @@ CASES = {
                                     "x := 2", "x := -2", "y := 1"),
     "one variable twice in a term": ("par { y := x + x; p := x * x > y }",
                                      "x := 3\ny := 1", "y := 4", f"x := {BIG}"),
+    # The kernel evaluates a repeated application once per block, as it
+    # reads a variable, and keeps one constant per literal value and type.
+    "repeated static application": ("par { P := M(P, Q); if P = M(P, Q) then Q := M(P, Q) }",
+                                    "P := point(1.0,2.0)\nQ := point(3.0,-1.0)",
+                                    "Q := point(0.0,0.0)"),
+    "repeated n-ary read": ("par { x := f(y) + f(y); if f(y) > 0 then y := f(y) }",
+                            "y := 2\nf(2) := 3", "y := 2", "f(0) := -1"),
+    "repeated query": ("par { x := R(1, y - 1) * R(1, y - 1); y := R(1, y - 1) }", "y := 6"),
+    "literals of one value": ("par { p := 1 = 1 and true; x := x + 1 - 1 }", "x := 1"),
+    "repeat inside one branch": ("par { if p then x := f(y) + (y + 1) else skip; "
+                                 "y := f(y) * (y + 1) }",
+                                 "p := true\ny := 1\nf(1) := 4", "p := false\ny := 1\nf(1) := 4"),
+    "repeat after a failing first evaluation": (
+        "par { x := R(1, 2) + y mod (x - x); y := y mod (x - x) + R(1, 2) }", "x := 1\ny := 2"),
+    "repeat after an overflow": ("par { y := x * 10; x := x * 10 }", f"x := {BIG}"),
 }
 
 
@@ -349,3 +369,51 @@ def test_each_listed_case_steps_as_the_closure_compiler(case):
                             lambda: UniformRandomPolicy(5)):
             expected = _observed(prog, init, make_policy, reference_step, reference_eval)
             assert _observed(prog, init, make_policy, step, generated_eval) == expected
+
+
+class CountingStore(dict):
+    """A store that counts its reads by symbol name."""
+
+    def __init__(self, bindings):
+        super().__init__(bindings)
+        self.reads = Counter()
+
+    def get(self, key, default=None):
+        self.reads[key[0]] += 1
+        return super().get(key, default)
+
+
+# A body, its state, and how often one step applies `M`, reads `f` and asks.
+ONCE = {
+    "in one block": ("par { P := M(P, Q); Q := M(P, Q); x := f(y) + f(y); "
+                     "y := R(x, 1) + R(x, 1) }", "x := 1\ny := 2", (1, 1, 1)),
+    "in an enclosing block": ("par { P := M(P, Q); x := f(y) + R(x, 1); if p then par { "
+                              "y := f(y) - R(x, 1); Q := M(P, Q) } else skip }",
+                              "p := true\nx := 1\ny := 2", (1, 1, 1)),
+    # A repeat made first inside a branch is made again after the `if`.
+    "first inside a branch": ("par { if p then par { P := M(P, Q); x := f(y) + R(1, 2) } "
+                              "else skip; Q := M(P, Q); y := f(y) + R(1, 2) }",
+                              "p := true\ny := 2", (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", ONCE)
+def test_a_repeated_subterm_is_evaluated_once_per_block(monkeypatch, case):
+    """One `M` call, one read of `f` and one `ask` per block for each repeated
+    application; a repeated query makes one interaction either way."""
+    body, state_text, (applied, read, asked) = ONCE[case]
+    calls = Counter()
+    midpoint, strict = STATIC_IMPL["M"]
+    monkeypatch.setitem(STATIC_IMPL, "M", (lambda a, b: calls.update("M") or midpoint(a, b),
+                                           strict))
+    ask = OracleSession.ask
+    monkeypatch.setattr(OracleSession, "ask", lambda self, q: calls.update("a") or ask(self, q))
+    prog = parse_program(VOCAB_TEXT + "do until false { " + body + " }\n")
+    init = load_state("P := point(1.0,2.0)\nQ := point(3.0,-1.0)\n" + state_text,
+                      prog.vocabulary)
+    store = CountingStore(init.store)
+    session = OracleSession(ScriptedPolicy.from_answers([2, 1, 3]), prog.vocabulary)
+    session.begin_step()
+    _, interactions = step(State(prog.vocabulary, store), prog.step_rule, session)
+    assert (calls["M"], store.reads["f"], calls["a"]) == (applied, read, asked)
+    assert len(interactions) == len({(i.oracle, i.args) for i in interactions})

@@ -4,11 +4,14 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from basm import literals, state
+from basm import checks, literals, state
 from basm.errors import BasmError, ParseError
 from basm.geometry import Circle, Line, Point
 from basm.literals import load_state
+from basm.oracles import Interaction, Refused
 from basm.semantics import Outcome, StepRecord, Trace
 from basm.state import (
     BOOLEAN,
@@ -331,3 +334,99 @@ def test_transport_leaves_geometry_values_whole():
         assert type(moved.read(key)) is type(value)
     (key,) = [k for k in moved.store if k[0] == "mark"]
     assert type(key[1][0]) is Point
+
+
+# --- the member table against the recursive move it replaced -----------------
+
+
+def reference_renaming(table: dict):
+    """The recursive `move` that `renaming` returned before it became its
+    member table: an enum member by the table, a location pair by moving its
+    arguments, any other value as it is."""
+    def move(value):
+        if isinstance(value, str):  # an enum member
+            return table.get(value, value)
+        kind = type(value)
+        if kind is tuple or kind is Location:  # a location pair; a geometry value is a tuple too
+            return value[0], tuple(map(move, value[1]))
+        return value
+    return move
+
+
+POINTS = [Point(0.0, 0.0), Point(1.5, -2.0), Point(-0.5, 3.0)]
+
+
+def _values(sort):
+    if sort is INTEGER:
+        return st.integers(-3, 3)
+    if sort is BOOLEAN:
+        return st.booleans()
+    if sort is POINT:
+        return st.sampled_from(POINTS)
+    if sort in (CIRCLE, LINE):
+        kind = Circle if sort is CIRCLE else Line
+        return st.tuples(st.sampled_from(POINTS), st.sampled_from(POINTS)).map(
+            lambda pq: kind(*pq))
+    return st.sampled_from(sort.members)
+
+
+@st.composite
+def renamed_inputs(draw):
+    """A vocabulary of one or two enum sorts and n-ary variables over mixed
+    sorts; a state, an update set with an `undef` write, interactions with a
+    `Refused` answer, and a bijection of some of the enum sorts."""
+    vocab = Vocabulary()
+    enums = [vocab.declare_enum(name, [f"{name.lower()}{i}"
+                                       for i in range(draw(st.integers(1, 4)))])
+             for name in ("A", "B")[:draw(st.integers(1, 2))]]
+    arg_sorts = [*enums, INTEGER, BOOLEAN, POINT]
+    result_sorts = [*enums, INTEGER, BOOLEAN, POINT, CIRCLE, LINE]
+    symbols = [vocab.declare(f"v{i}", draw(st.lists(st.sampled_from(arg_sorts), max_size=3)),
+                             draw(st.sampled_from(result_sorts)), "dynamic")
+               for i in range(draw(st.integers(1, 4)))]
+    oracle = vocab.declare("O", (enums[0], INTEGER), enums[-1], "oracle")
+
+    def binding(value=None):
+        sym = draw(st.sampled_from(symbols))
+        key = (sym.name, tuple(draw(_values(s)) for s in sym.arg_sorts))
+        return key, draw(_values(sym.result_sort)) if value is None else value
+
+    store = dict(binding() for _ in range(draw(st.integers(0, 6))))
+    updates = UpdateSet(binding() for _ in range(draw(st.integers(0, 4))))
+    updates.update([binding(UNDEF)])
+    queries = draw(st.lists(st.tuples(_values(enums[0]), _values(INTEGER)), min_size=1,
+                            max_size=3))
+    answers = [*(draw(_values(enums[-1])) for _ in queries[1:]), Refused("script")]
+    interactions = tuple(Interaction(oracle.name, args, answer)
+                         for args, answer in zip(queries, answers))
+    moved = draw(st.lists(st.sampled_from(enums), unique=True))
+    bijection = {s.name: dict(zip(s.members, draw(st.permutations(s.members)))) for s in moved}
+    return State(vocab, store), StepRecord(3, updates, interactions), bijection
+
+
+def _typed(pairs):
+    """Keys and values with the exact type of each value and argument."""
+    return [(key[0], [(type(a), a) for a in key[1]], type(v), v) for key, v in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(renamed_inputs())
+def test_the_member_table_moves_as_the_recursive_move(inputs):
+    state_in, record, bijection = inputs
+    move = renaming(state_in.vocabulary, bijection)
+    reference = reference_renaming({m: i for perm in bijection.values() for m, i in perm.items()})
+    moved = state._moved(state_in, move)
+    want = [(reference(k), reference(v)) for k, v in state_in.store.items()]
+    assert _typed(moved.store.items()) == _typed(want)
+    assert transport(state_in, bijection) == moved
+    renamed = checks._rename(record, move)
+    assert type(renamed.updates) is UpdateSet
+    assert _typed(renamed.updates.items()) == \
+        _typed((reference(k), reference(v)) for k, v in record.updates.items())
+    assert renamed == StepRecord(record.index, renamed.updates, tuple(
+        Interaction(i.oracle, tuple(map(reference, i.args)), reference(i.answer))
+        for i in record.interactions))
+    for i in record.interactions:
+        assert [move(a) for a in (i.answer, *i.args)] == \
+            [reference(a) for a in (i.answer, *i.args)]
+        assert move.get(i.answer, i.answer) == reference(i.answer)
