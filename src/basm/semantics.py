@@ -42,6 +42,11 @@ arguments. So a read, an update and a commit hash and compare plain tuples,
 in C. A run owns one working store, a copy of the initial bindings, and
 commits each step's updates into it in place.
 
+The run loop binds the seams `step` and `commit` once per run, so a name
+patched before the run is called once per step, and counts its steps
+itself. It observes each step with `observe_step`, as bexp and iso do, into
+one slotted record.
+
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
 whose updates change nothing. A step whose updates conflict ("clash"), or
@@ -295,15 +300,22 @@ def eval_term(state: State, term: Term, session: Optional[OracleSession] = None)
 
 def step(state: State, rule: Rule,
          session: Optional[OracleSession] = None) -> tuple[UpdateSet, list[Interaction]]:
-    """Run one step of the rule. The caller clears the session's per-step cache."""
-    ask, log = (_no_session, []) if session is None else (session.ask, session.log)
-    start = len(log)
+    """Run one step of the rule by its generated function, built on the
+    first step and then found on the node: the update set and the
+    interactions the step made, in order. With no session a query fails.
+    The caller clears the session's per-step cache (`begin_step`)."""
+    function = _compiled(rule)
     updates = UpdateSet()
-    _compiled(rule)(state.store.get, ask, updates.setdefault)
+    if session is None:
+        function(state.store.get, _no_session, updates.setdefault)
+        return updates, []
+    log = session.log
+    start = len(log)
+    function(state.store.get, session.ask, updates.setdefault)
     return updates, log[start:]
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     index: int
     updates: UpdateSet
@@ -368,29 +380,34 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     state = State(init.vocabulary, store)
     halt = _compiled(program.halt) if program.mode == DO_UNTIL else None
     steps: list[StepRecord] = []
+    # Each seam (`step`, `commit`) is bound once per run, so a name patched
+    # before the run is seen; `observe_step` calls the session's `begin_step`.
+    step_fn, commit_fn, get, append = step, commit, store.get, steps.append
+    rule, iterate, taken = program.step_rule, program.mode == ITERATE, 0
     while True:
         if halt is not None:
             try:
-                halt_value = halt(store.get, _no_session)
+                halt_value = halt(get, _no_session)
             except BasmError as e:
                 outcome = Outcome("error", e.kind, e.message)
                 break
             if halt_value is True:
-                if steps:
+                if taken:
                     steps[-1].halted_after = True
                 outcome = Outcome("halted")
                 break
-        if len(steps) >= max_steps:
+        if taken >= max_steps:
             outcome = Outcome("step-limit")
             break
-        # `step` is looked up per call, so a patched module global is seen.
-        record, outcome = observe_step(len(steps), state, program.step_rule, session, step)
-        steps.append(record)
+        record, outcome = observe_step(taken, state, rule, session, step_fn)
+        append(record)
         if outcome is not None:
             break
+        updates = record.updates
+        taken += 1
         # Compared before the commit, which overwrites the old values.
-        unchanged = program.mode == ITERATE and changes_nothing(state, record.updates)
-        commit(store, record.updates)
+        unchanged = iterate and changes_nothing(state, updates)
+        commit_fn(store, updates)
         if unchanged:
             record.halted_after = True
             outcome = Outcome("halted")
@@ -408,7 +425,8 @@ def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
     if a_steps == b_steps and a_outcome == b_outcome:
         return None
     for n, (a, b) in enumerate(zip(a_steps, b_steps)):
-        for (name, x), y in zip(vars(a).items(), vars(b).values()):
+        for name in StepRecord.__slots__:
+            x, y = getattr(a, name), getattr(b, name)
             if x != y:
                 return f"step {n} {name}: {x!r} vs {y!r}"
     return (f"outcome: {a_outcome!r} after {len(a_steps)} steps vs "

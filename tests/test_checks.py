@@ -331,6 +331,26 @@ def test_divergence_names_the_first_differing_step_and_field(field, value):
         f"step 1 {field}: {want!r} vs {value!r}"
 
 
+def test_a_step_record_is_slotted_and_compared_field_by_field_in_order():
+    """A record has no instance `__dict__`, stays mutable and works with
+    `dataclasses.replace`; `divergence` compares `index`, `updates`,
+    `interactions` and `halted_after` in that order."""
+    record = corpus_run("euclid").steps[1]
+    assert not hasattr(record, "__dict__")
+    copy = dataclasses.replace(record)
+    copy.halted_after = True
+    assert copy.halted_after and not record.halted_after
+    fields = {"index": 7, "updates": UpdateSet({("a", ()): 9}),
+              "interactions": (Interaction("R", (0, 5), Refused("script")),),
+              "halted_after": True}
+    other = dataclasses.replace(record, **fields)
+    for name, value in fields.items():
+        want = getattr(record, name)
+        assert divergence([record], None, [other], None) == f"step 0 {name}: {want!r} vs {value!r}"
+        setattr(other, name, want)
+    assert divergence([record], None, [other], None) is None
+
+
 # The text the step comparison gives for two tangent runs whose third steps
 # differ only in the intersection point the oracle answered; it is the same
 # whether an interaction and a point are frozen dataclasses or tuples.

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,29 @@ def test_next_step_asks_again():
     assert [r.interactions[0].answer for r in trace.steps] == [1, 2]
 
 
+def test_a_query_in_a_branch_and_after_its_if_is_answered_once_per_step(monkeypatch):
+    """The kernel evaluates the query once inside the `if` block and again
+    after it, as no subterm is shared across those blocks; the per-step cache
+    answers the second ask, so the step logs one interaction, and the next
+    step asks again."""
+    asks = []
+    ask = OracleSession.ask
+
+    def counting_ask(session, query):
+        asks.append(query)
+        return ask(session, query)
+
+    monkeypatch.setattr(OracleSession, "ask", counting_ask)
+    prog = _program(ORACLE_DECLS,
+                    "do until a = 2 { par { if b = 0 then a := R(0, 5); c := R(0, 5) } }")
+    trace = run(prog, _state(prog, "b := 0"), _answers(prog, [1, 2]))
+    assert trace.outcome.kind == "halted" and len(asks) == 4
+    assert [r.interactions for r in trace.steps] == \
+        [(Interaction("R", (0, 5), 1),), (Interaction("R", (0, 5), 2),)]
+    got = state_bindings(trace.final_state)
+    assert got["a"] == got["c"] == "2"
+
+
 def test_halt_checked_before_first_step():
     prog = _program(INT2, "do until a = 1 { a := 2 }")
     trace = run(prog, _state(prog, "a := 1"), ScriptedPolicy())
@@ -155,6 +179,27 @@ def test_step_limit_outcome():
     trace = run(prog, _state(prog, "a := 0"), ScriptedPolicy(), max_steps=10)
     assert trace.outcome.kind == "step-limit"
     assert len(trace.steps) == 10
+
+
+@pytest.mark.parametrize("body, init, max_steps, outcome", [
+    ("iterate { if a < 3 then a := a + 1 }", "a := 0", None, ("halted", None)),
+    ("do until false { par { a := a + 1; if a = 2 then a := 0 } }", "a := 0", None,
+     ("error", "clash")),
+    ("do until false { a := a + 1 }", "a := 0", 5, ("step-limit", None)),
+], ids=["iterate-fixpoint", "clash", "step-limit"])
+def test_traced_run_counts_every_step_however_the_loop_ends(monkeypatch, body, init,
+                                                            max_steps, outcome):
+    """A fixpoint, a failing last step and the step budget each end the run
+    after as many `step` calls as the trace has steps, as the benchmark's
+    tracer counts them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+
+    prog = _program("var a : Integer", body)
+    with tracer.traced() as t:
+        trace = run(prog, _state(prog, init), BuiltinPolicy(), max_steps)
+    assert (trace.outcome.kind, trace.outcome.error) == outcome and len(trace.steps) > 1
+    assert t.calls["semantics.step"] == len(trace.steps)
 
 
 def test_env_var_sets_default_step_budget(monkeypatch):
