@@ -16,12 +16,15 @@ A state file holds one binding per line, `symbol := literal` for a variable or
 Blank lines and `#` comments are ignored. Unlisted locations are undef.
 
 Each sort has one reader function, and each dynamic symbol one compiled
-pattern for its location texts; a vocabulary builds them once, on first use
-(see `_Readers`). A point, circle or line is read by one pattern of exactly
-the spelling `render_value` writes, with no whitespace. A text outside these
-patterns, such as `name()`, an `undef` or geometry location argument, a
-whitespace-padded or malformed text, is read by the general reader
-(`_spelled_location`, `_parse_literal`), which gives every error message.
+pattern for its location texts and one function from a match to the argument
+tuple; a vocabulary builds them once, on first use (see `_Readers`). A state
+file's line is split at its first `:=` and each side stripped, so that a
+canonical location and literal each cost one reader call. A point, circle or
+line is read by one pattern of exactly the spelling `render_value` writes,
+with no whitespace. A text outside these patterns, such as `name()`, an
+`undef` or geometry location argument, a whitespace-padded or malformed
+text, is read by the general reader (`_spelled_location`, `_parse_literal`),
+which gives every error message.
 
 A trace or script keeps one `Locations` map per file: each location text
 and each point, circle or line literal text is read once per file, as the
@@ -287,14 +290,16 @@ def _call(convert, text):
 
 # `_Readers.location` finds the symbol of a text by the part before its first
 # parenthesis, stripped, so a pattern reads that part as any text without a
-# parenthesis; for a symbol of no arguments that is the whole check. Inside
-# the parentheses, whitespace is any but a newline, which the general
-# reader's `(.*)` does not match either. A symbol whose pattern is `_NO_TEXT`
-# has each of its texts read by the general reader.
+# parenthesis; for a symbol of no arguments that is the whole check. (The
+# symbol's escaped name in place of `_HEAD` matched `cell(12345)` 20-30 ns
+# sooner, but loaded no state file measurably faster.) Inside the
+# parentheses, whitespace is any but a newline, which the general reader's
+# `(.*)` does not match either. A symbol whose pattern is `_NO_TEXT` has each
+# of its texts read by the general reader.
 _HEAD = r"[^(]*"
 _GAP = r"[^\S\n]*"
-_NO_ARGUMENTS = re.compile(_HEAD).fullmatch, ()
-_NO_TEXT = re.compile(r"(?!)").fullmatch, ()
+_NO_ARGUMENTS = re.compile(_HEAD).fullmatch, lambda m: ()
+_NO_TEXT = re.compile(r"(?!)").fullmatch, None
 
 
 def _argument(sort: Sort):
@@ -308,9 +313,19 @@ def _argument(sort: Sort):
     return ("|".join(members), str) if members else None
 
 
+def _arguments(converters: tuple) -> Callable:
+    """The function from a location match to its argument tuple, converting
+    group i by `converters[i]`; a one-argument symbol's, the common case,
+    makes no call per argument."""
+    if len(converters) == 1:
+        convert, = converters
+        return lambda m: (convert(m[1]),)
+    return lambda m: tuple(map(_call, converters, m.groups()))
+
+
 def _location_pattern(sym: Symbol) -> tuple:
     """The `fullmatch` of the symbol's location texts, with a group per
-    argument, and the converter of each group."""
+    argument, and the function from its match to the arguments."""
     if sym.kind != DYNAMIC or not _is_name(sym.name):
         return _NO_TEXT
     if not sym.arg_sorts:
@@ -320,13 +335,13 @@ def _location_pattern(sym: Symbol) -> tuple:
         return _NO_TEXT
     args = ",".join(f"{_GAP}({arg}){_GAP}" for arg, _ in arguments)
     return (re.compile(rf"{_HEAD}\({args}\)\s*").fullmatch,
-            tuple(convert for _, convert in arguments))
+            _arguments(tuple(convert for _, convert in arguments)))
 
 
 class _SymbolReaders(NamedTuple):
     symbol: Symbol
     match: Callable  # the `fullmatch` of the symbol's location pattern
-    converters: tuple  # of its groups to the arguments
+    args: Callable  # from its match to the argument tuple
     read: Callable  # the reader of the result sort
     read_args: tuple  # the reader of each argument sort, for an oracle
 
@@ -371,8 +386,7 @@ class _Readers:
             found = self.symbols.get(name) or self.symbol(name)
             m = found and found.match(text)
             if m:
-                args = tuple(map(_call, found.converters, m.groups()))
-                return (found.symbol.name, args), found.read
+                return (found.symbol.name, found.args(m)), found.read
         key = _spelled_location(text, self.vocabulary)
         return key, self.symbol(key[0]).read
 
@@ -437,14 +451,14 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
     def bindings():
         nonlocal lineno
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                if ":=" not in line:
-                    raise ParseError("expected `location := literal`")
-                yield line.split(":=", 1)
+            loc_text, sep, lit = raw.partition("#")[0].partition(":=")
+            if sep:
+                yield loc_text.strip(), lit.strip()
+            elif loc_text and not loc_text.isspace():
+                raise ParseError("expected `location := literal`")
 
     try:
-        return state_from_bindings(bindings(), vocabulary, Locations(vocabulary))
+        return state_from_bindings(bindings(), vocabulary, Locations(vocabulary), keep=False)
     except ParseError as e:
         raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
@@ -456,11 +470,14 @@ def state_bindings(state: State, texts: dict | None = None) -> dict[str, str]:
 
 
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,
-                        locations: Locations) -> State:
+                        locations: Locations, keep: bool = True) -> State:
     """The state binding each location text to its literal text, in order;
     `undef` leaves its location unbound. Binding one location twice, under
     any spelling and with any values, is an error. `locations` is the file's
-    map of location texts, which a trace shares across its rows."""
+    map of location texts, which a trace shares across its rows. With `keep`
+    false the map is read but not filled: a state file names each location
+    once, and keeping the texts of a 20 000-line file cost about a sixth of
+    its load time."""
     store = {}
     cleared = set()  # locations bound to `undef`, which stay out of the store
     get, location, reads = locations.get, locations.readers.location, locations.reads
@@ -468,7 +485,9 @@ def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabul
         entry = get(loc_text)
         if entry is None:
             key, read = location(loc_text)
-            entry = locations[loc_text] = key, reads.get(read, read)
+            entry = key, reads.get(read, read)
+            if keep:
+                locations[loc_text] = entry
         key, read = entry
         value = read(lit)
         if key in store or key in cleared:

@@ -296,6 +296,62 @@ def test_spellings_of_one_location_are_one_location():
     assert parse_value("\x1c-12\x1c", INTEGER) == -12
     with pytest.raises(ParseError):  # inside the parentheses `\n` is no space
         parse_location("cell(\n1)", VOCAB)
+    # A tab or newline before the name or the parenthesis reads as a space,
+    # by the symbol's pattern or, as for `t\n()` and `undef`, the general
+    # reader; `grid`'s two arguments take the general argument function.
+    for text in ("\tcell(1)", "\ncell(1)", "cell\t(1)", "cell\n(1)", "\tt", "t\n()"):
+        assert parse_location(text, VOCAB) == parse_location(text.strip(), VOCAB)
+    assert parse_location("cell\t(1)", VOCAB) == ("cell", (1,))
+    grid = parse_program("vocab { var t : Integer\n  var grid(Integer, Boolean) : Integer }\n"
+                         "do until t > 0 { t := 1 }\n").vocabulary
+    for text in ("grid(1,true)", "grid(+1,true)", "grid( 01 ,\ttrue )", "grid\t(1,true)",
+                 "\ngrid(1, true)", "grid(1,true) "):
+        assert parse_location(text, grid) == ("grid", (1, True)), text
+    assert parse_location("grid(-2,false)", grid) == ("grid", (-2, False))
+    assert parse_location("grid(undef,false)", grid) == ("grid", (UNDEF, False))
+    with pytest.raises(ParseError) as e:
+        parse_location("grid(1)", grid)
+    assert e.value.kind == "sort" and "arity mismatch" in e.value.message
+
+
+def _trace_with_initial_state(bindings: dict) -> list[str]:
+    """The lines of a trace of `PROGRAM` whose header binds `bindings`."""
+    init = load_state("t := 0", VOCAB)
+    lines = render_trace(run(PROGRAM, init, ScriptedPolicy.from_answers([1, 2]))).splitlines()
+    header = json.loads(lines[0])
+    header["initialState"] = bindings
+    lines[0] = json.dumps(header)
+    return lines
+
+
+@pytest.mark.parametrize("read, line, location", [
+    (lambda: load_state("t := 5\nt := 5", VOCAB), 2, "t"),
+    (lambda: load_state("cell(1) := 7\n\ncell(+1) := 7", VOCAB), 3, "cell(1)"),
+    (lambda: read_trace(_trace_with_initial_state({"t": "0", "cell(1)": "7", "cell( 1 )": "7"}),
+                        PROGRAM), 1, "cell(1)"),
+], ids=["variable", "spellings", "trace-header"])
+def test_a_location_bound_twice_to_one_value_is_a_repeated_binding(read, line, location):
+    with pytest.raises(ParseError) as e:
+        read()
+    assert e.value.line == line and f"repeated binding for {location}" in e.value.message
+
+
+def test_a_canonical_state_file_takes_the_fast_readers(monkeypatch):
+    """`t := 0` and `cell(i) := digits` lines never reach the general
+    location reader or the padded-integer pattern: each side of `:=` is
+    stripped before its reader."""
+    def general(*args):
+        raise AssertionError(f"a general reader read {args[0]!r}")
+
+    class NoPattern:
+        fullmatch = staticmethod(general)
+
+    monkeypatch.setattr(literals, "_spelled_location", general)
+    monkeypatch.setattr(literals, "_INT_TEXT", NoPattern)
+    values = [0, 7, 123456, 10 ** 30]
+    text = "t := 0\n" + "".join(f"cell({i}) :=  {v}  \n" for i, v in enumerate(values))
+    state = load_state(text, parse_program(PROGRAM_TEXT).vocabulary)
+    assert state.store == {("t", ()): 0, **{("cell", (i,)): v for i, v in enumerate(values)}}
 
 
 # --- readers are built once per vocabulary -----------------------------------
