@@ -23,10 +23,11 @@ location and value moves by a lookup in it.
 agree stepwise on update sets and on interaction sequences, and end the same
 way. Two runs that change state identically but talk to their oracles
 differently are distinct behaviors on purpose. `semantics.divergence` decides
-it, replay and both step checks (update values exactly, by `==`, not within
-the kernel EPS; error outcomes by kind); a failing check reports its text,
-the first differing step and field, and `equivalence_divergence` gives it
-for two traces.
+it and both step checks (update values exactly, by `==`, not within the
+kernel EPS; error outcomes by kind); a failing check reports its text, the
+first differing step and field, and `equivalence_divergence` gives it for
+two traces. Replay compares the same fields step by step as its rerun runs,
+and reports a disagreement by `divergence`'s text.
 """
 from __future__ import annotations
 

@@ -42,10 +42,14 @@ arguments. So a read, an update and a commit hash and compare plain tuples,
 in C. A run owns one working store, a copy of the initial bindings, and
 commits each step's updates into it in place.
 
-The run loop binds the seams `step` and `commit` once per run, so a name
-patched before the run is called once per step, and counts its steps
-itself. It observes each step with `observe_step`, as bexp and iso do, into
-one slotted record.
+One loop runs a program for `run` and for replay. It binds the seams `step`
+and `commit` once per run, so a name patched before the run is called once
+per step, and counts its steps itself. It observes each step with
+`observe_step`, as bexp and iso do, into one slotted record. A record is
+finished once its `halted_after` mark is final, when the next step starts or
+the loop ends. `run` keeps each record in the trace's list; replay keeps
+none, compares each finished record with the trace's of the same index, and
+stops the rerun at the first that differs.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
@@ -375,6 +379,22 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     """
     if max_steps is None:
         max_steps = default_max_steps()
+    steps, final, outcome = _loop(program, init, policy, max_steps, None)
+    return Trace(program.program_id, init, steps, final, outcome)
+
+
+def _loop(program: Program, init: State, policy, max_steps: int,
+          expected: Optional[list[StepRecord]]):
+    """The run loop of `run` and of replay: the step records, the final state
+    and the outcome.
+
+    A record is finished once its `halted_after` mark is final, when the next
+    step starts or the loop ends. Without `expected`, the records are the
+    run's own list. With `expected`, a trace's records, the loop keeps none:
+    it compares each finished record with the one of the same index there,
+    and ends at the first that differs. It then returns None for the records
+    if a record differed or their numbers differ, and `expected` otherwise.
+    """
     session = OracleSession(policy, program.vocabulary)
     store = dict(init.store)
     state = State(init.vocabulary, store)
@@ -383,7 +403,7 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     # Each seam (`step`, `commit`) is bound once per run, so a name patched
     # before the run is seen; `observe_step` calls the session's `begin_step`.
     step_fn, commit_fn, get, append = step, commit, store.get, steps.append
-    rule, iterate, taken = program.step_rule, program.mode == ITERATE, 0
+    rule, iterate, taken, record = program.step_rule, program.mode == ITERATE, 0, None
     while True:
         if halt is not None:
             try:
@@ -393,14 +413,18 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
                 break
             if halt_value is True:
                 if taken:
-                    steps[-1].halted_after = True
+                    record.halted_after = True
                 outcome = Outcome("halted")
                 break
         if taken >= max_steps:
             outcome = Outcome("step-limit")
             break
+        # `==`, as a dataclass's `!=` goes through `__ne__` to it.
+        if expected is not None and taken and not record == expected[taken - 1]:
+            return None, state, None
         record, outcome = observe_step(taken, state, rule, session, step_fn)
-        append(record)
+        if expected is None:
+            append(record)
         if outcome is not None:
             break
         updates = record.updates
@@ -412,7 +436,12 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
             record.halted_after = True
             outcome = Outcome("halted")
             break
-    return Trace(program.program_id, init, steps, state, outcome)
+    if expected is None:
+        return steps, state, outcome
+    made = 0 if record is None else record.index + 1
+    if made != len(expected) or made and not record == expected[-1]:
+        return None, state, outcome
+    return expected, state, outcome
 
 
 def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
@@ -421,7 +450,8 @@ def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
     each compared on its index, update set, interactions and halted mark,
     and the same outcome kind and error. Otherwise the first difference, as
     text with both values: a step and field, or the outcomes and step counts.
-    Replay, behavioural equivalence, bexp and iso all decide by it."""
+    Behavioural equivalence, bexp and iso decide by it; replay decides step
+    by step in the run loop, and reports by it when the rerun disagrees."""
     if a_steps == b_steps and a_outcome == b_outcome:
         return None
     for n, (a, b) in enumerate(zip(a_steps, b_steps)):
@@ -437,19 +467,28 @@ def replay_divergence(trace: Trace, program: Program) -> Optional[str]:
     """Re-run a trace feeding back its recorded answers and refusals. None
     when it reproduces; otherwise `divergence`'s text, or, where only the
     final states differ, `final-state: {...} vs {...}` with the bindings that
-    differ, the trace's first (an absent binding reads `undef`)."""
+    differ, the trace's first (an absent binding reads `undef`).
+
+    The rerun compares each step with the trace's as it makes it, keeps no
+    record, and stops at the first that differs. A rerun that disagrees in a
+    step, in the number of steps or in the outcome runs once more, by `run`,
+    for `divergence`'s text."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
-    policy = ScriptedPolicy(i for record in trace.steps for i in record.interactions)
+    script = [i for record in trace.steps for i in record.interactions]
     # The halting term is tested before the budget, so a rerun that agrees
     # with the trace halts, fails or stops within the trace's own length.
-    rerun = run(program, trace.initial_state, policy, max_steps=len(trace.steps))
-    differs = divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome)
-    if differs is None and rerun.final_state != trace.final_state:
-        a, b = trace.final_state.store, rerun.final_state.store
-        keys = [k for k in a.keys() | b.keys() if a.get(k, UNDEF) != b.get(k, UNDEF)]
-        differs = f"final-state: {_bindings_text(a, keys)} vs {_bindings_text(b, keys)}"
-    return differs
+    budget = len(trace.steps)
+    steps, final, outcome = _loop(program, trace.initial_state, ScriptedPolicy(script),
+                                  budget, trace.steps)
+    if steps is None or not outcome == trace.outcome:
+        rerun = run(program, trace.initial_state, ScriptedPolicy(script), budget)
+        return divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome)
+    if final == trace.final_state:
+        return None
+    a, b = trace.final_state.store, final.store
+    keys = [k for k in a.keys() | b.keys() if a.get(k, UNDEF) != b.get(k, UNDEF)]
+    return f"final-state: {_bindings_text(a, keys)} vs {_bindings_text(b, keys)}"
 
 
 def _bindings_text(store: dict, keys: list) -> str:

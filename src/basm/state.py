@@ -442,7 +442,10 @@ class State:
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self.vocabulary == other.vocabulary and self.store == other.store
+        # Most states compared share one vocabulary object; its `__eq__`
+        # compares every symbol.
+        return ((self.vocabulary is other.vocabulary or self.vocabulary == other.vocabulary)
+                and self.store == other.store)
 
     def __repr__(self):
         return "State(" + ", ".join(f"{loc}={v}" for loc, v in rendered_bindings(self.store)) + ")"

@@ -34,6 +34,7 @@ from basm.state import (
     value_conforms,
     values_equal,
 )
+from basm.syntax import parse_program
 from basm.traceio import trace_lines
 
 T, F, U = True, False, UNDEF
@@ -276,6 +277,19 @@ def test_vocabulary_equality_and_copy():
     c.declare("extra", (), INTEGER, "dynamic")
     assert c != a
     assert a.symbol("extra") is None
+
+
+def test_states_over_equal_but_distinct_vocabularies_compare_equal():
+    """A state compares its vocabulary by value when the two are not one
+    object: two parses of one program text give equal states."""
+    text = "vocab {\n  enum Node { u, v }\n  var cur : Node\n  var n : Integer\n}\niterate { skip }\n"
+    a, b = (parse_program(text).vocabulary for _ in range(2))
+    assert a is not b and a == b
+    x, y = load_state("cur := u\nn := 3", a), load_state("cur := u\nn := 3", b)
+    assert x == y and y == x
+    assert x != load_state("cur := v\nn := 3", b)
+    other = parse_program(text.replace("var n", "var m")).vocabulary
+    assert x != State(other, x.store)
 
 
 def test_values_are_written_by_state_and_read_by_literals():
