@@ -12,9 +12,10 @@ executable checks over programs and traces:
     semantics.replay).
 
 Bounded exploration and isomorphism invariance observe one step with
-`semantics.observe_step`, as the run loop does: its step record (update set
-and interactions, or no updates and the interactions made before a failure,
-a refused query included) and its error outcome, if any. The isomorphism
+`semantics.observe_step`, as the run loop does once `step` is replaced (with
+its own `step`, the loop does the same work inline): its step record (update
+set and interactions, or no updates and the interactions made before a
+failure, a refused query included) and its error outcome, if any. The isomorphism
 check renames the state, the scripted answers and the original record with
 one `state.renaming`, the member table `transport` applies to a state: each
 location and value moves by a lookup in it.

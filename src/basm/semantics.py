@@ -42,14 +42,18 @@ arguments. So a read, an update and a commit hash and compare plain tuples,
 in C. A run owns one working store, a copy of the initial bindings, and
 commits each step's updates into it in place.
 
-One loop runs a program for `run` and for replay. It binds the seams `step`
-and `commit` once per run, so a name patched before the run is called once
-per step, and counts its steps itself. It observes each step with
-`observe_step`, as bexp and iso do, into one slotted record. A record is
-finished once its `halted_after` mark is final, when the next step starts or
-the loop ends. `run` keeps each record in the trace's list; replay keeps
-none, compares each finished record with the trace's of the same index, and
-stops the rerun at the first that differs.
+One loop runs a program for `run` and for replay. It binds the seams `step`,
+`commit` and the session's `begin_step` and `ask` once per run, so a name
+patched before the run is called once per step, and counts its steps itself.
+While `step` is the module's own function, the loop takes each step itself:
+it calls the generated rule and turns a failure into the error outcome as
+`observe_step` does. A replaced `step` (the benchmark's tracer, a test) is
+called through `observe_step`, as bexp and iso call `step`. Either way a
+step is one slotted record. A record is finished once its `halted_after`
+mark is final, when the next step starts or the loop ends. `run` keeps each
+record in the trace's list; replay keeps none, compares each finished record
+with the trace's of the same index, and stops the rerun at the first that
+differs.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H before
 each step and stops when it is true; `iterate` stops after the first step
@@ -319,6 +323,12 @@ def step(state: State, rule: Rule,
     return updates, log[start:]
 
 
+# How the run loop tells its own `step` from a replacement. Not an alias of
+# the function: the benchmark's tracer rebinds every basm module global that
+# is the original `step`, an alias included, but not its code object.
+_STEP_CODE = step.__code__
+
+
 @dataclass(slots=True)
 class StepRecord:
     index: int
@@ -338,7 +348,9 @@ def observe_step(index: int, state: State, rule: Rule, session: OracleSession,
                  step_fn: Callable) -> tuple[StepRecord, Optional[Outcome]]:
     """One step by `step_fn` (`step` or a stand-in) as the record a trace
     keeps, and the error outcome if it failed; a failed step keeps no updates
-    and the interactions made before the failure, a refused query included."""
+    and the interactions made before the failure, a refused query included.
+    bexp and iso observe their steps with it, and so does the run loop once
+    `step` is replaced; with its own `step` the loop does this work inline."""
     start = session.begin_step()
     failed = None
     try:
@@ -388,6 +400,12 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     """The run loop of `run` and of replay: the step records, the final state
     and the outcome.
 
+    While `step` is the module's own function, each step calls the rule's
+    generated function with the store's `get`, the session's `ask` and a
+    fresh update set's `setdefault`, after `begin_step`; a `BasmError` is the
+    error outcome, with no updates and the interactions logged since
+    `begin_step`. A replaced `step` goes through `observe_step`.
+
     A record is finished once its `halted_after` mark is final, when the next
     step starts or the loop ends. Without `expected`, the records are the
     run's own list. With `expected`, a trace's records, the loop keeps none:
@@ -400,10 +418,13 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     state = State(init.vocabulary, store)
     halt = _compiled(program.halt) if program.mode == DO_UNTIL else None
     steps: list[StepRecord] = []
-    # Each seam (`step`, `commit`) is bound once per run, so a name patched
-    # before the run is seen; `observe_step` calls the session's `begin_step`.
+    # Each seam (`step`, `commit`, the session's `begin_step` and `ask`) is
+    # bound once per run, so a name patched before the run is seen.
     step_fn, commit_fn, get, append = step, commit, store.get, steps.append
+    begin, ask, log = session.begin_step, session.ask, session.log
     rule, iterate, taken, record = program.step_rule, program.mode == ITERATE, 0, None
+    own = getattr(step_fn, "__code__", None) is _STEP_CODE
+    function, outcome = _compiled(rule) if own else None, None
     while True:
         if halt is not None:
             try:
@@ -422,12 +443,23 @@ def _loop(program: Program, init: State, policy, max_steps: int,
         # `==`, as a dataclass's `!=` goes through `__ne__` to it.
         if expected is not None and taken and not record == expected[taken - 1]:
             return None, state, None
-        record, outcome = observe_step(taken, state, rule, session, step_fn)
+        if function is None:
+            record, outcome = observe_step(taken, state, rule, session, step_fn)
+            updates = record.updates
+        else:
+            # `observe_step`'s work, with `step`'s written out.
+            start = begin()
+            updates = UpdateSet()
+            try:
+                function(get, ask, updates.setdefault)
+            except BasmError as e:
+                updates = UpdateSet()
+                outcome = Outcome("error", e.kind, e.message)
+            record = StepRecord(taken, updates, tuple(log[start:]))
         if expected is None:
             append(record)
         if outcome is not None:
             break
-        updates = record.updates
         taken += 1
         # Compared before the commit, which overwrites the old values.
         unchanged = iterate and changes_nothing(state, updates)

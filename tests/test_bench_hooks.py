@@ -33,8 +33,9 @@ def test_tracer_wraps_and_restores_the_step_hooks(monkeypatch):
 
 
 def test_traced_run_counts_every_step(monkeypatch):
-    """`run` calls `step` through its module global once per step, so the
-    traced benchmark's `semantics.step.calls` equals the steps taken."""
+    """`run` calls a replaced `step` through its module global once per
+    step, so the traced benchmark's `semantics.step.calls` equals the steps
+    taken."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 

@@ -190,8 +190,8 @@ def test_step_limit_outcome():
 def test_traced_run_counts_every_step_however_the_loop_ends(monkeypatch, body, init,
                                                             max_steps, outcome):
     """A fixpoint, a failing last step and the step budget each end the run
-    after as many `step` calls as the trace has steps, as the benchmark's
-    tracer counts them."""
+    after as many calls of a replaced `step` as the trace has steps, as the
+    benchmark's tracer counts them."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import tracer
 
