@@ -97,7 +97,7 @@ def _rename(record: StepRecord, move: Renaming) -> StepRecord:
     interactions = tuple(Interaction(i.oracle, tuple(map(get, i.args, i.args)),
                                      get(i.answer, i.answer))
                          for i in record.interactions)
-    return StepRecord(record.index, updates, interactions)
+    return StepRecord(updates, interactions)
 
 
 def _declare_fresh(vocab: Vocabulary, name: str, arg_sorts: tuple, result_sort: Sort) -> Symbol:
@@ -158,7 +158,7 @@ def _observe(program: Program, state: State, policy,
     """One step of the program from the state, by `step_fn` or `step`, under
     a fresh session of the policy: its record and its error outcome, if any."""
     # `step` is looked up per call, so a patched module global is seen.
-    return observe_step(0, state, program.step_rule, OracleSession(policy, state.vocabulary),
+    return observe_step(state, program.step_rule, OracleSession(policy, state.vocabulary),
                         step_fn or step)
 
 

@@ -1,12 +1,14 @@
 """Oracle sessions: the query protocol, answer policies, and the seeded PRNG.
 
-A session owns the full interaction log of a run and a per-step answer cache:
-within one step, asking the same query again returns the cached answer and
-records nothing new. The cache is cleared at step boundaries by the run loop.
-A query the policy refuses with a `BasmError`, or answers with a value of
-the wrong sort, is logged too, with a `Refused` holding the error kind in
-place of its answer, before the error goes on; so the trace of a failed step
-names the query that failed it, and a script replays the refusal.
+A session keeps one table per step, `per_step_cache`, from each query asked
+to its `Interaction`, in the order asked: the step's interactions and its
+answer cache. Asking a query again in its step records nothing new and
+gives the recorded answer, or raises a refusal's kind again. The run loop
+clears it at each step (`begin_step`). A query the policy refuses with a
+`BasmError`, or answers with a value of the wrong sort, goes in with a
+`Refused` holding the error kind in place of its answer, before the error
+goes on; so the trace of a failed step names the query that failed it, and
+a script replays the refusal.
 
 Answer policies:
 
@@ -288,26 +290,26 @@ def choose_policy(name: Optional[str] = None, seed: Optional[int] = None,
 
 
 class OracleSession:
-    """Per-run oracle state: policy, PRNG, per-step cache, and the full log."""
+    """Per-run oracle state: policy, PRNG, and the current step's table."""
 
-    __slots__ = ("policy", "vocabulary", "prng", "per_step_cache", "log")
+    __slots__ = ("policy", "vocabulary", "prng", "per_step_cache")
 
     def __init__(self, policy, vocabulary: Vocabulary):
         self.policy = policy
         self.vocabulary = vocabulary
         self.prng = SplitMix64(getattr(policy, "seed", 0))
-        self.per_step_cache: dict[Location, object] = {}
-        self.log: list[Interaction] = []
+        self.per_step_cache: dict[Location, Interaction] = {}
 
-    def begin_step(self) -> int:
-        """Clear the per-step cache; returns the log position for slicing."""
+    def begin_step(self) -> None:
+        """Start a step: clear the step's table."""
         self.per_step_cache.clear()
-        return len(self.log)
 
     def ask(self, query: Location):
-        cached = self.per_step_cache.get(query, _MISS)
-        if cached is not _MISS:
-            return cached
+        asked = self.per_step_cache.get(query)
+        if asked is not None:
+            if type(asked.answer) is Refused:
+                raise BasmError(asked.answer.kind, f"{query.render()} was refused in this step")
+            return asked.answer
         try:
             answer = self.policy.answer(self, query)
             if not value_conforms(answer, query.symbol.result_sort):
@@ -317,10 +319,10 @@ class OracleSession:
                     f"{query.symbol.result_sort.name} (query {query.render()})",
                 )
         except BasmError as e:
-            self.log.append(Interaction(query.symbol.name, query.args, Refused(e.kind)))
+            self.per_step_cache[query] = Interaction(query.symbol.name, query.args,
+                                                     Refused(e.kind))
             raise
-        self.log.append(Interaction(query.symbol.name, query.args, answer))
-        self.per_step_cache[query] = answer
+        self.per_step_cache[query] = Interaction(query.symbol.name, query.args, answer)
         return answer
 
 

@@ -18,7 +18,7 @@ temporary; a subterm evaluated inside one branch of an `if` is evaluated
 again by the other branch and after the `if`. Equal literals share one
 constant, one per value and type. Every read sees the pre-step state, a
 static operator is a function of its operands, and a repeated query is
-answered from the step's cache without a second interaction, so sharing
+answered from the step's table without a second interaction, so sharing
 changes no value and no interaction; a first evaluation that fails ends the
 step before any repeat. A step still reads only the locations its evaluated
 subterms name. A static operator evaluates all its
@@ -49,18 +49,19 @@ While `step` is the module's own function, the loop takes each step itself:
 it calls the generated rule and turns a failure into the error outcome as
 `observe_step` does. A replaced `step` (the benchmark's tracer, a test) is
 called through `observe_step`, as bexp and iso call `step`. Either way a
-step is one slotted record. A record is finished once its `halted_after`
-mark is final, when the next step starts or the loop ends. `run` keeps each
-record in the trace's list; replay keeps none, compares each finished record
-with the trace's of the same index, and stops the rerun at the first that
-differs.
+step is one slotted record: its updates, the session's step table in order,
+and its `halted_after` mark, final when the next step starts or the loop
+ends. `run` keeps each record in the trace's list; replay keeps none,
+compares each finished record with the trace's at its position, and stops
+the rerun at the first that differs.
 
-Two halting conventions: `do until H` evaluates the oracle-free term H before
-each step and stops when it is true; `iterate` stops after the first step
-whose updates change nothing. A step whose updates conflict ("clash"), or
-whose evaluation fails, ends the run with an error outcome; the failing step
-is kept in the trace with no updates and the interactions it made, the query
-a policy refused included, so an errored trace still replays exactly.
+Two halting conventions: `do until H` evaluates the oracle-free term H
+before each step and stops when it is true; `iterate` (no H) stops after the
+first step whose updates change nothing. A step whose updates conflict
+("clash"), or whose evaluation fails, ends the run with an error outcome;
+the failing step is kept in the trace with no updates and the interactions
+it made, the query a policy refused included, so an errored trace still
+replays exactly.
 """
 from __future__ import annotations
 
@@ -91,8 +92,6 @@ from .state import (
     rendered_bindings,
 )
 from .syntax import (
-    DO_UNTIL,
-    ITERATE,
     Assign,
     Cond,
     Lit,
@@ -300,27 +299,24 @@ def _compiled(node):
 
 
 def eval_term(state: State, term: Term, session: Optional[OracleSession] = None):
-    """Evaluate a term; returns (value, interactions made by this evaluation)."""
-    ask, log = (_no_session, []) if session is None else (session.ask, session.log)
-    start = len(log)
-    return _compiled(term)(state.store.get, ask), log[start:]
+    """Evaluate a term; returns (value, the session's step table in order)."""
+    ask, table = (_no_session, {}) if session is None else (session.ask, session.per_step_cache)
+    return _compiled(term)(state.store.get, ask), list(table.values())
 
 
 def step(state: State, rule: Rule,
          session: Optional[OracleSession] = None) -> tuple[UpdateSet, list[Interaction]]:
     """Run one step of the rule by its generated function, built on the
-    first step and then found on the node: the update set and the
-    interactions the step made, in order. With no session a query fails.
-    The caller clears the session's per-step cache (`begin_step`)."""
+    first step and then found on the node: the update set and the session's
+    step table in order, which the caller clears first (`begin_step`). With
+    no session a query fails."""
     function = _compiled(rule)
     updates = UpdateSet()
     if session is None:
         function(state.store.get, _no_session, updates.setdefault)
         return updates, []
-    log = session.log
-    start = len(log)
     function(state.store.get, session.ask, updates.setdefault)
-    return updates, log[start:]
+    return updates, list(session.per_step_cache.values())
 
 
 # How the run loop tells its own `step` from a replacement. Not an alias of
@@ -331,7 +327,6 @@ _STEP_CODE = step.__code__
 
 @dataclass(slots=True)
 class StepRecord:
-    index: int
     updates: UpdateSet
     interactions: tuple[Interaction, ...]
     halted_after: bool = False
@@ -344,21 +339,21 @@ class Outcome:
     detail: Optional[str] = field(default=None, compare=False)  # human-readable
 
 
-def observe_step(index: int, state: State, rule: Rule, session: OracleSession,
+def observe_step(state: State, rule: Rule, session: OracleSession,
                  step_fn: Callable) -> tuple[StepRecord, Optional[Outcome]]:
     """One step by `step_fn` (`step` or a stand-in) as the record a trace
     keeps, and the error outcome if it failed; a failed step keeps no updates
-    and the interactions made before the failure, a refused query included.
-    bexp and iso observe their steps with it, and so does the run loop once
-    `step` is replaced; with its own `step` the loop does this work inline."""
-    start = session.begin_step()
+    and the step's table, a refused query included. bexp and iso observe
+    their steps with it, and so does the run loop once `step` is replaced;
+    with its own `step` the loop does this work inline."""
+    session.begin_step()
     failed = None
     try:
         updates, interactions = step_fn(state, rule, session)
     except BasmError as e:
-        updates, interactions = UpdateSet(), session.log[start:]
+        updates, interactions = UpdateSet(), session.per_step_cache.values()
         failed = Outcome("error", e.kind, e.message)
-    return StepRecord(index, updates, tuple(interactions)), failed
+    return StepRecord(updates, tuple(interactions)), failed
 
 
 @dataclass
@@ -403,26 +398,26 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     While `step` is the module's own function, each step calls the rule's
     generated function with the store's `get`, the session's `ask` and a
     fresh update set's `setdefault`, after `begin_step`; a `BasmError` is the
-    error outcome, with no updates and the interactions logged since
-    `begin_step`. A replaced `step` goes through `observe_step`.
+    error outcome, with no updates. Either way the record's interactions are
+    the session's step table. A replaced `step` goes through `observe_step`.
 
     A record is finished once its `halted_after` mark is final, when the next
     step starts or the loop ends. Without `expected`, the records are the
     run's own list. With `expected`, a trace's records, the loop keeps none:
-    it compares each finished record with the one of the same index there,
-    and ends at the first that differs. It then returns None for the records
-    if a record differed or their numbers differ, and `expected` otherwise.
+    it compares each finished record with the one at its position there, and
+    ends at the first that differs. It then returns None for the records if
+    a record differed or their numbers differ, and `expected` otherwise.
     """
     session = OracleSession(policy, program.vocabulary)
     store = dict(init.store)
     state = State(init.vocabulary, store)
-    halt = _compiled(program.halt) if program.mode == DO_UNTIL else None
+    halt = None if program.halt is None else _compiled(program.halt)
     steps: list[StepRecord] = []
     # Each seam (`step`, `commit`, the session's `begin_step` and `ask`) is
     # bound once per run, so a name patched before the run is seen.
     step_fn, commit_fn, get, append = step, commit, store.get, steps.append
-    begin, ask, log = session.begin_step, session.ask, session.log
-    rule, iterate, taken, record = program.step_rule, program.mode == ITERATE, 0, None
+    begin, ask, values = session.begin_step, session.ask, session.per_step_cache.values
+    rule, taken, record = program.step_rule, 0, None
     own = getattr(step_fn, "__code__", None) is _STEP_CODE
     function, outcome = _compiled(rule) if own else None, None
     while True:
@@ -444,25 +439,25 @@ def _loop(program: Program, init: State, policy, max_steps: int,
         if expected is not None and taken and not record == expected[taken - 1]:
             return None, state, None
         if function is None:
-            record, outcome = observe_step(taken, state, rule, session, step_fn)
+            record, outcome = observe_step(state, rule, session, step_fn)
             updates = record.updates
         else:
             # `observe_step`'s work, with `step`'s written out.
-            start = begin()
+            begin()
             updates = UpdateSet()
             try:
                 function(get, ask, updates.setdefault)
             except BasmError as e:
                 updates = UpdateSet()
                 outcome = Outcome("error", e.kind, e.message)
-            record = StepRecord(taken, updates, tuple(log[start:]))
+            record = StepRecord(updates, tuple(values()))
+        taken += 1
         if expected is None:
             append(record)
         if outcome is not None:
             break
-        taken += 1
         # Compared before the commit, which overwrites the old values.
-        unchanged = iterate and changes_nothing(state, updates)
+        unchanged = halt is None and changes_nothing(state, updates)
         commit_fn(store, updates)
         if unchanged:
             record.halted_after = True
@@ -470,8 +465,7 @@ def _loop(program: Program, init: State, policy, max_steps: int,
             break
     if expected is None:
         return steps, state, outcome
-    made = 0 if record is None else record.index + 1
-    if made != len(expected) or made and not record == expected[-1]:
+    if taken != len(expected) or taken and not record == expected[-1]:
         return None, state, outcome
     return expected, state, outcome
 
@@ -479,7 +473,7 @@ def _loop(program: Program, init: State, policy, max_steps: int,
 def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
                b_steps: list[StepRecord], b_outcome: Optional[Outcome]) -> Optional[str]:
     """None when two runs agree step by step: equal step records in order,
-    each compared on its index, update set, interactions and halted mark,
+    each compared on its update set, interactions and halted mark,
     and the same outcome kind and error. Otherwise the first difference, as
     text with both values: a step and field, or the outcomes and step counts.
     Behavioural equivalence, bexp and iso decide by it; replay decides step

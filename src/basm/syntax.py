@@ -100,15 +100,10 @@ class Par(Rule):
     rules: tuple[Rule, ...]
 
 
-DO_UNTIL = "do-until"
-ITERATE = "iterate"
-
-
 @dataclass(eq=True)
 class Program:
     vocabulary: Vocabulary
-    mode: str  # DO_UNTIL | ITERATE
-    halt: Optional[Term]
+    halt: Optional[Term]  # `do until halt`; None for `iterate`
     step_rule: Rule
 
     @functools.cached_property
@@ -349,7 +344,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             self.fail("trailing input after the program body", tok)
-        return Program(self.vocab, DO_UNTIL if mode_tok.text == "do" else ITERATE, halt, rule)
+        return Program(self.vocab, halt, rule)
 
     def parse_decl(self):
         tok = self.next()
@@ -684,7 +679,7 @@ def pretty(program: Program) -> str:
                 args = ", ".join(s.name for s in sym.arg_sorts)
                 lines.append(f"  {kw} {sym.name}({args}): {sym.result_sort.name}")
     lines.append("}")
-    if program.mode == DO_UNTIL:
+    if program.halt is not None:
         lines.append(f"do until {term_text(program.halt)} {{")
     else:
         lines.append("iterate {")

@@ -61,10 +61,10 @@ def trace_lines(trace: Trace) -> list[str]:
     texts: dict = {}  # each location pair's text, rendered once per call
     lines = [f'{{"programId": {_quote(trace.program_id)}, '
              f'"initialState": {_map_text(trace.initial_state.store, texts)}}}']
-    for record in trace.steps:
+    for index, record in enumerate(trace.steps):
         updates = ", ".join([f'{{"loc": {_quote(loc)}, "value": {_quote(value)}}}'
                              for loc, value in rendered_bindings(record.updates, texts)])
-        lines.append(f'{{"index": {record.index}, "updates": [{updates}], "interactions": '
+        lines.append(f'{{"index": {index}, "updates": [{updates}], "interactions": '
                      f'[{", ".join([_interaction_text(i) for i in record.interactions])}], '
                      f'"halted": {"true" if record.halted_after else "false"}}}')
     error = "" if trace.outcome.error is None else f'"error": {_quote(trace.outcome.error)}, '
@@ -208,7 +208,7 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:
                 raise ValueError(f"expected index {len(steps)} and a true or false halted")
-            steps.append(StepRecord(index, updates, interactions, halted))
+            steps.append(StepRecord(updates, interactions, halted))
         guard.lineno, line = rows[-1]
         final = _json(line)
         outcome = Outcome(final["outcome"], final.get("error"))

@@ -106,7 +106,7 @@ def rename_skipping_interaction_args(record, move):
         updates.add(move(key), move(v))
     interactions = tuple(Interaction(i.oracle, i.args, move(i.answer))
                          for i in record.interactions)
-    return StepRecord(record.index, updates, interactions)
+    return StepRecord(updates, interactions)
 
 
 def sampler_with_y_equal_to_x(program, base_state):
@@ -121,16 +121,19 @@ def sampler_with_y_equal_to_x(program, base_state):
 
 def ask_logging_newest_first(session, query):
     """`ask` that puts each new interaction before the earlier ones of its step."""
-    logged = len(session.log)
+    table = session.per_step_cache
+    asked = len(table)
     answer = ORIGINAL_ASK(session, query)
-    if len(session.log) > logged:  # a new query: one more cache entry this step
-        session.log.insert(len(session.log) - len(session.per_step_cache), session.log.pop())
+    if len(table) > asked:  # a new query: one more entry in the step's table
+        newest = dict([table.popitem()])
+        newest.update(table)
+        table.clear()
+        table.update(newest)
     return answer
 
 
 def begin_step_keeping_cache(session):
-    """`begin_step` that leaves the per-step cache as the last step left it."""
-    return len(session.log)
+    """`begin_step` that does not clear the step's table."""
 
 
 def uniform_int_never_top(prng, b, c):

@@ -50,7 +50,7 @@ class _ReadRecordingStore(dict):
 
 def test_step_work_is_bounded_by_the_witness():
     """Distinct locations read plus distinct queries asked stay within the
-    witness. The per-step cache logs each distinct query once, so the step's
+    witness. The step's table holds each distinct query once, so the step's
     interactions are its distinct queries."""
     counts = {"euclid": (2, 0), "enumgraph": (3, 0), "primality": (2, 1), "tangent": (5, 0)}
     for name, (reads, queries) in counts.items():
@@ -316,7 +316,6 @@ def test_divergence_is_none_on_equal_runs():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("index", 7),
     ("updates", UpdateSet({("a", ()): 9})),
     ("interactions", (Interaction("R", (0, 5), Refused("script")),)),
     ("halted_after", True),
@@ -332,17 +331,18 @@ def test_divergence_names_the_first_differing_step_and_field(field, value):
 
 
 def test_a_step_record_is_slotted_and_compared_field_by_field_in_order():
-    """A record has no instance `__dict__`, stays mutable and works with
-    `dataclasses.replace`; `divergence` compares `index`, `updates`,
-    `interactions` and `halted_after` in that order."""
+    """A record has no instance `__dict__`, stays mutable, works with
+    `dataclasses.replace` and holds only what its step made; `divergence` compares `updates`, `interactions`
+    and `halted_after` in that order."""
     record = corpus_run("euclid").steps[1]
     assert not hasattr(record, "__dict__")
     copy = dataclasses.replace(record)
     copy.halted_after = True
     assert copy.halted_after and not record.halted_after
-    fields = {"index": 7, "updates": UpdateSet({("a", ()): 9}),
+    fields = {"updates": UpdateSet({("a", ()): 9}),
               "interactions": (Interaction("R", (0, 5), Refused("script")),),
               "halted_after": True}
+    assert [f.name for f in dataclasses.fields(record)] == list(fields)
     other = dataclasses.replace(record, **fields)
     for name, value in fields.items():
         want = getattr(record, name)

@@ -54,6 +54,10 @@ def test_corpus_run_binding_overrides():
         corpus_run("euclid", nothere=1)
     with pytest.raises(BasmError):
         corpus_run("euclid", a=True)  # wrong sort
+    # None unbinds: `a` and `d` read `undef`, so `d = a` halts at once.
+    t = corpus_run("euclid", a=None)
+    assert state_bindings(t.initial_state) == {"b": "8"}
+    assert (t.outcome.kind, len(t.steps)) == ("halted", 0)
 
 
 def test_corpus_run_binding_from_strings():

@@ -43,8 +43,6 @@ from basm.state import (
     apply_updates,
 )
 from basm.syntax import (
-    DO_UNTIL,
-    ITERATE,
     App,
     Assign,
     Cond,
@@ -144,10 +142,9 @@ def reference_rule(rule):
 
 
 def reference_step(state: State, rule, session: OracleSession):
-    start = len(session.log)
     updates = UpdateSet()
     reference_rule(rule)(state.store.get, session.ask, updates.add)
-    return updates, session.log[start:]
+    return updates, list(session.per_step_cache.values())
 
 
 def _no_session(query):
@@ -255,8 +252,8 @@ def rule(draw, depth: int, oracle: bool = True):
 def program(draw):
     body = Par(tuple(draw(st.lists(rule(2), min_size=1, max_size=4))))
     if draw(st.booleans()):
-        return Program(VOCAB, DO_UNTIL, draw(bool_term(2, oracle=False)), body)
-    return Program(VOCAB, ITERATE, None, body)
+        return Program(VOCAB, draw(bool_term(2, oracle=False)), body)
+    return Program(VOCAB, None, body)
 
 
 @st.composite
@@ -296,10 +293,10 @@ def _observed(prog: Program, init: State, make_policy, step_fn, evaluate) -> lis
     error outcome. Steps run whatever the halting value, so every rule runs."""
     session = OracleSession(make_policy(), prog.vocabulary)
     current, seen = init, []
-    for index in range(STEPS):
-        if prog.mode == DO_UNTIL:
+    for _ in range(STEPS):
+        if prog.halt is not None:
             seen.append(_value_or_error(lambda: evaluate(current, prog.halt)))
-        record, failed = observe_step(index, current, prog.step_rule, session, step_fn)
+        record, failed = observe_step(current, prog.step_rule, session, step_fn)
         updates = [(key, type(v), v) for key, v in record.updates.items()]
         seen.append((updates, record.interactions,
                      failed and (failed.kind, failed.error, failed.detail)))

@@ -275,6 +275,11 @@ def test_a_state_file_loads_as_the_reference_loads_it(bindings):
     assert repr(load_state(text, VOCAB).store) == repr(want.store)
 
 
+def test_the_any_sort_reads_true_and_false_as_booleans():
+    assert parse_value("false", ANY) is False
+    assert parse_value("true", ANY) is True
+
+
 def test_values_that_are_not_text_fail_as_they_always_did():
     for sort in SORTS:
         for value in (5, None, [], {}, 2.5, True, 1e999, ["point(1.0,2.0)"], {"x": "1.0"}):

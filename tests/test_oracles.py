@@ -169,14 +169,14 @@ def test_session_cache_one_query_one_log_entry():
     a1 = s.ask(q)
     a2 = s.ask(q)
     assert a1 == a2
-    assert len(s.log) == 1
-    s.begin_step()  # cache clears at the step boundary
+    assert list(s.per_step_cache.values()) == [Interaction("Random", (0, 1000), a1)]
+    s.begin_step()  # the table clears at the step boundary
+    assert not s.per_step_cache
     a3 = s.ask(q)
-    assert len(s.log) == 2
-    assert s.log[0] == Interaction("Random", (0, 1000), a1)
-    # distinct queries in one step are distinct log entries
-    s.ask(Location(v.symbol("Random"), (0, 999)))
-    assert len(s.log) == 3
+    # distinct queries in one step are distinct entries, in the order asked
+    a4 = s.ask(Location(v.symbol("Random"), (0, 999)))
+    assert list(s.per_step_cache.values()) == [Interaction("Random", (0, 1000), a3),
+                                               Interaction("Random", (0, 999), a4)]
     assert a3 in range(0, 1001)
 
 
@@ -213,7 +213,7 @@ def test_uniform_policy_computes_a_reclassified_static_without_a_draw():
     before = s.prng.state
     assert s.ask(Location(v.symbol("mod"), (17, 5))) == 2
     assert s.prng.state == before
-    assert s.log == [Interaction("mod", (17, 5), 2)]
+    assert list(s.per_step_cache.values()) == [Interaction("mod", (17, 5), 2)]
 
 
 def test_a_strict_reclassified_static_answers_undef_for_an_undef_argument():
@@ -277,7 +277,26 @@ def test_a_refused_query_is_logged_with_its_kind_before_the_error_goes_on(policy
     with pytest.raises(BasmError) as e:
         s.ask(Location(v.symbol("Random"), (5, 1)))
     assert e.value.kind == kind
-    assert s.log == [Interaction("Random", (5, 1), Refused(kind))]
+    assert list(s.per_step_cache.values()) == [Interaction("Random", (5, 1), Refused(kind))]
+
+
+def test_a_refused_query_asked_again_in_its_step_is_refused_again():
+    """A refusal stays in the step's table: asking its query again in the
+    step raises the kind again, asks the policy nothing and never answers
+    with the `Refused`. The next step asks afresh."""
+    v = _vocab()
+    q = Location(v.symbol("Random"), (5, 1))
+    refused = Interaction("Random", (5, 1), Refused("arith"))
+    s = OracleSession(ScriptedPolicy([refused, Interaction("Random", None, 3)]), v)
+    s.begin_step()
+    for _ in range(2):
+        with pytest.raises(BasmError) as e:
+            s.ask(q)
+        assert e.value.kind == "arith"
+    assert s.policy.cursor == 1
+    assert list(s.per_step_cache.values()) == [refused]
+    s.begin_step()
+    assert s.ask(q) == 3
 
 
 def test_a_script_refuses_where_it_recorded_a_refusal():
@@ -287,7 +306,7 @@ def test_a_script_refuses_where_it_recorded_a_refusal():
     with pytest.raises(BasmError) as e:
         s.ask(q)
     assert (e.value.kind, e.value.message) == ("arith", "the script refuses Random(5,1)")
-    assert s.log == [Interaction("Random", (5, 1), Refused("arith"))]
+    assert list(s.per_step_cache.values()) == [Interaction("Random", (5, 1), Refused("arith"))]
     # A refusal is matched as an answer is: another query gets a script error.
     other = OracleSession(ScriptedPolicy([Interaction("Random", (5, 2), Refused("arith"))]), v)
     with pytest.raises(BasmError) as e:

@@ -71,7 +71,7 @@ def edited_copies(trace):
         yield "middle halted flipped", _with_step(
             trace, middle, halted_after=not steps[middle].halted_after)
         yield "last row dropped", replace(trace, steps=steps[:-1])
-        repeated = StepRecord(len(steps), steps[-1].updates, steps[-1].interactions,
+        repeated = StepRecord(steps[-1].updates, steps[-1].interactions,
                               steps[-1].halted_after)
         yield "last row repeated", replace(trace, steps=[*steps, repeated])
     for n, record in enumerate(steps):

@@ -45,6 +45,15 @@ def test_par_reads_pre_state_swap():
     assert interactions == []
 
 
+def test_a_bare_nullary_oracle_is_a_query():
+    """`Coin` with no parentheses reads as `Coin()`, and a step asks it."""
+    prog = _program("var a : Boolean\n  oracle Coin() : Boolean", "do until false { a := Coin }")
+    assert prog.step_rule == _program("var a : Boolean\n  oracle Coin() : Boolean",
+                                      "do until false { a := Coin() }").step_rule
+    trace = run(prog, _state(prog, ""), _answers(prog, [True]), max_steps=1)
+    assert trace.steps[0].interactions == (Interaction("Coin", (), True),)
+
+
 def test_guard_needs_literal_true():
     prog = _program("var x : Integer\n  var flag : Boolean",
                     "do until false { if flag then x := 1 else x := 2 }")

@@ -170,7 +170,7 @@ def test_update_set_items_are_sorted_by_location():
     ups.add(Location(v.symbol("x"), ()), 0)
     assert repr(ups) == "{f(1):=10, f(2):=20, x:=0}"
     s = State(v, {})
-    trace = Trace("p", s, [StepRecord(0, ups, ())], s, Outcome("halted"))
+    trace = Trace("p", s, [StepRecord(ups, ())], s, Outcome("halted"))
     step = json.loads(trace_lines(trace)[1])
     assert [u["loc"] for u in step["updates"]] == ["f(1)", "f(2)", "x"]
 
@@ -266,6 +266,9 @@ def test_transport_rejects_partial_maps_and_builtin_sorts():
     with pytest.raises(BasmError) as e:
         transport(s, {"Integer": {}})
     assert e.value.kind == "unsupported-iso"
+    with pytest.raises(BasmError) as e:  # a sort the vocabulary lacks
+        transport(s, {"Nope": {}})
+    assert (e.value.kind, e.value.message) == ("iso", "unknown sort in bijection: Nope")
 
 
 def test_vocabulary_equality_and_copy():
@@ -415,7 +418,7 @@ def renamed_inputs(draw):
                          for args, answer in zip(queries, answers))
     moved = draw(st.lists(st.sampled_from(enums), unique=True))
     bijection = {s.name: dict(zip(s.members, draw(st.permutations(s.members)))) for s in moved}
-    return State(vocab, store), StepRecord(3, updates, interactions), bijection
+    return State(vocab, store), StepRecord(updates, interactions), bijection
 
 
 def _typed(pairs):
@@ -437,7 +440,7 @@ def test_the_member_table_moves_as_the_recursive_move(inputs):
     assert type(renamed.updates) is UpdateSet
     assert _typed(renamed.updates.items()) == \
         _typed((reference(k), reference(v)) for k, v in record.updates.items())
-    assert renamed == StepRecord(record.index, renamed.updates, tuple(
+    assert renamed == StepRecord(renamed.updates, tuple(
         Interaction(i.oracle, tuple(map(reference, i.args)), reference(i.answer))
         for i in record.interactions))
     for i in record.interactions:

@@ -30,8 +30,6 @@ from basm.syntax import (
     App,
     Assign,
     Cond,
-    DO_UNTIL,
-    ITERATE,
     Lit,
     Par,
     Program,
@@ -123,7 +121,7 @@ def test_coordinates_past_the_float_range_are_parse_errors():
 
 def test_parse_euclid_shape():
     prog = parse_program(EUCLID)
-    assert prog.mode == DO_UNTIL
+    assert prog.halt is not None
     rule = prog.step_rule
     assert isinstance(rule, Cond)
     assert isinstance(rule.then_rule, Assign)
@@ -284,6 +282,12 @@ def test_dangling_else_binds_to_nearest_if():
     assert outer.then_rule.else_rule is not None
 
 
+def test_a_par_may_end_with_a_semicolon():
+    a = _program("do until p { par { x := 1; } }")
+    b = _program("do until p { par { x := 1 } }")
+    assert a.step_rule == b.step_rule and isinstance(a.step_rule, Par)
+
+
 def test_grouping_braces_are_transparent():
     a = _program("do until p { { x := 1 } }")
     b = _program("do until p { x := 1 }")
@@ -413,6 +417,13 @@ MALFORMED = {
                          "expected 'until', found 'p' (line 6, column 4)"),
     "no loop": (LOOP_DECLS, "", "parse",
                 "expected 'do until' or 'iterate' after the vocab block (line 6, column 1)"),
+    "undeclared assignment target": (LOOP_DECLS, "do until p { y := 1 }", "sort",
+                                     "unknown symbol: y (line 6, column 14)"),
+    "table assigned without arguments": (
+        "var f(Integer): Integer\n  var p: Boolean", "do until p { f := 1 }", "sort",
+        "f expects 1 argument(s) (line 5, column 14)"),
+    "variable named after a sort": ("var Integer: Integer", "do until true { skip }", "sort",
+                                    "name already used by a sort: Integer (line 2, column 3)"),
 }
 
 
@@ -602,9 +613,9 @@ def rule(draw, depth: int = 3, oracle: bool = True):
 @st.composite
 def program(draw):
     if draw(st.booleans()):
-        return Program(_gen_vocab(), DO_UNTIL, draw(bool_term(2, oracle=False)),
+        return Program(_gen_vocab(), draw(bool_term(2, oracle=False)),
                        draw(rule(3, oracle=True)))
-    return Program(_gen_vocab(), ITERATE, None, draw(rule(3, oracle=False)))
+    return Program(_gen_vocab(), None, draw(rule(3, oracle=False)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -677,7 +688,7 @@ def _fold_of_steps(prog, init, seed, max_steps):
     session = OracleSession(UniformRandomPolicy(seed), prog.vocabulary)
     state, records = init, []
     while True:
-        if prog.mode == DO_UNTIL:
+        if prog.halt is not None:
             try:
                 halt, _ = eval_term(state, prog.halt)
             except BasmError as e:
@@ -688,28 +699,28 @@ def _fold_of_steps(prog, init, seed, max_steps):
                 return records, state, ("halted", None)
         if len(records) >= max_steps:
             return records, state, ("step-limit", None)
-        start = session.begin_step()
+        session.begin_step()
         try:
             updates, interactions = step(state, prog.step_rule, session)
         except BasmError as e:
-            records.append(StepRecord(len(records), UpdateSet(), tuple(session.log[start:])))
+            records.append(StepRecord(UpdateSet(), tuple(session.per_step_cache.values())))
             return records, state, ("error", e.kind)
-        records.append(StepRecord(len(records), updates, tuple(interactions)))
-        unchanged = prog.mode == ITERATE and changes_nothing(state, updates)
+        records.append(StepRecord(updates, tuple(interactions)))
+        unchanged = prog.halt is None and changes_nothing(state, updates)
         state = apply_updates(state, updates)
         if unchanged:
             records[-1].halted_after = True
             return records, state, ("halted", None)
 
 
-@pytest.mark.parametrize("mode", [DO_UNTIL, ITERATE])
+@pytest.mark.parametrize("mode", ["do-until", "iterate"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_run_is_a_fold_of_step_and_apply_updates(mode, data):
     """`run` commits into one working store in place; folding `step` with the
     pure `apply_updates` from the same initial state gives the same steps,
     final state and outcome, and leaves the initial state as it was."""
-    prog = data.draw(program().filter(lambda p: p.mode == mode))
+    prog = data.draw(program().filter(lambda p: (p.halt is None) == (mode == "iterate")))
     x, y = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
     table = data.draw(st.dictionaries(st.integers(-5, 5), st.integers(-20, 20), max_size=3))
     text = f"x := {x}\ny := {y}\np := {str(data.draw(st.booleans())).lower()}\n"

@@ -34,9 +34,9 @@ def reference_trace_lines(trace: Trace) -> list[str]:
     texts: dict = {}
     lines = [json.dumps({"programId": trace.program_id,
                          "initialState": state_bindings(trace.initial_state, texts)})]
-    for record in trace.steps:
+    for index, record in enumerate(trace.steps):
         lines.append(json.dumps({
-            "index": record.index,
+            "index": index,
             "updates": [{"loc": loc, "value": value}
                         for loc, value in rendered_bindings(record.updates, texts)],
             "interactions": [_reference_interaction(i) for i in record.interactions],
@@ -75,21 +75,21 @@ interactions = st.builds(Interaction, st.sampled_from(["Pick", "I", "R"]),
 
 
 @st.composite
-def steps(draw, index: int) -> StepRecord:
+def steps(draw) -> StepRecord:
     updates = UpdateSet()
     for key, value in draw(st.dictionaries(keys, st.one_of(st.just(UNDEF), values),
                                            max_size=4)).items():
         updates.add(key, value)
     asked = draw(st.sampled_from([0, 1, 3]))
-    return StepRecord(index, updates, tuple(draw(st.lists(interactions, min_size=asked,
-                                                          max_size=asked))),
+    return StepRecord(updates, tuple(draw(st.lists(interactions, min_size=asked,
+                                                   max_size=asked))),
                       draw(st.booleans()))
 
 
 @st.composite
 def traces(draw) -> Trace:
     vocabulary = Vocabulary()
-    records = [draw(steps(index)) for index in range(draw(st.integers(0, 4)))]
+    records = [draw(steps()) for _ in range(draw(st.integers(0, 4)))]
     outcome = Outcome(draw(st.sampled_from(["halted", "step-limit", "error"])),
                       draw(st.one_of(st.none(), st.sampled_from(["clash", "arith"]), st.text())))
     return Trace(draw(st.text()), State(vocabulary, draw(stores)), records,
