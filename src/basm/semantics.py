@@ -405,8 +405,10 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     step starts or the loop ends. Without `expected`, the records are the
     run's own list. With `expected`, a trace's records, the loop keeps none:
     it compares each finished record with the one at its position there, and
-    ends at the first that differs. It then returns None for the records if
-    a record differed or their numbers differ, and `expected` otherwise.
+    ends at the first that differs. It then returns the records it compared:
+    `expected` itself when all agree in number and value, the prefix of
+    `expected` it matched followed by the first record that differs, or, when
+    the rerun stops early, `expected` up to where it stopped.
     """
     session = OracleSession(policy, program.vocabulary)
     store = dict(init.store)
@@ -437,7 +439,7 @@ def _loop(program: Program, init: State, policy, max_steps: int,
             break
         # `==`, as a dataclass's `!=` goes through `__ne__` to it.
         if expected is not None and taken and not record == expected[taken - 1]:
-            return None, state, None
+            break
         if function is None:
             record, outcome = observe_step(state, rule, session, step_fn)
             updates = record.updates
@@ -465,8 +467,10 @@ def _loop(program: Program, init: State, policy, max_steps: int,
             break
     if expected is None:
         return steps, state, outcome
-    if taken != len(expected) or taken and not record == expected[-1]:
-        return None, state, outcome
+    if taken and not record == expected[taken - 1]:
+        return expected[:taken - 1] + [record], state, outcome
+    if taken != len(expected):
+        return expected[:taken], state, outcome
     return expected, state, outcome
 
 
@@ -496,9 +500,9 @@ def replay_divergence(trace: Trace, program: Program) -> Optional[str]:
     differ, the trace's first (an absent binding reads `undef`).
 
     The rerun compares each step with the trace's as it makes it, keeps no
-    record, and stops at the first that differs. A rerun that disagrees in a
-    step, in the number of steps or in the outcome runs once more, by `run`,
-    for `divergence`'s text."""
+    record, and stops at the first that differs. When the rerun disagrees in
+    a step, in the number of steps or in the outcome, `divergence` names the
+    difference from the records the rerun compared."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
     script = [i for record in trace.steps for i in record.interactions]
@@ -507,9 +511,8 @@ def replay_divergence(trace: Trace, program: Program) -> Optional[str]:
     budget = len(trace.steps)
     steps, final, outcome = _loop(program, trace.initial_state, ScriptedPolicy(script),
                                   budget, trace.steps)
-    if steps is None or not outcome == trace.outcome:
-        rerun = run(program, trace.initial_state, ScriptedPolicy(script), budget)
-        return divergence(trace.steps, trace.outcome, rerun.steps, rerun.outcome)
+    if steps is not trace.steps or not outcome == trace.outcome:
+        return divergence(trace.steps, trace.outcome, steps, outcome)
     if final == trace.final_state:
         return None
     a, b = trace.final_state.store, final.store

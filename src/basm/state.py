@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from typing import Callable, Iterable
 
 from . import geometry
-from .errors import BasmError
+from .errors import BasmError, ParseError
 from .geometry import Circle, Line, Point
 
 STATIC = "static"
@@ -248,9 +248,9 @@ class Vocabulary:
         self.declarations: list[tuple[str, object]] = []
         self.oracle_statics = frozenset(oracle_statics)
         unknown = self.oracle_statics - set(STATIC_SYMBOLS)
-        if unknown:
-            raise BasmError(
-                "sort", "cannot reclassify unknown static: " + ", ".join(sorted(unknown))
+        if unknown:  # a load-time error, like every other sort error: exit 2
+            raise ParseError(
+                "cannot reclassify unknown static: " + ", ".join(sorted(unknown)), kind="sort"
             )
         for name, sym in STATIC_SYMBOLS.items():
             if name in self.oracle_statics:

@@ -1,6 +1,9 @@
-"""End-to-end command line runs in a subprocess, including exit codes."""
+"""End-to-end command line runs, including exit codes, in this process through
+`cli`. A named few `spawn` `python -m basm` for what only a new process shows:
+the entry point, one hostile input per exit code, and byte-identical traces."""
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from basm import cli as cli_module, semantics
+from basm import cli as cli_module, corpus as corpus_module, semantics
 from basm.cli import main
 from basm.syntax import MAX_NESTING
 
@@ -16,31 +19,55 @@ REPO = Path(__file__).resolve().parents[1]
 
 EUCLID = "corpus/euclid/program.basm"
 EUCLID_INIT = "corpus/euclid/init/a12b8.state"
+EUCLID_RUN = ["--program", str(REPO / EUCLID), "--init", str(REPO / EUCLID_INIT)]
 PRIMALITY = "corpus/primality/program.basm"
 PRIMALITY_INIT = "corpus/primality/init/n15k2.state"
 TANGENT = "corpus/tangent/program.basm"
 TANGENT_INIT = "corpus/tangent/init/default.state"
 TANGENT_INIT_TEXT = (REPO / TANGENT_INIT).read_text()
 
-CLASHING = """\
-vocab {
-  var x : Integer
-}
-do until x = 3 {
-  par { x := 1 ; x := 2 }
-}
-"""
+def cli(*argv, stdin=None):
+    """`main(argv)` run as a new process would run it: from the repository
+    root, with `stdin` as its input and the corpus caches empty. Its exit
+    code and output come back as `spawn`'s do; argparse's exit becomes the
+    code, and any other exception fails the test."""
+    corpus_module._program_cache.clear()
+    corpus_module._state_cache.clear()
+    saved = os.getcwd(), sys.stdin, sys.stdout, sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    os.chdir(REPO)
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin or ""), out, err
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    finally:
+        os.chdir(saved[0])
+        sys.stdin, sys.stdout, sys.stderr = saved[1:]
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
-def cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "basm", *args],
-        capture_output=True, text=True, input=stdin, cwd=REPO,
-    )
+def _assigning(term: str) -> str:
+    """A program of one variable `x` that sets it to `term` until it is positive."""
+    return f"vocab {{\n  var x : Integer\n}}\ndo until x > 0 {{\n  x := {term}\n}}\n"
+
+
+def _files(tmp_path, program: str, state: str):
+    """The paths of a program file and a state file with these texts."""
+    src, init = tmp_path / "p.basm", tmp_path / "p.state"
+    src.write_text(program)
+    init.write_text(state)
+    return str(src), str(init)
+
+
+def spawn(*args):
+    """`python -m basm` run in a new process from the repository root."""
+    return subprocess.run([sys.executable, "-m", "basm", *args],
+                          capture_output=True, text=True, cwd=REPO)
 
 
 def test_run_euclid():
-    r = cli("run", "--program", EUCLID, "--init", EUCLID_INIT)
+    r = spawn("run", "--program", EUCLID, "--init", EUCLID_INIT)
     assert r.returncode == 0
     assert "outcome: halted" in r.stdout
     assert "steps: 3" in r.stdout
@@ -59,10 +86,8 @@ def test_run_trace_and_replay_roundtrip(tmp_path):
 def test_replay_detects_tampering(tmp_path):
     trace = tmp_path / "t.jsonl"
     cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
-    trace.write_text(
-        trace.read_text().replace('{"loc": "d", "value": "4"}',
-                                  '{"loc": "d", "value": "5"}')
-    )
+    trace.write_text(trace.read_text().replace('{"loc": "d", "value": "4"}',
+                                               '{"loc": "d", "value": "5"}'))
     r = cli("replay", "--program", EUCLID, "--trace", str(trace))
     assert r.returncode == 1
     assert "mismatch" in r.stderr
@@ -101,15 +126,8 @@ def _number_valued_update(lines: list[str]) -> int:
     return 2
 
 
-def _initial_state_as_list(lines: list[str]) -> int:
-    obj = json.loads(lines[0])
-    obj["initialState"] = []
-    lines[0] = json.dumps(obj)
-    return 1
-
-
-def _set_step_field(label: str, row: int, name: str, value):
-    """A damage that sets one field of step row `row` (line `row + 1`)."""
+def _set_field(label: str, row: int, name: str, value):
+    """A damage that sets one field of row `row` (line `row + 1`)."""
     def damage(lines: list[str]) -> int:
         obj = json.loads(lines[row])
         obj[name] = value
@@ -120,21 +138,15 @@ def _set_step_field(label: str, row: int, name: str, value):
     return damage
 
 
-def _unknown_outcome(lines: list[str]) -> int:
-    obj = json.loads(lines[-1])
-    obj["outcome"] = "finished"
-    lines[-1] = json.dumps(obj)
-    return len(lines)
-
-
 @pytest.mark.parametrize("damage", [
-    _truncate_line, _drop_halted, _number_valued_update, _initial_state_as_list,
-    _set_step_field("_halted_as_0", 1, "halted", 0),
-    _set_step_field("_halted_as_string", 2, "halted", "false"),
-    _set_step_field("_index_of_the_next_step", 1, "index", 1),
-    _set_step_field("_index_as_true", 2, "index", True),
-    _set_step_field("_index_as_float", 2, "index", 1.0),
-    _unknown_outcome,
+    _truncate_line, _drop_halted, _number_valued_update,
+    _set_field("_initial_state_as_list", 0, "initialState", []),
+    _set_field("_halted_as_0", 1, "halted", 0),
+    _set_field("_halted_as_string", 2, "halted", "false"),
+    _set_field("_index_of_the_next_step", 1, "index", 1),
+    _set_field("_index_as_true", 2, "index", True),
+    _set_field("_index_as_float", 2, "index", 1.0),
+    _set_field("_unknown_outcome", 4, "outcome", "finished"),  # after the 3 step rows
 ])
 def test_malformed_trace_step_line_exits_2(tmp_path, damage):
     trace = tmp_path / "t.jsonl"
@@ -172,8 +184,8 @@ def test_a_script_row_that_is_no_json_object_exits_2(tmp_path, row):
 def test_seeded_runs_are_byte_identical(tmp_path):
     files = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for f in files:
-        r = cli("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT,
-                "--seed", "42", "--trace", str(f))
+        r = spawn("run", "--program", PRIMALITY, "--init", PRIMALITY_INIT,
+                  "--seed", "42", "--trace", str(f))
         assert r.returncode == 0
     assert files[0].read_bytes() == files[1].read_bytes()
 
@@ -197,11 +209,10 @@ def test_missing_and_broken_files_exit_2(tmp_path):
 @pytest.mark.parametrize("bindings", [("x := undef", "x := 0"), ("x := 0", "x := undef")],
                          ids=["undef-first", "undef-last"])
 def test_repeated_binding_exits_2_in_either_order(tmp_path, bindings):
-    src = tmp_path / "p.basm"
-    src.write_text("vocab {\n  var x : Integer\n}\ndo until x = 3 {\n  x := x + 1\n}\n")
-    init = tmp_path / "init.state"
-    init.write_text("\n".join(bindings) + "\n")
-    r = cli("run", "--program", str(src), "--init", str(init))
+    src, init = _files(tmp_path,
+                       "vocab {\n  var x : Integer\n}\ndo until x = 3 {\n  x := x + 1\n}\n",
+                       "\n".join(bindings) + "\n")
+    r = cli("run", "--program", src, "--init", init)
     assert r.returncode == 2
     assert "error[parse]" in r.stderr and "repeated binding for x" in r.stderr
 
@@ -224,11 +235,8 @@ def test_a_location_bound_twice_in_a_trace_header_exits_2(tmp_path):
 def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
     digits = "9" * 5000
     in_program, in_state = (digits, "0") if where == "program" else ("0", digits)
-    src = tmp_path / "p.basm"
-    src.write_text(f"vocab {{\n  var x : Integer\n}}\ndo until x > 0 {{\n  x := {in_program}\n}}\n")
-    init = tmp_path / "init.state"
-    init.write_text(f"x := {in_state}\n")
-    r = cli("run", "--program", str(src), "--init", str(init))
+    src, init = _files(tmp_path, _assigning(in_program), f"x := {in_state}\n")
+    r = cli("run", "--program", src, "--init", init)
     assert r.returncode == 2
     assert "error[parse]" in r.stderr and "Traceback" not in r.stderr
 
@@ -236,22 +244,16 @@ def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
 @pytest.mark.parametrize("term", ["²", "point(², 0.0)", "point(0.0, 1²)"],
                          ids=["alone", "point-x", "after-a-digit"])
 def test_a_superscript_digit_in_a_program_exits_2(tmp_path, term):
-    src = tmp_path / "p.basm"
-    src.write_text(f"vocab {{\n  var x : Integer\n}}\ndo until x > 0 {{\n  x := {term}\n}}\n")
-    init = tmp_path / "init.state"
-    init.write_text("x := 0\n")
-    r = cli("run", "--program", str(src), "--init", str(init))
+    src, init = _files(tmp_path, _assigning(term), "x := 0\n")
+    r = cli("run", "--program", src, "--init", init)
     assert r.returncode == 2
     assert "error[parse]: unexpected character '²'" in r.stderr
     assert "Traceback" not in r.stderr
 
 
 def test_a_non_ascii_name_exits_2(tmp_path):
-    src = tmp_path / "p.basm"
-    src.write_text("vocab { var é : Integer }\ndo until é = 1 { é := 1 }\n")
-    init = tmp_path / "init.state"
-    init.write_text("")
-    r = cli("run", "--program", str(src), "--init", str(init))
+    src, init = _files(tmp_path, "vocab { var é : Integer }\ndo until é = 1 { é := 1 }\n", "")
+    r = cli("run", "--program", src, "--init", init)
     assert r.returncode == 2
     assert "error[parse]: unexpected character 'é'" in r.stderr
     assert "Traceback" not in r.stderr
@@ -303,19 +305,15 @@ def test_a_run_that_squares_past_the_digit_bound_stops_and_its_trace_replays(
     tmp_path, squarings, code
 ):
     """2^2048 has 617 digits and halts; 2^4096 has 1234, past `MAX_INT_DIGITS`."""
-    src = tmp_path / "p.basm"
-    src.write_text(
-        "vocab {\n  var x : Integer\n  var n : Integer\n}\n"
-        f"do until n = {squarings} {{\n  par {{ x := x * x ; n := n + 1 }}\n}}\n"
-    )
-    init = tmp_path / "init.state"
-    init.write_text("x := 2\nn := 0\n")
+    src, init = _files(tmp_path, "vocab {\n  var x : Integer\n  var n : Integer\n}\n"
+                       f"do until n = {squarings} {{\n  par {{ x := x * x ; n := n + 1 }}\n}}\n",
+                       "x := 2\nn := 0\n")
     trace = tmp_path / "t.jsonl"
-    r = cli("run", "--program", str(src), "--init", str(init), "--trace", str(trace))
+    r = cli("run", "--program", src, "--init", init, "--trace", str(trace))
     assert r.returncode == code and "Traceback" not in r.stderr
     if code:
         assert "error[arith]: integer result of more than 640 digits" in r.stderr
-    r = cli("replay", "--program", str(src), "--trace", str(trace))
+    r = cli("replay", "--program", src, "--trace", str(trace))
     assert r.returncode == 0 and "replay: ok" in r.stdout
 
 
@@ -331,17 +329,15 @@ def test_oracle_in_halt_condition_exits_2(tmp_path):
 
 
 def test_step_limit_exits_3():
-    r = cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--max-steps", "1")
+    r = spawn("run", "--program", EUCLID, "--init", EUCLID_INIT, "--max-steps", "1")
     assert r.returncode == 3
     assert "outcome: step-limit" in r.stdout
 
 
 def test_clash_exits_1(tmp_path):
-    src = tmp_path / "clash.basm"
-    src.write_text(CLASHING)
-    init = tmp_path / "init.basm"
-    init.write_text("x := 0\n")
-    r = cli("run", "--program", str(src), "--init", str(init))
+    src, init = _files(tmp_path, "vocab {\n  var x : Integer\n}\n"
+                       "do until x = 3 {\n  par { x := 1 ; x := 2 }\n}\n", "x := 0\n")
+    r = spawn("run", "--program", src, "--init", init)
     assert r.returncode == 1
     assert "error[clash]" in r.stderr
 
@@ -374,15 +370,14 @@ def test_check_iso_enumgraph():
     ("enumgraph", "default.jsonl", 2),
     ("tangent", "choice1.jsonl", 1),
 ])
-def test_check_iso_takes_a_golden_trace_as_its_script(entry, golden, bijections, capsys):
-    """Run in-process; the golden's answers are replayed by symbol."""
+def test_check_iso_takes_a_golden_trace_as_its_script(entry, golden, bijections):
+    """The golden's answers are replayed by symbol."""
     d = REPO / "corpus" / entry
-    code = main(["check", "iso", "--program", str(d / "program.basm"),
-                 "--init", str(d / "init" / "default.state"),
-                 "--script", str(d / "golden" / golden)])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "check": "iso", "trials": bijections, "failures": []}
+    r = cli("check", "iso", "--program", str(d / "program.basm"),
+            "--init", str(d / "init" / "default.state"),
+            "--script", str(d / "golden" / golden))
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"check": "iso", "trials": bijections, "failures": []}
 
 
 def test_check_equiv_flags_different_machines():
@@ -398,21 +393,17 @@ def test_check_equiv_flags_different_machines():
     ("replay", ["--policy", "interactive"]),
     ("equiv", ["--other", str(REPO / EUCLID), "--trials", "5"]),
 ])
-def test_a_check_kind_rejects_an_option_it_does_not_read(kind, unread, capsys):
-    """Run in-process; argparse ends a usage error with exit 2."""
-    with pytest.raises(SystemExit) as e:
-        main(["check", kind, "--program", str(REPO / EUCLID),
-              "--init", str(REPO / EUCLID_INIT), *unread])
-    assert e.value.code == 2
-    assert f"unrecognized arguments: {unread[-2]}" in capsys.readouterr().err
+def test_a_check_kind_rejects_an_option_it_does_not_read(kind, unread):
+    """Argparse ends a usage error with exit 2."""
+    r = cli("check", kind, *EUCLID_RUN, *unread)
+    assert r.returncode == 2
+    assert f"unrecognized arguments: {unread[-2]}" in r.stderr
 
 
-def test_check_equiv_without_other_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["check", "equiv", "--program", str(REPO / EUCLID),
-              "--init", str(REPO / EUCLID_INIT)])
-    assert e.value.code == 2
-    assert "--other" in capsys.readouterr().err
+def test_check_equiv_without_other_is_a_usage_error():
+    r = cli("check", "equiv", *EUCLID_RUN)
+    assert r.returncode == 2
+    assert "--other" in r.stderr
 
 
 def test_corpus_list_names_every_entry():
@@ -466,6 +457,25 @@ def test_oracle_static_round_trip(tmp_path):
     assert "error[program-id]" in r.stderr
 
 
+def test_an_unknown_oracle_static_exits_2():
+    r = cli("run", *EUCLID_RUN, "--oracle-static", "nosuch")
+    assert (r.returncode, r.stderr) == (2, "error[sort]: cannot reclassify unknown static: nosuch\n")
+
+
+@pytest.mark.parametrize("symbol", ["mod", "Random"])
+def test_a_state_line_or_trace_update_that_binds_a_static_or_oracle_exits_2(tmp_path, symbol):
+    init, trace = tmp_path / "p.state", tmp_path / "t.jsonl"
+    init.write_text(f"n := 15\n{symbol} := 3\n")
+    trace.write_text((REPO / "corpus/primality/golden/n15k2_seed42.jsonl").read_text()
+                     .replace('"loc": "a"', f'"loc": "{symbol}"', 1))
+    r = cli("run", "--program", PRIMALITY, "--init", str(init))
+    assert (r.returncode, r.stderr) == \
+        (2, f"error[sort]: {init}: not a dynamic symbol: {symbol} (line 2, column 1)\n")
+    r = cli("replay", "--program", PRIMALITY, "--trace", str(trace))
+    assert (r.returncode, r.stderr) == \
+        (2, f"error[sort]: not a dynamic symbol: {symbol} (line 2, column 1)\n")
+
+
 EQUALITY_QUERIES = """\
 vocab {
   enum Node { u, v }
@@ -483,19 +493,20 @@ do until hops > 1 {
 """
 
 
-def test_a_trace_with_equality_as_an_oracle_reads_back_and_replays(tmp_path, capsys):
-    """Run in-process. The `=` queries take enum members and points, whose
-    sort the trace reader infers from the literal text."""
-    program, init, trace = tmp_path / "p.basm", tmp_path / "init.state", tmp_path / "t.jsonl"
-    program.write_text(EQUALITY_QUERIES)
-    init.write_text("cur := u\nhere := point(0.5, -1.0)\nhops := 0\n")
-    common = ["--program", str(program), "--oracle-static", "="]
-    assert main(["run", *common, "--init", str(init), "--trace", str(trace)]) == 0
+def test_a_trace_with_equality_as_an_oracle_reads_back_and_replays(tmp_path):
+    """The `=` queries take enum members and points, whose sort the trace
+    reader infers from the literal text."""
+    program, init = _files(tmp_path, EQUALITY_QUERIES,
+                           "cur := u\nhere := point(0.5, -1.0)\nhops := 0\n")
+    trace = tmp_path / "t.jsonl"
+    common = ["--program", program, "--oracle-static", "="]
+    assert cli("run", *common, "--init", init, "--trace", str(trace)).returncode == 0
     text = trace.read_text()
     assert '{"oracle": "=", "args": ["v", "u"], "answer": "false"}' in text
     assert '"args": ["point(0.5,-1.0)", "point(0.5,-1.0)"], "answer": "true"' in text
-    assert main(["replay", *common, "--trace", str(trace)]) == 0
-    assert capsys.readouterr().out.endswith("replay: ok\n")
+    r = cli("replay", *common, "--trace", str(trace))
+    assert r.returncode == 0
+    assert r.stdout.endswith("replay: ok\n")
 
 
 def test_interactive_policy_computes_a_reclassified_static():
@@ -541,8 +552,7 @@ def test_seed_with_choice_and_no_policy_is_an_error():
 
 
 def _nested_program(levels: int) -> str:
-    return ("vocab {\n  var x : Integer\n}\ndo until x > 0 {\n  x := "
-            + "x + (" * levels + "1" + ")" * levels + "\n}\n")
+    return _assigning("x + (" * levels + "1" + ")" * levels)
 
 
 def _chain(terms: int) -> str:
@@ -550,10 +560,9 @@ def _chain(terms: int) -> str:
 
 
 @pytest.mark.parametrize("text", [_nested_program(MAX_NESTING + 1),
-                                  _nested_program(0).replace("1", "(" * 80 + "1" + ")" * 80),
-                                  _nested_program(0).replace("1", _chain(3000)),
-                                  _nested_program(0).replace(
-                                      "1", " + ".join([f"({_chain(30)})"] * 30))],
+                                  _assigning("(" * 80 + "1" + ")" * 80),
+                                  _assigning(_chain(3000)),
+                                  _assigning(" + ".join([f"({_chain(30)})"] * 30))],
                          ids=["one level past the bound", "80 parentheses",
                               "3000-term operator chain", "chain of parenthesised chains"])
 def test_nesting_past_the_bound_exits_2(tmp_path, text):
@@ -581,7 +590,7 @@ def test_deeply_nested_json_line_exits_2(tmp_path):
 
 
 def test_unknown_subcommand_exits_2():
-    assert cli("bogus").returncode == 2
+    assert spawn("bogus").returncode == 2
 
 
 REFUSING = """\
@@ -593,42 +602,35 @@ do until x > 5 { x := R(5, 1) }
 """
 
 
-def _refusing(tmp_path, query="R(5, 1)"):
-    program, init = tmp_path / "r.basm", tmp_path / "r.state"
-    program.write_text(REFUSING.replace("R(5, 1)", query))
-    init.write_text("x := 0\n")
-    return str(program), str(init)
-
-
 @pytest.mark.parametrize("query, flags, message", [
     ("R(5, 1)", [], "empty segment [5, 1]"),
     (f"R(0, {10**23})", ["--seed", "3"], f"segment [0, {10**23}] is wider than 2^64"),
 ])
-def test_the_trace_of_a_refused_query_replays(tmp_path, capsys, query, flags, message):
-    program, init = _refusing(tmp_path, query)
+def test_the_trace_of_a_refused_query_replays(tmp_path, query, flags, message):
+    program, init = _files(tmp_path, REFUSING.replace("R(5, 1)", query), "x := 0\n")
     trace = tmp_path / "e.jsonl"
-    assert main(["run", "--program", program, "--init", init, "--trace", str(trace), *flags]) == 1
-    assert capsys.readouterr().err == f"error[oracle-domain]: {message}\n"
+    r = cli("run", "--program", program, "--init", init, "--trace", str(trace), *flags)
+    assert (r.returncode, r.stderr) == (1, f"error[oracle-domain]: {message}\n")
     assert '"refused": "oracle-domain"' in trace.read_text()
-    assert main(["replay", "--program", program, "--trace", str(trace)]) == 0
-    assert capsys.readouterr().out == "replay: ok\n"
+    r = cli("replay", "--program", program, "--trace", str(trace))
+    assert (r.returncode, r.stdout) == (0, "replay: ok\n")
 
 
-def test_check_replay_passes_on_a_refused_query(tmp_path, capsys):
-    program, init = _refusing(tmp_path, f"R(0, {10**23})")
-    assert main(["check", "replay", "--program", program, "--init", init,
-                 "--seed", "3", "--trials", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["failures"] == []
+def test_check_replay_passes_on_a_refused_query(tmp_path):
+    program, init = _files(tmp_path, REFUSING.replace("R(5, 1)", f"R(0, {10**23})"), "x := 0\n")
+    r = cli("check", "replay", "--program", program, "--init", init, "--seed", "3", "--trials", "1")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["failures"] == []
 
 
-def test_an_interactive_run_whose_input_closes_replays(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+def test_an_interactive_run_whose_input_closes_replays(tmp_path):
     trace = tmp_path / "i.jsonl"
-    assert main(["run", "--program", str(REPO / TANGENT), "--init", str(REPO / TANGENT_INIT),
-                 "--policy", "interactive", "--trace", str(trace)]) == 1
-    assert "error[aborted]: oracle input closed at I(" in capsys.readouterr().err
+    r = cli("run", "--program", TANGENT, "--init", TANGENT_INIT,
+            "--policy", "interactive", "--trace", str(trace), stdin="")
+    assert r.returncode == 1
+    assert "error[aborted]: oracle input closed at I(" in r.stderr
     assert '"refused": "aborted"' in trace.read_text()
-    assert main(["replay", "--program", str(REPO / TANGENT), "--trace", str(trace)]) == 0
+    assert cli("replay", "--program", TANGENT, "--trace", str(trace)).returncode == 0
 
 
 NOT_UTF8 = b"\xff\xfe\x00bad"
@@ -637,7 +639,7 @@ NOT_UTF8 = b"\xff\xfe\x00bad"
 def test_a_program_that_is_not_utf8_exits_2_without_a_traceback(tmp_path):
     program = tmp_path / "bin.basm"
     program.write_bytes(NOT_UTF8)
-    r = cli("run", "--program", str(program), "--init", EUCLID_INIT)
+    r = spawn("run", "--program", str(program), "--init", EUCLID_INIT)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr == f"error[parse]: {program}: not UTF-8 text (invalid start byte at byte 0)\n"
@@ -645,7 +647,7 @@ def test_a_program_that_is_not_utf8_exits_2_without_a_traceback(tmp_path):
 
 @pytest.mark.parametrize("where", ["--init", "replay --trace", "--script", "corpus --init",
                                    "corpus --script"])
-def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, where):
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, where):
     corpus = tmp_path / "corpus"
     shutil.copytree(REPO / "corpus" / "tangent", corpus / "tangent")
     monkeypatch.setenv("BASM_CORPUS_DIR", str(corpus))
@@ -660,12 +662,9 @@ def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monke
             "--script": ["run", *program, "--init", str(REPO / TANGENT_INIT), "--script", str(bad)],
             "corpus --init": ["corpus", "tangent", "--init", bad.name],
             "corpus --script": ["corpus", "tangent", "--script", bad.name]}[where]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == \
-        f"error[parse]: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
-
-
-EUCLID_RUN = ["--program", str(REPO / EUCLID), "--init", str(REPO / EUCLID_INIT)]
+    r = cli(*argv)
+    assert (r.returncode, r.stderr) == \
+        (2, f"error[parse]: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -684,25 +683,26 @@ EUCLID_RUN = ["--program", str(REPO / EUCLID), "--init", str(REPO / EUCLID_INIT)
      "argument --choice: invalid choice: -1 (choose from 0, 1)"),
     (["corpus", "tangent", "--choice", "2"], "argument --choice: invalid choice: 2 (choose from 0, 1)"),
 ])
-def test_an_out_of_range_number_is_a_usage_error(capsys, argv, message):
-    with pytest.raises(SystemExit) as e:
-        main(argv)
-    assert e.value.code == 2
-    assert message in capsys.readouterr().err
+def test_an_out_of_range_number_is_a_usage_error(argv, message):
+    r = cli(*argv)
+    assert r.returncode == 2
+    assert message in r.stderr
 
 
-def test_zero_trials_and_zero_steps_stay_legal(capsys):
-    assert main(["check", "bexp", *EUCLID_RUN, "--trials", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["trials"] == 0
-    assert main(["run", *EUCLID_RUN, "--max-steps", "0"]) == 3
-    assert "steps: 0" in capsys.readouterr().out
+def test_zero_trials_and_zero_steps_stay_legal():
+    r = cli("check", "bexp", *EUCLID_RUN, "--trials", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["trials"] == 0
+    r = cli("run", *EUCLID_RUN, "--max-steps", "0")
+    assert r.returncode == 3
+    assert "steps: 0" in r.stdout
 
 
-def test_a_negative_step_budget_in_the_environment_exits_1(capsys, monkeypatch):
+def test_a_negative_step_budget_in_the_environment_exits_1(monkeypatch):
     monkeypatch.setenv("ASM_MAX_STEPS", "-2")
-    assert main(["run", *EUCLID_RUN]) == 1
-    assert capsys.readouterr() == \
-        ("", "error[corpus]: ASM_MAX_STEPS is not an integer of 0 or more: '-2'\n")
+    r = cli("run", *EUCLID_RUN)
+    assert (r.returncode, r.stdout, r.stderr) == \
+        (1, "", "error[corpus]: ASM_MAX_STEPS is not an integer of 0 or more: '-2'\n")
 
 
 ONE_PICK = """\
@@ -714,67 +714,64 @@ do until x > 0 { x := R(1, 5) }
 """
 
 
-def _damaged_one_pick_trace(tmp_path, capsys, damage):
+def _damaged_one_pick_trace(tmp_path, damage):
     """The path of a recorded one-pick trace whose rows `damage` rewrites,
     and its program's path."""
-    program, init, trace = tmp_path / "p.basm", tmp_path / "p.state", tmp_path / "t.jsonl"
-    program.write_text(ONE_PICK)
-    init.write_text("x := 0\n")
-    assert main(["run", "--program", str(program), "--init", str(init), "--seed", "1",
-                 "--trace", str(trace)]) == 0
+    program, init = _files(tmp_path, ONE_PICK, "x := 0\n")
+    trace = tmp_path / "t.jsonl"
+    assert cli("run", "--program", program, "--init", init, "--seed", "1",
+               "--trace", str(trace)).returncode == 0
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert rows[1]["interactions"][0]["args"] == ["1", "5"]
     damage(rows)
     trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    capsys.readouterr()
-    return str(program), str(trace)
+    return program, str(trace)
 
 
 @pytest.mark.parametrize("args", ["15", {"1": "a", "5": "b"}], ids=["string", "object"])
-def test_interaction_args_that_are_no_list_exit_2(tmp_path, capsys, args):
+def test_interaction_args_that_are_no_list_exit_2(tmp_path, args):
     def retype(rows):
         rows[1]["interactions"][0]["args"] = args
-    program, trace = _damaged_one_pick_trace(tmp_path, capsys, retype)
-    assert main(["replay", "--program", program, "--trace", trace]) == 2
-    assert capsys.readouterr().err == \
-        "error[parse]: bad trace line: an interaction's args must be a list (line 2, column 1)\n"
+    program, trace = _damaged_one_pick_trace(tmp_path, retype)
+    r = cli("replay", "--program", program, "--trace", trace)
+    assert (r.returncode, r.stderr) == (2, "error[parse]: bad trace line: an interaction's args "
+                                           "must be a list (line 2, column 1)\n")
 
 
 @pytest.mark.parametrize("fields", [{"outcome": "error"}, {"outcome": "error", "error": 5},
                                     {"outcome": "halted", "error": "clash"}],
                          ids=["error-without-kind", "error-kind-a-number", "halted-with-kind"])
-def test_an_outcome_row_with_a_malformed_error_field_exits_2(tmp_path, capsys, fields):
+def test_an_outcome_row_with_a_malformed_error_field_exits_2(tmp_path, fields):
     def rewrite(rows):
         rows[-1] = {**fields, "finalState": rows[-1]["finalState"]}
-    program, trace = _damaged_one_pick_trace(tmp_path, capsys, rewrite)
-    assert main(["replay", "--program", program, "--trace", trace]) == 2
-    assert capsys.readouterr().err == (
+    program, trace = _damaged_one_pick_trace(tmp_path, rewrite)
+    r = cli("replay", "--program", program, "--trace", trace)
+    assert (r.returncode, r.stderr) == (2, (
         "error[parse]: bad trace line: expected an error kind string exactly when the outcome "
-        "is error (line 3, column 1)\n")
+        "is error (line 3, column 1)\n"))
 
 
-def test_a_failing_iso_check_names_the_step_and_field(tmp_path, capsys):
-    program, init = tmp_path / "n.basm", tmp_path / "n.state"
-    program.write_text("vocab {\n  enum Node { u, v }\n  var cur : Node\n}\n"
-                       "do until false { cur := u }\n")
-    init.write_text("cur := u\n")
-    assert main(["check", "iso", "--program", str(program), "--init", str(init)]) == 1
-    failures = json.loads(capsys.readouterr().out)["failures"]
+def test_a_failing_iso_check_names_the_step_and_field(tmp_path):
+    program, init = _files(tmp_path, "vocab {\n  enum Node { u, v }\n  var cur : Node\n}\n"
+                           "do until false { cur := u }\n", "cur := u\n")
+    r = cli("check", "iso", "--program", program, "--init", init)
+    assert r.returncode == 1
+    failures = json.loads(r.stdout)["failures"]
     assert failures == \
         ["under {'Node': {'u': 'v', 'v': 'u'}}: step 0 updates: {cur:=v} vs {cur:=u}"]
 
 
-def test_replay_refuses_an_outcome_with_an_unknown_error_kind(tmp_path, capsys):
-    """Run in-process: an error kind outside `errors.KINDS` is a bad trace
-    line (exit 2), not a replay mismatch."""
+def test_replay_refuses_an_outcome_with_an_unknown_error_kind(tmp_path):
+    """An error kind outside `errors.KINDS` is a bad trace line (exit 2), not
+    a replay mismatch."""
     lines = (REPO / "corpus" / "euclid" / "golden" / "a12b8.jsonl").read_text().splitlines()
     final = json.loads(lines[-1])["finalState"]
     lines[-1] = json.dumps({"outcome": "error", "error": "no-such-kind", "finalState": final})
     trace = tmp_path / "t.jsonl"
     trace.write_text("\n".join(lines) + "\n")
-    assert main(["replay", "--program", str(REPO / EUCLID), "--trace", str(trace)]) == 2
-    assert capsys.readouterr().err == \
-        f"error[parse]: bad trace line: unknown error kind 'no-such-kind' (line {len(lines)}, column 1)\n"
+    r = cli("replay", "--program", EUCLID, "--trace", str(trace))
+    assert (r.returncode, r.stderr) == (2, "error[parse]: bad trace line: unknown error kind "
+                                           f"'no-such-kind' (line {len(lines)}, column 1)\n")
 
 
 def _pick_fields(rows):
@@ -813,30 +810,30 @@ REPLAY_DIVERGENCES = {
 
 
 @pytest.mark.parametrize("field", REPLAY_DIVERGENCES)
-def test_replay_names_the_field_it_parts_at(tmp_path, capsys, field):
+def test_replay_names_the_field_it_parts_at(tmp_path, field):
     damage, text = REPLAY_DIVERGENCES[field]
-    program, trace = _damaged_one_pick_trace(tmp_path, capsys, damage)
+    program, trace = _damaged_one_pick_trace(tmp_path, damage)
     a, b = _pick_fields([json.loads(line) for line in Path(trace).read_text().splitlines()])
-    assert main(["replay", "--program", program, "--trace", trace]) == 1
-    assert capsys.readouterr() == ("", f"replay: mismatch: {text.format(a=a, b=b)}\n")
+    r = cli("replay", "--program", program, "--trace", trace)
+    assert (r.returncode, r.stdout, r.stderr) == \
+        (1, "", f"replay: mismatch: {text.format(a=a, b=b)}\n")
 
 
-def test_replay_names_the_interactions_of_a_refused_query(tmp_path, capsys):
+def test_replay_names_the_interactions_of_a_refused_query(tmp_path):
     """The rerun asks `R(5, 1)` where the trace recorded `R(5, 2)`: the script
     refuses it, and both failing steps keep no updates."""
-    program, init = _refusing(tmp_path)
+    program, init = _files(tmp_path, REFUSING, "x := 0\n")
     trace = tmp_path / "e.jsonl"
-    assert main(["run", "--program", program, "--init", init, "--trace", str(trace)]) == 1
+    assert cli("run", "--program", program, "--init", init, "--trace", str(trace)).returncode == 1
     trace.write_text(trace.read_text().replace('"args": ["5", "1"]', '"args": ["5", "2"]'))
-    capsys.readouterr()
-    assert main(["replay", "--program", program, "--trace", str(trace)]) == 1
-    assert capsys.readouterr().err == (
+    r = cli("replay", "--program", program, "--trace", str(trace))
+    assert (r.returncode, r.stderr) == (1, (
         "replay: mismatch: step 0 interactions: (Interaction(oracle='R', args=(5, 2), "
         "answer=Refused(kind='oracle-domain')),) vs (Interaction(oracle='R', args=(5, 1), "
-        "answer=Refused(kind='script')),)\n")
+        "answer=Refused(kind='script')),)\n"))
 
 
-def test_check_replay_reports_the_divergence(capsys, monkeypatch):
+def test_check_replay_reports_the_divergence(monkeypatch):
     """A run whose trace claims a final binding the steps never wrote."""
     def run_claiming_more(program, init, policy, max_steps=None):
         trace = semantics.run(program, init, policy, max_steps)
@@ -844,14 +841,16 @@ def test_check_replay_reports_the_divergence(capsys, monkeypatch):
         return trace
 
     monkeypatch.setattr(cli_module, "run", run_claiming_more)
-    assert main(["check", "replay", *EUCLID_RUN, "--trials", "1"]) == 1
-    assert json.loads(capsys.readouterr().out)["failures"] == \
+    r = cli("check", "replay", *EUCLID_RUN, "--trials", "1")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["failures"] == \
         ["trial 0: replay diverged: final-state: {d=5} vs {d=4}"]
 
 
-def test_check_equiv_reports_the_divergence(capsys):
-    assert main(["check", "equiv", *EUCLID_RUN,
-                 "--other", str(REPO / "corpus" / "euclid_while" / "program.basm")]) == 1
-    assert json.loads(capsys.readouterr().out)["failures"] == [
+def test_check_equiv_reports_the_divergence():
+    r = cli("check", "equiv", *EUCLID_RUN,
+            "--other", str(REPO / "corpus" / "euclid_while" / "program.basm"))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["failures"] == [
         f"{REPO / EUCLID} and {REPO / 'corpus/euclid_while/program.basm'} are not step "
         "equivalent: step 1 halted_after: False vs True"]

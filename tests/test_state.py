@@ -138,6 +138,13 @@ def test_redeclaring_a_symbol_is_rejected():
     assert e.value.kind == "sort"
 
 
+def test_an_unknown_oracle_static_is_a_load_time_sort_error():
+    with pytest.raises(ParseError) as e:
+        Vocabulary(("mod", "nosuch", "bogus"))
+    assert (e.value.kind, e.value.message) == \
+        ("sort", "cannot reclassify unknown static: bogus, nosuch")
+
+
 def test_update_set_clash():
     v = _vocab()
     x = Location(v.symbol("x"), ())
