@@ -6,7 +6,7 @@
     basm corpus [list | NAME] [--set var=value ...] ...
 
 Exit codes: 0 run halted / check passed, 1 runtime error or failed check,
-2 parse or usage error, 3 step limit reached. ASM_MAX_STEPS sets the default
+2 parse, usage or io error, 3 step limit reached. ASM_MAX_STEPS sets the default
 step budget; --max-steps overrides it per invocation.
 """
 from __future__ import annotations
@@ -61,8 +61,11 @@ def _emit_trace(trace: Trace, dest: Optional[str]):
     if dest == "-":
         write_trace(trace, sys.stdout)
         return True
-    with open(dest, "w") as fp:
-        write_trace(trace, fp)
+    try:
+        with open(dest, "w") as fp:
+            write_trace(trace, fp)
+    except OSError as e:  # a failed write names no file of its own
+        raise OSError(e.errno, e.strerror, dest) from None
     return False
 
 
@@ -281,8 +284,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BasmError as e:
         print(f"error[{e.kind}]: {e.message}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:  # a file that cannot be opened, read or written
+        where = f"{e.filename}: {e.strerror}" if e.filename and e.strerror else e
+        print(f"error[io]: {where}", file=sys.stderr)
         return 2
 
 

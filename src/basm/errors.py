@@ -19,6 +19,8 @@ can react without string matching. Kinds in use:
   vocab                 vocabulary mismatch between compared traces
   program-id            trace does not belong to the given program
   corpus                bad corpus entry name or argument
+  io                    a file that cannot be opened, read or written (the CLI
+                        reports an `OSError` so; no run ends with it)
 """
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from pathlib import Path
 KINDS = frozenset({
     "parse", "sort", "arith", "clash", "script", "aborted", "oracle-domain",
     "interactive-fixpoint", "interactive-halt", "iso", "unsupported-iso", "vocab",
-    "program-id", "corpus",
+    "program-id", "corpus", "io",
 })
 
 
@@ -51,7 +53,7 @@ class ParseError(BasmError):
 def read_text(path) -> str:
     """The text of a file basm reads: a program, state, trace or script. A
     file that is not UTF-8 is a `parse` error naming it; an unreadable one
-    raises `OSError` as before."""
+    raises `OSError`, which the CLI reports as kind `io`."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:

@@ -463,10 +463,9 @@ def load_state(text: str, vocabulary: Vocabulary, source: str = "<state>") -> St
         raise ParseError(f"{source}: {e.message}", line=lineno, column=1, kind=e.kind) from None
 
 
-def state_bindings(state: State, texts: dict | None = None) -> dict[str, str]:
-    """Rendered location -> literal map, sorted by location text (`texts` as
-    in `rendered_bindings`)."""
-    return dict(rendered_bindings(state.store, texts))
+def state_bindings(state: State) -> dict[str, str]:
+    """Rendered location -> literal map, sorted by location text."""
+    return dict(rendered_bindings(state.store))
 
 
 def state_from_bindings(bindings: Iterable[tuple[str, str]], vocabulary: Vocabulary,

@@ -336,9 +336,16 @@ class Vocabulary:
 
 
 def render_key(key) -> str:
-    """The text of a location pair `(name, args)`: `name` or `name(literal, ...)`."""
+    """The text of a location pair `(name, args)`: `name` or `name(literal, ...)`.
+    An argument whose type is exactly `int` is spelled inline, with no call,
+    as `render_value` spells it; a bool, an `int` too, takes `render_value`."""
     name, args = key
-    return f"{name}({','.join(map(render_value, args))})" if args else name
+    if not args:
+        return name
+    spelled = []
+    for a in args:
+        spelled.append(f"{a}" if type(a) is int else render_value(a))
+    return f"{name}({','.join(spelled)})"
 
 
 class Location(tuple):
@@ -383,13 +390,15 @@ class UpdateSet(dict):
         return "{" + ", ".join(f"{loc}:={v}" for loc, v in rendered_bindings(self)) + "}"
 
 
-def rendered_bindings(bindings, texts: dict | None = None) -> list[tuple[str, str]]:
+def rendered_bindings(bindings) -> list[tuple[str, str]]:
     """The (location text, literal text) pairs of a store or an update set,
-    sorted by location text: the order traces and reprs use. `texts` keeps
-    each key's text across calls, so a caller renders each key once."""
-    texts = {} if texts is None else texts
-    return sorted((texts.get(key) or texts.setdefault(key, render_key(key)), render_value(v))
-                  for key, v in bindings.items())
+    sorted by location text: the order traces and reprs use. As in
+    `render_key`, a value whose type is exactly `int` is spelled inline, and
+    any other value by `render_value`."""
+    pairs = [(render_key(key), f"{v}" if type(v) is int else render_value(v))
+             for key, v in bindings.items()]
+    pairs.sort()
+    return pairs
 
 
 class _Bindings(Mapping):

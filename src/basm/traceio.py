@@ -13,6 +13,14 @@ values use the shared literal syntax. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}. Rows are written
 directly in `json.dumps`'s default spelling, with no dict built per row:
 ", " and ": " separators, each string through `json`'s own ASCII escaper.
+Integers, most of the values, are the exception: a value or location
+argument whose type is exactly `int` is spelled inline between quotes, with
+no call, since a decimal's digits and sign need no JSON escape (a bool is an
+`int` too, and takes `render_value`, which spells it true or false). Each
+row and each map builds one list of (location text, JSON text) pairs and
+sorts it once; under any vocabulary a program declares, the location texts
+of one update set or store are distinct, so this is the order by location
+text.
 
 A script file is JSON-lines too, one {"oracle", "args", "answer"} object per
 line, which is exactly the shape of a trace's interaction records; in
@@ -40,36 +48,52 @@ from .errors import KINDS, BasmError, ParseError
 from .literals import Locations, _call, state_from_bindings
 from .oracles import REFUSALS, Interaction, Refused, ScriptedPolicy
 from .semantics import Outcome, StepRecord, Trace
-from .state import ORACLE, UpdateSet, Vocabulary, render_value, rendered_bindings
+from .state import ORACLE, UpdateSet, Vocabulary, render_key, render_value
 from .syntax import Program
 
 
 def _interaction_text(i: Interaction) -> str:
-    args = ", ".join([_quote(render_value(a)) for a in i.args])
-    answer = (f'"refused": {_quote(i.answer.kind)}' if type(i.answer) is Refused
-              else f'"answer": {_quote(render_value(i.answer))}')
-    return f'{{"oracle": {_quote(i.oracle)}, "args": [{args}], {answer}}}'
-
-
-def _map_text(bindings, texts: dict) -> str:
-    """A store or update set as a JSON object, sorted by location text."""
-    return "{" + ", ".join([f"{_quote(loc)}: {_quote(value)}"
-                            for loc, value in rendered_bindings(bindings, texts)]) + "}"
+    args = ", ".join([f'"{a}"' if type(a) is int else _quote(render_value(a)) for a in i.args])
+    answer = i.answer
+    if type(answer) is int:
+        field = f'"answer": "{answer}"'
+    elif type(answer) is Refused:
+        field = f'"refused": {_quote(answer.kind)}'
+    else:
+        field = f'"answer": {_quote(render_value(answer))}'
+    return f'{{"oracle": {_quote(i.oracle)}, "args": [{args}], {field}}}'
 
 
 def trace_lines(trace: Trace) -> list[str]:
-    texts: dict = {}  # each location pair's text, rendered once per call
+    texts: dict = {}  # location pair -> (its text, that text as a JSON string)
+    known = texts.get
+
+    def located(key) -> tuple[str, str]:
+        text = render_key(key)
+        texts[key] = pair = text, _quote(text)
+        return pair
+
+    def map_text(store) -> str:
+        """A store as a JSON object, sorted by location text."""
+        entries = [(loc, f'{q}: "{v}"' if type(v) is int else f"{q}: {_quote(render_value(v))}")
+                   for key, v in store.items() for loc, q in (known(key) or located(key),)]
+        entries.sort()
+        return "{" + ", ".join([entry for _, entry in entries]) + "}"
+
     lines = [f'{{"programId": {_quote(trace.program_id)}, '
-             f'"initialState": {_map_text(trace.initial_state.store, texts)}}}']
+             f'"initialState": {map_text(trace.initial_state.store)}}}']
     for index, record in enumerate(trace.steps):
-        updates = ", ".join([f'{{"loc": {_quote(loc)}, "value": {_quote(value)}}}'
-                             for loc, value in rendered_bindings(record.updates, texts)])
-        lines.append(f'{{"index": {index}, "updates": [{updates}], "interactions": '
-                     f'[{", ".join([_interaction_text(i) for i in record.interactions])}], '
+        updates = [(loc, f'{{"loc": {q}, "value": "{v}"}}' if type(v) is int
+                    else f'{{"loc": {q}, "value": {_quote(render_value(v))}}}')
+                   for key, v in record.updates.items() for loc, q in (known(key) or located(key),)]
+        updates.sort()
+        asked = record.interactions
+        lines.append(f'{{"index": {index}, "updates": [{", ".join([u for _, u in updates])}], '
+                     f'"interactions": [{", ".join(map(_interaction_text, asked)) if asked else ""}], '
                      f'"halted": {"true" if record.halted_after else "false"}}}')
     error = "" if trace.outcome.error is None else f'"error": {_quote(trace.outcome.error)}, '
     lines.append(f'{{"outcome": {_quote(trace.outcome.kind)}, {error}"finalState": '
-                 f'{_map_text(trace.final_state.store, texts)}}}')
+                 f'{map_text(trace.final_state.store)}}}')
     return lines
 
 

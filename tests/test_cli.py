@@ -206,6 +206,21 @@ def test_missing_and_broken_files_exit_2(tmp_path):
     assert "error[parse]" in r.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--program", "no/such.basm", "--init", EUCLID_INIT],
+     "no/such.basm: No such file or directory"),
+    (["--program", "corpus", "--init", EUCLID_INIT], "corpus: Is a directory"),
+    (["--program", EUCLID, "--init", EUCLID_INIT, "--trace", "no/such/t.jsonl"],
+     "no/such/t.jsonl: No such file or directory"),
+    (["--program", EUCLID, "--init", EUCLID_INIT, "--trace", "/dev/full"],
+     "/dev/full: No space left on device"),
+], ids=["missing-program", "directory-as-program", "trace-into-missing-directory",
+        "trace-onto-a-full-device"])
+def test_a_file_that_cannot_be_opened_or_written_is_an_io_error(argv, message):
+    r = cli("run", *argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error[io]: {message}\n")
+
+
 @pytest.mark.parametrize("bindings", [("x := undef", "x := 0"), ("x := 0", "x := undef")],
                          ids=["undef-first", "undef-last"])
 def test_repeated_binding_exits_2_in_either_order(tmp_path, bindings):

@@ -399,6 +399,12 @@ def test_an_interaction_naming_a_symbol_that_is_no_oracle_is_a_sort_error(name):
         assert e.value.message.startswith(f"not an oracle symbol: {name} ")
 
 
+def test_an_unknown_script_mode_is_a_script_error():
+    with pytest.raises(BasmError) as e:
+        load_script([], VOCAB, mode="bogus")
+    assert (e.value.kind, e.value.message) == ("script", "unknown script mode: bogus")
+
+
 def test_a_trace_of_another_program_is_refused_before_its_rows():
     """A `mod` interaction is a sort error under a program where `mod` is
     static, but the header already names another program."""

@@ -2,6 +2,7 @@
 import ast
 import inspect
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from basm import checks, literals, state
 from basm.errors import BasmError, ParseError
 from basm.geometry import Circle, Line, Point
 from basm.literals import load_state
-from basm.oracles import Interaction, Refused
-from basm.semantics import Outcome, StepRecord, Trace
+from basm.oracles import BuiltinPolicy, Interaction, Refused
+from basm.semantics import Outcome, StepRecord, Trace, replay_divergence, run
 from basm.state import (
     BOOLEAN,
     CIRCLE,
@@ -454,3 +455,33 @@ def test_the_member_table_moves_as_the_recursive_move(inputs):
         assert [move(a) for a in (i.answer, *i.args)] == \
             [reference(a) for a in (i.answer, *i.args)]
         assert move.get(i.answer, i.answer) == reference(i.answer)
+
+
+# One symbol of each value kind, and an integer-keyed binary symbol.
+MIXED = parse_program(
+    "vocab {\n  enum Color { red, green }\n  var n : Integer\n  var on : Boolean\n"
+    "  var c : Color\n  var p : Point\n  var g(Integer, Integer) : Integer\n}\n"
+    "do until n >= 0 { n := n + 7 }\n")
+MIXED_INIT = "n := -7\non := true\nc := green\np := point(1.5,-2.0)\ng(3,-40) := 12\ng(10,2) := 0\n"
+
+
+def test_a_state_and_an_update_set_spell_each_kind_of_value_in_their_reprs():
+    init = load_state(MIXED_INIT, MIXED.vocabulary)
+    assert repr(init) == "State(c=green, g(10,2)=0, g(3,-40)=12, n=-7, on=true, p=point(1.5,-2.0))"
+    ups = UpdateSet()
+    for key, value in ((("p", ()), Point(0.5, 0.0)), (("g", (3, -40)), -13), (("on", ()), False),
+                       (("c", ()), "red"), (("n", ()), UNDEF), (("g", (-1, 1)), 10 ** 20)):
+        ups.add(key, value)
+    assert repr(ups) == ("{c:=red, g(-1,1):=100000000000000000000, g(3,-40):=-13, n:=undef, "
+                         "on:=false, p:=point(0.5,0.0)}")
+
+
+def test_replay_spells_the_final_bindings_that_differ_for_each_kind_of_value():
+    trace = run(MIXED, load_state(MIXED_INIT, MIXED.vocabulary), BuiltinPolicy())
+    store = dict(trace.final_state.store)
+    store.update({("on", ()): False, ("c", ()): "red", ("p", ()): Point(0.5, 0.0),
+                  ("g", (3, -40)): -13, ("g", (-1, 1)): 5})
+    edited = replace(trace, final_state=State(MIXED.vocabulary, store))
+    assert replay_divergence(edited, MIXED) == (
+        "final-state: {c=red, g(-1,1)=5, g(3,-40)=-13, on=false, p=point(0.5,0.0)} "
+        "vs {c=green, g(-1,1)=undef, g(3,-40)=12, on=true, p=point(1.5,-2.0)}")
