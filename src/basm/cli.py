@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Optional
+from typing import Callable, Optional, TextIO
 
 from .checks import (
     CheckReport,
@@ -55,11 +55,26 @@ def _build_policy(args, program: Program):
                          None if args.script is None else script)
 
 
+def _stdout(write: Callable[[TextIO], object]) -> None:
+    """`write(sys.stdout)`, flushed, so that a closed pipe fails here and not
+    at exit; a failed write names the stream `<stdout>`, as a file's names
+    the file."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, "<stdout>") from None
+
+
+def _say(text: str) -> None:
+    _stdout(lambda out: out.write(text + "\n"))
+
+
 def _emit_trace(trace: Trace, dest: Optional[str]):
     if dest is None:
         return False
     if dest == "-":
-        write_trace(trace, sys.stdout)
+        _stdout(lambda out: write_trace(trace, out))
         return True
     try:
         with open(dest, "w") as fp:
@@ -75,10 +90,9 @@ def _report_outcome(trace: Trace, quiet: bool) -> int:
         print(f"error[{out.error}]: {out.detail}", file=sys.stderr)
         return 1
     if not quiet:
-        print(f"outcome: {out.kind}")
-        print(f"steps: {len(trace.steps)}")
-        for loc, value in state_bindings(trace.final_state).items():
-            print(f"  {loc} = {value}")
+        lines = [f"outcome: {out.kind}", f"steps: {len(trace.steps)}"]
+        lines += (f"  {loc} = {value}" for loc, value in state_bindings(trace.final_state).items())
+        _say("\n".join(lines))
     return 0 if out.kind == "halted" else 3
 
 
@@ -133,14 +147,14 @@ def _cmd_replay(args) -> int:
     trace = read_trace(lines, program)
     differs = replay_divergence(trace, program)
     if differs is None:
-        print("replay: ok")
+        _say("replay: ok")
         return 0
     print(f"replay: mismatch: {differs}", file=sys.stderr)
     return 1
 
 
 def _print_report(report: CheckReport) -> int:
-    print(report.to_json())
+    _say(report.to_json())
     return 0 if report.passed else 1
 
 
@@ -160,8 +174,9 @@ def _check_iso(args) -> int:
     failures: list = []
     count = 0
     for bijection in enum_bijections(program.vocabulary):
-        count += 1
-        failures.extend(check_iso_invariance(program, init, bijection, answers).failures)
+        report = check_iso_invariance(program, init, bijection, answers)
+        count += report.trials
+        failures.extend(report.failures)
     return _print_report(CheckReport("iso", count, failures))
 
 
@@ -210,7 +225,7 @@ def _cmd_corpus(args) -> int:
         for name in sorted(ENTRIES):
             entry = ENTRIES[name]
             inits = ", ".join(entry.init_files)
-            print(f"{name}: init [{inits}] policy {entry.policy}")
+            _say(f"{name}: init [{inits}] policy {entry.policy}")
         return 0
     bindings = {}
     for item in args.set or []:

@@ -10,23 +10,14 @@ clears it at each step (`begin_step`). A query the policy refuses with a
 goes on; so the trace of a failed step names the query that failed it, and
 a script replays the refusal.
 
-Answer policies:
-
-  BuiltinPolicy        fixed deterministic rules per query shape (see below)
-  ScriptedPolicy       replays a prepared list of interactions
-  UniformRandomPolicy  seeded uniform choices from a SplitMix64 stream
-  InteractivePolicy    prints each query on stderr and reads a literal answer
-
-Policies recognise oracle symbols by signature, not by name. A query with
-signature (Circle, Circle) -> Point is treated as circle intersection: the
-deterministic rule picks a candidate index into the lexicographically ordered
-intersection pair (default 0, the smaller point), the uniform rule draws the
-index. A query with signature (Integer, Integer) -> Integer is treated as a
-range pick from [b, c]: the deterministic rule answers b, the uniform rule
-draws uniformly via rejection sampling. The builtin, uniform and interactive
-policies answer a reclassified static symbol by computing its static
-interpretation; a script replays it. Anything else can only be answered by a
-script or interactively.
+The builtin and uniform policies answer a query by its symbol's rule, which
+depends on the symbol alone and is found once per vocabulary (`_rule`);
+answers, PRNG draws and messages are as if each query were classified. A
+reclassified static, known by its name, is computed. A (Circle, Circle) ->
+Point query picks from the intersection pair ordered by (x, y): the builtin
+rule index `intersection_choice`, the uniform rule a drawn index. An (Integer,
+Integer) -> Integer query picks from [b, c]: the builtin rule b, the uniform
+rule a uniform draw. Other oracles are answered by a script or interactively.
 
 The PRNG is SplitMix64, fixed exactly so traces reproduce across machines and
 languages (constants and the rejection scheme are spelled out in
@@ -42,16 +33,7 @@ from typing import Callable, Iterable, Optional, TextIO
 from . import geometry
 from .errors import BasmError, ParseError
 from .literals import parse_value, render_value
-from .state import (
-    CIRCLE,
-    INTEGER,
-    POINT,
-    STATIC_IMPL,
-    UNDEF,
-    Location,
-    Vocabulary,
-    value_conforms,
-)
+from .state import CIRCLE, INTEGER, POINT, STATIC_IMPL, UNDEF, Location, Vocabulary, value_conforms
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -107,42 +89,78 @@ class Interaction(namedtuple("Interaction", "oracle args answer")):
     __slots__ = ()
 
 
-# Query shapes the builtin and uniform policies answer: (argument sorts, result sort).
-_INTERSECTION = ((CIRCLE, CIRCLE), POINT)
-_SEGMENT = ((INTEGER, INTEGER), INTEGER)
+# A symbol's rule: its shape ("static", "intersection", "segment" or None) and
+# the builtin and the uniform policy's answer, each called (policy, session, query).
+_Rule = namedtuple("_Rule", "symbol shape builtin uniform")
 
 
-def _reclassified_static(query: Location):
-    """The static interpretation of a query to a reclassified static, else _MISS."""
-    impl = STATIC_IMPL.get(query.symbol.name)
-    if impl is None:
-        return _MISS
-    fn, strict = impl
-    if strict and any(a is UNDEF for a in query.args):
-        return UNDEF
-    return fn(*query.args)
+def _rule(session: "OracleSession", query: Location) -> _Rule:
+    """A query's rule, from its vocabulary's table by symbol name, bound on the first query."""
+    rules = session.rules
+    if rules is None:
+        rules = session.rules = vars(session.vocabulary).setdefault("_oracle_rules", {})
+    rule = rules.get(query[0])
+    if rule is None or rule.symbol is not query.symbol:
+        rule = rules[query[0]] = _classify(query.symbol)
+    return rule
 
 
-def _static_or_candidates(query: Location, policy: str):
-    """(True, answer) for a reclassified static, else (False, candidates).
+def _classify(symbol) -> _Rule:
+    """A reclassified static by its name, else a shape by its signature."""
+    impl = STATIC_IMPL.get(symbol.name)
+    if impl is not None:
+        fn, strict = impl
 
-    The candidates are the ordered intersection pair of a circle-intersection
-    query, or the segment [b, c] of a segment query as range(b, c + 1).
-    """
-    value = _reclassified_static(query)
-    if value is not _MISS:
-        return True, value
+        def static(policy, session, query):
+            return UNDEF if strict and any(a is UNDEF for a in query.args) else fn(*query.args)
+        return _Rule(symbol, "static", static, static)
+    shape = (symbol.arg_sorts, symbol.result_sort)
+    if shape == ((CIRCLE, CIRCLE), POINT):
+        return _Rule(symbol, "intersection", _chosen_candidate, _drawn_candidate)
+    if shape == ((INTEGER, INTEGER), INTEGER):
+        return _Rule(symbol, "segment", _lower_endpoint, _drawn_from_segment)
+    return _Rule(symbol, None, _no_rule("builtin"), _no_rule("uniform"))
+
+
+def _refuse_undef(query: Location):
     if any(a is UNDEF for a in query.args):
         raise BasmError("oracle-domain", f"oracle query with undef argument: {query.render()}")
-    shape = (query.symbol.arg_sorts, query.symbol.result_sort)
-    if shape == _INTERSECTION:
-        return False, geometry.intersect_circles(*query.args)
-    if shape == _SEGMENT:
-        b, c = query.args
-        if b > c:
-            raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
-        return False, range(b, c + 1)
-    raise BasmError("oracle-domain", f"no {policy} rule for oracle {query.symbol.name}")
+
+
+def _no_rule(policy_name: str) -> Callable:
+    def answer(policy, session, query):
+        _refuse_undef(query)
+        raise BasmError("oracle-domain", f"no {policy_name} rule for oracle {query.symbol.name}")
+    return answer
+
+
+def _candidates(query: Location) -> tuple:
+    a, b = query.args
+    if a is UNDEF or b is UNDEF:
+        _refuse_undef(query)
+    return geometry.intersect_circles(a, b)
+
+
+def _chosen_candidate(policy, session, query):
+    return _candidates(query)[policy.intersection_choice]
+
+
+def _drawn_candidate(policy, session, query):
+    return _candidates(query)[session.prng.uniform_int(0, 1)]
+
+
+def _lower_endpoint(policy, session, query):
+    b, c = query.args
+    if b is UNDEF or c is UNDEF:
+        _refuse_undef(query)
+    if b > c:
+        raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
+    return b
+
+
+def _drawn_from_segment(policy, session, query):
+    b = _lower_endpoint(policy, session, query)
+    return b + session.prng.uniform_int(0, query.args[1] - b)
 
 
 class BuiltinPolicy:
@@ -158,10 +176,7 @@ class BuiltinPolicy:
         self.intersection_choice = intersection_choice
 
     def answer(self, session: "OracleSession", query: Location):
-        static, found = _static_or_candidates(query, "builtin")
-        if static:
-            return found
-        return found[0 if isinstance(found, range) else self.intersection_choice]
+        return _rule(session, query).builtin(self, session, query)
 
 
 class UniformRandomPolicy:
@@ -171,12 +186,7 @@ class UniformRandomPolicy:
         self.seed = seed
 
     def answer(self, session: "OracleSession", query: Location):
-        static, found = _static_or_candidates(query, "uniform")
-        if static:
-            return found
-        # len() of a range stops at 2**63 - 1; a segment may be wider.
-        size = found.stop - found.start if isinstance(found, range) else len(found)
-        return found[session.prng.uniform_int(0, size - 1)]
+        return _rule(session, query).uniform(self, session, query)
 
 
 class ScriptedPolicy:
@@ -201,10 +211,8 @@ class ScriptedPolicy:
             raise BasmError("script", f"script exhausted at {query.render()}")
         entry = self.entries[self.cursor]
         if entry.oracle is not None and entry.oracle != query.symbol.name:
-            raise BasmError(
-                "script",
-                f"script expected {entry.oracle}, program asked {query.render()}",
-            )
+            raise BasmError("script",
+                            f"script expected {entry.oracle}, program asked {query.render()}")
         if entry.args is not None and entry.args != query.args:
             raise BasmError("script", f"script arguments do not match {query.render()}")
         self.cursor += 1
@@ -227,14 +235,13 @@ class InteractivePolicy:
         self.output = output_stream
 
     def answer(self, session: "OracleSession", query: Location):
-        value = _reclassified_static(query)
-        if value is not _MISS:
-            return value
+        rule = _rule(session, query)
+        if rule.shape == "static":
+            return rule.builtin(self, session, query)
         inp = self.input if self.input is not None else sys.stdin
         out = self.output if self.output is not None else sys.stderr
         candidates = None
-        shape = (query.symbol.arg_sorts, query.symbol.result_sort)
-        if shape == _INTERSECTION and not any(a is UNDEF for a in query.args):
+        if rule.shape == "intersection" and not any(a is UNDEF for a in query.args):
             candidates = geometry.intersect_circles(*query.args)
         out.write(f"oracle {query.render()}\n")
         if candidates is not None:
@@ -292,13 +299,14 @@ def choose_policy(name: Optional[str] = None, seed: Optional[int] = None,
 class OracleSession:
     """Per-run oracle state: policy, PRNG, and the current step's table."""
 
-    __slots__ = ("policy", "vocabulary", "prng", "per_step_cache")
+    __slots__ = ("policy", "vocabulary", "prng", "per_step_cache", "rules")
 
     def __init__(self, policy, vocabulary: Vocabulary):
         self.policy = policy
         self.vocabulary = vocabulary
         self.prng = SplitMix64(getattr(policy, "seed", 0))
         self.per_step_cache: dict[Location, Interaction] = {}
+        self.rules: Optional[dict[str, _Rule]] = None  # the vocabulary's, from the first query
 
     def begin_step(self) -> None:
         """Start a step: clear the step's table."""
@@ -313,18 +321,10 @@ class OracleSession:
         try:
             answer = self.policy.answer(self, query)
             if not value_conforms(answer, query.symbol.result_sort):
-                raise BasmError(
-                    "sort",
-                    f"oracle answer {render_value(answer)} is not a "
-                    f"{query.symbol.result_sort.name} (query {query.render()})",
-                )
+                raise BasmError("sort", f"oracle answer {render_value(answer)} is not a "
+                                        f"{query.symbol.result_sort.name} (query {query.render()})")
         except BasmError as e:
-            self.per_step_cache[query] = Interaction(query.symbol.name, query.args,
-                                                     Refused(e.kind))
+            self.per_step_cache[query] = Interaction(query.symbol.name, query.args, Refused(e.kind))
             raise
         self.per_step_cache[query] = Interaction(query.symbol.name, query.args, answer)
         return answer
-
-
-_MISS = object()
-

@@ -330,9 +330,8 @@ class Vocabulary:
             and self.declarations == other.declarations
         )
 
-    def __repr__(self):
-        declared = [d[1].name if hasattr(d[1], "name") else str(d[1]) for d in self.declarations]
-        return f"Vocabulary({', '.join(declared)})"
+    def __repr__(self):  # each declaration holds a named sort or symbol
+        return f"Vocabulary({', '.join(d[1].name for d in self.declarations)})"
 
 
 def render_key(key) -> str:

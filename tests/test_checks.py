@@ -150,6 +150,7 @@ def test_enumgraph_commutes_with_every_renaming():
     for bijection in enum_bijections(prog.vocabulary):
         report = check_iso_invariance(prog, state, bijection)
         assert report.passed, (bijection, report.failures)
+        assert report.trials == 1  # one bijection, one step from each side
 
 
 def test_an_iso_check_builds_one_member_table(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basm import geometry
 from basm.errors import BasmError
 from basm.geometry import Circle, Point
 from basm.oracles import (
@@ -18,7 +19,8 @@ from basm.oracles import (
     UniformRandomPolicy,
     choose_policy,
 )
-from basm.state import CIRCLE, INTEGER, POINT, UNDEF, Location, Vocabulary
+from basm.state import BOOLEAN, CIRCLE, INTEGER, POINT, STATIC_IMPL, UNDEF, Location, Vocabulary
+from basm.syntax import parse_program
 
 MASK = (1 << 64) - 1
 
@@ -110,6 +112,7 @@ def test_builtin_policy_intersection_choice():
     lo = OracleSession(BuiltinPolicy(0), v).ask(q)
     hi = OracleSession(BuiltinPolicy(1), v).ask(q)
     assert lo.y < 0 < hi.y
+    assert OracleSession(BuiltinPolicy(), v).ask(q) == lo  # the default is the lower one
     assert lo.x == hi.x == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(BasmError):
         BuiltinPolicy(2)
@@ -338,3 +341,119 @@ def test_interactive_policy_eof_aborts():
     with pytest.raises(BasmError) as e:
         OracleSession(policy, v).ask(Location(v.symbol("Random"), (0, 100)))
     assert e.value.kind == "aborted"
+
+
+def _reference_answer(policy, session, query):
+    """The builtin and uniform answers with each query classified afresh:
+    the reference that the per-vocabulary rule table must agree with."""
+    impl = STATIC_IMPL.get(query.symbol.name)
+    if impl is not None:
+        fn, strict = impl
+        if strict and any(a is UNDEF for a in query.args):
+            return UNDEF
+        return fn(*query.args)
+    if any(a is UNDEF for a in query.args):
+        raise BasmError("oracle-domain", f"oracle query with undef argument: {query.render()}")
+    uniform = type(policy) is UniformRandomPolicy
+    shape = (query.symbol.arg_sorts, query.symbol.result_sort)
+    if shape == ((CIRCLE, CIRCLE), POINT):
+        found = geometry.intersect_circles(*query.args)
+    elif shape == ((INTEGER, INTEGER), INTEGER):
+        b, c = query.args
+        if b > c:
+            raise BasmError("oracle-domain", f"empty segment [{b}, {c}]")
+        found = range(b, c + 1)
+    else:
+        name = "uniform" if uniform else "builtin"
+        raise BasmError("oracle-domain", f"no {name} rule for oracle {query.symbol.name}")
+    if not uniform:
+        return found[0 if isinstance(found, range) else policy.intersection_choice]
+    size = found.stop - found.start if isinstance(found, range) else len(found)
+    return found[session.prng.uniform_int(0, size - 1)]
+
+
+def _differential_vocab():
+    v = Vocabulary(("mod", "="))
+    v.declare("Pick", (INTEGER, INTEGER), INTEGER, "oracle")
+    v.declare("I", (CIRCLE, CIRCLE), POINT, "oracle")
+    v.declare("Flip", (INTEGER,), BOOLEAN, "oracle")
+    return v
+
+
+def _circle(x, r):
+    return Circle(Point(float(x), 0.0), Point(float(x + r), 0.0))
+
+
+_bound = st.one_of(st.integers(-20, 20), st.just(UNDEF))
+_ARGS = {
+    "Pick": st.one_of(
+        st.tuples(_bound, _bound),  # b > c and undef bounds included
+        st.integers(-3, 3).map(lambda b: (b, b + 2**64 - 1)),  # 2^64 wide
+        st.integers(-3, 3).map(lambda b: (b, b + 2**64)),  # 2^64 + 1 wide
+    ),
+    "I": st.sampled_from([
+        (_circle(0, 5), _circle(5, 5)),  # meeting in two points
+        (_circle(0, 5), _circle(10, 5)),  # tangent
+        (_circle(0, 1), _circle(10, 1)),  # disjoint
+        (_circle(0, 1), _circle(0, 2)),  # concentric
+        (_circle(0, 5), UNDEF),
+    ]),
+    "mod": st.tuples(st.one_of(st.integers(-9, 9), st.just(UNDEF)), st.integers(-3, 3)),
+    "=": st.tuples(st.sampled_from([1, 2, UNDEF]), st.sampled_from([1, 2, UNDEF])),
+    "Flip": st.tuples(st.one_of(st.integers(0, 3), st.just(UNDEF))),
+}
+_queries = st.lists(st.sampled_from(sorted(_ARGS)).flatmap(
+    lambda name: _ARGS[name].map(lambda args: (name, args))), min_size=1, max_size=8)
+_policies = st.one_of(st.just(("builtin", None)), st.just(("builtin", 1)),
+                      st.integers(0, 2**64 - 1).map(lambda seed: ("uniform", seed)))
+
+
+def _outcome(answer, *args):
+    try:
+        return "answer", answer(*args)
+    except BasmError as e:
+        return "refused", e.kind, e.message
+
+
+@settings(max_examples=150, deadline=None)
+@given(_policies, _queries)
+def test_the_rule_table_answers_as_a_per_query_classification(policy_spec, queries):
+    """Each query gets the reference's answer, or its error kind and message,
+    and leaves the PRNG where the reference leaves it: a reclassified static
+    (strict `mod`, non-strict `=`), segments, circle pairs and an oracle of
+    another signature, under each builtin choice and a seeded uniform policy."""
+    kind, arg = policy_spec
+
+    def make():
+        if kind == "uniform":
+            return UniformRandomPolicy(arg)
+        return BuiltinPolicy() if arg is None else BuiltinPolicy(arg)
+
+    v = _differential_vocab()
+    policy, reference = make(), make()
+    session, ref_session = OracleSession(policy, v), OracleSession(reference, v)
+    for name, args in queries:
+        query = Location(v.symbol(name), args)
+        got = _outcome(policy.answer, session, query)
+        assert got == _outcome(_reference_answer, reference, ref_session, query), query
+        assert session.prng.state == ref_session.prng.state
+
+
+def test_one_policy_answers_each_program_by_its_own_signature_of_pick():
+    """Two programs name different oracles `Pick`; sharing one policy object,
+    each query is answered by the signature of its own symbol, also when it
+    is asked through the other program's session."""
+    segment, circles = (
+        parse_program(f"vocab {{\n  var a : Integer\n  oracle Pick{signature}\n}}\n"
+                      "iterate { skip }\n").vocabulary
+        for signature in ("(Integer, Integer) : Integer", "(Circle, Circle) : Point"))
+    policy = BuiltinPolicy(1)
+    pick_lower = Location(segment.symbol("Pick"), (4, 9))
+    pick_upper_point = Location(circles.symbol("Pick"), (C_MAIN, C_AUX))
+    upper = geometry.intersect_circles(C_MAIN, C_AUX)[1]
+    by_segment, by_circles = OracleSession(policy, segment), OracleSession(policy, circles)
+    for _ in range(2):
+        for session in (by_segment, by_circles):
+            session.begin_step()
+            assert session.ask(pick_lower) == 4
+            assert session.ask(pick_upper_point) == upper

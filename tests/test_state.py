@@ -20,10 +20,12 @@ from basm.state import (
     INTEGER,
     LINE,
     MAX_INT_DIGITS,
+    STATIC,
     STATIC_IMPL,
     POINT,
     UNDEF,
     Location,
+    Sort,
     State,
     UpdateSet,
     Vocabulary,
@@ -122,6 +124,10 @@ def test_value_conforms():
     node = v.declare_enum("Node", ["u", "w"])
     assert value_conforms("u", node)
     assert not value_conforms("z", node)
+    # A sort that is neither builtin nor an enum holds undef and nothing else.
+    real = Sort("Real")
+    assert value_conforms(UNDEF, real)
+    assert not any(value_conforms(x, real) for x in (0, 1.5, "u", True, Point(0.0, 0.0)))
 
 
 def _vocab():
@@ -137,6 +143,25 @@ def test_redeclaring_a_symbol_is_rejected():
     with pytest.raises(BasmError) as e:
         v.declare("x", (), BOOLEAN, "dynamic")
     assert e.value.kind == "sort"
+
+
+@pytest.mark.parametrize("declare, message", [
+    (lambda v: v.declare_enum("E", []), "enum sort E needs at least one member"),
+    (lambda v: v.declare("g", (), INTEGER, STATIC), "cannot declare symbol of kind static"),
+    (lambda v: v.sort("Real"), "unknown sort: Real"),
+], ids=["empty-enum", "static-kind", "unknown-sort"])
+def test_a_vocabulary_refuses_what_no_program_can_declare(declare, message):
+    """The library's own refusals: a program's text cannot write an empty
+    enum or a declared static, and its parser names unknown sorts itself."""
+    with pytest.raises(BasmError) as e:
+        declare(_vocab())
+    assert (e.value.kind, e.value.message) == ("sort", message)
+
+
+def test_a_vocabulary_repr_names_its_declarations_in_order():
+    v = parse_program("vocab {\n  enum Node { u, v }\n  var cur : Node\n  oracle Pick() : Node\n"
+                      "  static M(Point, Point) : Point\n}\niterate { skip }\n").vocabulary
+    assert repr(v) == "Vocabulary(Node, cur, Pick, M)"
 
 
 def test_an_unknown_oracle_static_is_a_load_time_sort_error():
@@ -301,6 +326,9 @@ def test_states_over_equal_but_distinct_vocabularies_compare_equal():
     assert x != load_state("cur := v\nn := 3", b)
     other = parse_program(text.replace("var n", "var m")).vocabulary
     assert x != State(other, x.store)
+    # Against anything else a state defers, and so equals nothing else.
+    assert x.__eq__(x.store) is NotImplemented
+    assert x != x.store and x != None  # noqa: E711
 
 
 def test_values_are_written_by_state_and_read_by_literals():
