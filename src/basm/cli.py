@@ -198,10 +198,9 @@ def _check_equiv(args) -> int:
     trace_a = run(program, init, _build_policy(args, program), max_steps=args.max_steps)
     trace_b = run(other, _load_init(args.init, other),
                   _build_policy(args, other), max_steps=args.max_steps)
-    failures = []
     differs = equivalence_divergence(trace_a, trace_b)
-    if differs is not None:
-        failures.append(f"{args.program} and {args.other} are not step equivalent: {differs}")
+    failures = [] if differs is None else [
+        f"{args.program} and {args.other} are not step equivalent: {differs}"]
     return _print_report(CheckReport("equiv", 1, failures))
 
 

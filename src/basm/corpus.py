@@ -78,13 +78,9 @@ def corpus_dir() -> Path:
     env = os.environ.get("BASM_CORPUS_DIR")
     if env:
         return Path(env)
-    here = Path(__file__).resolve()
-    candidate = here.parents[2] / "corpus"
-    if candidate.is_dir():
-        return candidate
-    fallback = Path.cwd() / "corpus"
-    if fallback.is_dir():
-        return fallback
+    for candidate in (Path(__file__).resolve().parents[2] / "corpus", Path.cwd() / "corpus"):
+        if candidate.is_dir():
+            return candidate
     raise BasmError("corpus", "corpus directory not found; set BASM_CORPUS_DIR")
 
 
@@ -119,16 +115,13 @@ def load_entry_state(name: str, init_file: Optional[str] = None) -> State:
 def _coerce(value, sort, vocabulary):
     if isinstance(value, str):
         return parse_value(value, sort, vocabulary)
-    # A point, circle or line is a tuple too; only a plain tuple is built
+    # A point, circle or line is a tuple too; only a plain pair is built
     # into one, so a circle given for a line fails the sort test below.
-    if type(value) is tuple and len(value) == 2 and all(
-        isinstance(c, (int, float)) for c in value
-    ):
-        value = Point(float(value[0]), float(value[1]))
-    if type(value) is tuple and len(value) == 2 and all(
-        isinstance(c, Point) for c in value
-    ):
-        value = Circle(*value) if sort is CIRCLE else Line(*value)
+    if type(value) is tuple and len(value) == 2:
+        if all(isinstance(c, (int, float)) for c in value):
+            value = Point(float(value[0]), float(value[1]))
+        elif all(isinstance(c, Point) for c in value):
+            value = Circle(*value) if sort is CIRCLE else Line(*value)
     if value is None:
         return UNDEF
     if not value_conforms(value, sort):

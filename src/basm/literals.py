@@ -57,6 +57,7 @@ from .state import (
     State,
     Symbol,
     Vocabulary,
+    as_builtin,
     render_key,
     render_value,
     rendered_bindings,
@@ -276,6 +277,8 @@ def _value_reader(sort: Sort, vocabulary: Vocabulary | None):
     if sort.is_enum:
         members = _plain_members(sort)
         return _table_reader(dict(zip(members, members)), sort, vocabulary)
+    if (builtin := as_builtin(sort)) is not sort:  # equal to a builtin sort, not that object
+        return _value_reader(builtin, vocabulary)
     return lambda text: _parse_literal(text, sort, vocabulary)
 
 

@@ -49,11 +49,11 @@ While `step` is the module's own function, the loop takes each step itself:
 it calls the generated rule and turns a failure into the error outcome as
 `observe_step` does. A replaced `step` (the benchmark's tracer, a test) is
 called through `observe_step`, as bexp and iso call `step`. Either way a
-step is one slotted record: its updates, the session's step table in order,
-and its `halted_after` mark, final when the next step starts or the loop
-ends. `run` keeps each record in the trace's list; replay keeps none,
-compares each finished record with the trace's at its position, and stops
-the rerun at the first that differs.
+step is one slotted record, its updates and the session's step table in
+order, never changed once made; whether the run stopped after it belongs to
+the outcome. `run` keeps each record in the trace's list; replay keeps none,
+compares each with the trace's at its position as it is made, and stops the
+rerun at the first that differs.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H
 before each step and stops when it is true; `iterate` (no H) stops after the
@@ -310,13 +310,10 @@ def step(state: State, rule: Rule,
     first step and then found on the node: the update set and the session's
     step table in order, which the caller clears first (`begin_step`). With
     no session a query fails."""
-    function = _compiled(rule)
+    ask, table = (_no_session, {}) if session is None else (session.ask, session.per_step_cache)
     updates = UpdateSet()
-    if session is None:
-        function(state.store.get, _no_session, updates.setdefault)
-        return updates, []
-    function(state.store.get, session.ask, updates.setdefault)
-    return updates, list(session.per_step_cache.values())
+    _compiled(rule)(state.store.get, ask, updates.setdefault)
+    return updates, list(table.values())
 
 
 # How the run loop tells its own `step` from a replacement. Not an alias of
@@ -329,7 +326,6 @@ _STEP_CODE = step.__code__
 class StepRecord:
     updates: UpdateSet
     interactions: tuple[Interaction, ...]
-    halted_after: bool = False
 
 
 @dataclass
@@ -401,14 +397,12 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     error outcome, with no updates. Either way the record's interactions are
     the session's step table. A replaced `step` goes through `observe_step`.
 
-    A record is finished once its `halted_after` mark is final, when the next
-    step starts or the loop ends. Without `expected`, the records are the
-    run's own list. With `expected`, a trace's records, the loop keeps none:
-    it compares each finished record with the one at its position there, and
-    ends at the first that differs. It then returns the records it compared:
-    `expected` itself when all agree in number and value, the prefix of
-    `expected` it matched followed by the first record that differs, or, when
-    the rerun stops early, `expected` up to where it stopped.
+    Without `expected`, the records are the run's own list. With `expected`,
+    a trace's records, the loop keeps none: it compares each record with the
+    one at its position there as it makes it. At the first that differs it
+    returns the prefix of `expected` it matched followed by that record;
+    otherwise `expected` up to where the rerun stopped, `expected` itself
+    when that is its end.
     """
     session = OracleSession(policy, program.vocabulary)
     store = dict(init.store)
@@ -419,7 +413,7 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     # bound once per run, so a name patched before the run is seen.
     step_fn, commit_fn, get, append = step, commit, store.get, steps.append
     begin, ask, values = session.begin_step, session.ask, session.per_step_cache.values
-    rule, taken, record = program.step_rule, 0, None
+    rule, taken = program.step_rule, 0
     own = getattr(step_fn, "__code__", None) is _STEP_CODE
     function, outcome = _compiled(rule) if own else None, None
     while True:
@@ -430,15 +424,10 @@ def _loop(program: Program, init: State, policy, max_steps: int,
                 outcome = Outcome("error", e.kind, e.message)
                 break
             if halt_value is True:
-                if taken:
-                    record.halted_after = True
                 outcome = Outcome("halted")
                 break
         if taken >= max_steps:
             outcome = Outcome("step-limit")
-            break
-        # `==`, as a dataclass's `!=` goes through `__ne__` to it.
-        if expected is not None and taken and not record == expected[taken - 1]:
             break
         if function is None:
             record, outcome = observe_step(state, rule, session, step_fn)
@@ -453,33 +442,31 @@ def _loop(program: Program, init: State, policy, max_steps: int,
                 updates = UpdateSet()
                 outcome = Outcome("error", e.kind, e.message)
             record = StepRecord(updates, tuple(values()))
-        taken += 1
         if expected is None:
             append(record)
+        # `==`, as a dataclass's `!=` goes through `__ne__` to it.
+        elif not record == expected[taken]:
+            return expected[:taken] + [record], state, outcome
+        taken += 1
         if outcome is not None:
             break
         # Compared before the commit, which overwrites the old values.
         unchanged = halt is None and changes_nothing(state, updates)
         commit_fn(store, updates)
         if unchanged:
-            record.halted_after = True
             outcome = Outcome("halted")
             break
-    if expected is None:
-        return steps, state, outcome
-    if taken and not record == expected[taken - 1]:
-        return expected[:taken - 1] + [record], state, outcome
-    if taken != len(expected):
-        return expected[:taken], state, outcome
-    return expected, state, outcome
+    if expected is not None:
+        steps = expected if taken == len(expected) else expected[:taken]
+    return steps, state, outcome
 
 
 def divergence(a_steps: list[StepRecord], a_outcome: Optional[Outcome],
                b_steps: list[StepRecord], b_outcome: Optional[Outcome]) -> Optional[str]:
     """None when two runs agree step by step: equal step records in order,
-    each compared on its update set, interactions and halted mark,
-    and the same outcome kind and error. Otherwise the first difference, as
-    text with both values: a step and field, or the outcomes and step counts.
+    each compared on its update set and interactions, and the same outcome
+    kind and error. Otherwise the first difference, as text with both
+    values: a step and field, or the outcomes and step counts.
     Behavioural equivalence, bexp and iso decide by it; replay decides step
     by step in the run loop, and reports by it when the rerun disagrees."""
     if a_steps == b_steps and a_outcome == b_outcome:

@@ -54,6 +54,13 @@ ANY = Sort("Any")
 BUILTIN_SORTS = {s.name: s for s in (INTEGER, BOOLEAN, POINT, CIRCLE, LINE)}
 
 
+def as_builtin(sort: Sort) -> Sort:
+    """The builtin sort equal to `sort`, or `sort` itself if none is. Code
+    tells builtin sorts apart by identity, so a sort built as
+    `Sort("Integer")` acts as `INTEGER` once it is looked up here."""
+    return sort if sort.is_enum else BUILTIN_SORTS.get(sort.name, sort)
+
+
 class _Undef:
     """The one `undef` value. It absorbs the integer operators the generated
     kernel writes inline: `+`, `-`, `*`, `%`, `abs` and the four orderings,
@@ -90,7 +97,8 @@ def value_conforms(value, sort: Sort) -> bool:
         return type(value) is Line
     if sort.is_enum:
         return isinstance(value, str) and value in sort.members
-    return False
+    builtin = as_builtin(sort)
+    return builtin is not sort and value_conforms(value, builtin)
 
 
 def values_equal(a, b) -> bool:
@@ -285,7 +293,7 @@ class Vocabulary:
         if kind not in (DYNAMIC, ORACLE):
             raise BasmError("sort", f"cannot declare symbol of kind {kind}")
         self._check_fresh(name)
-        sym = Symbol(name, tuple(arg_sorts), result_sort, kind)
+        sym = Symbol(name, tuple(map(as_builtin, arg_sorts)), as_builtin(result_sort), kind)
         self.symbols[name] = sym
         self.declarations.append(("var" if kind == DYNAMIC else "oracle", sym))
         return sym
@@ -295,7 +303,8 @@ class Vocabulary:
         base = STATIC_SYMBOLS.get(name)
         if base is None:
             raise BasmError("sort", f"unknown static symbol: {name}")
-        if base.arg_sorts != tuple(arg_sorts) or base.result_sort is not result_sort:
+        # Compared element by element, by identity first, then by equality.
+        if (*base.arg_sorts, base.result_sort) != (*arg_sorts, result_sort):
             raise BasmError("sort", f"static {name} redeclared with a different signature")
         sym = self.symbols[name]
         self.declarations.append(("static", sym))
@@ -323,12 +332,9 @@ class Vocabulary:
         return clone
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Vocabulary)
-            and self.sorts == other.sorts
-            and self.symbols == other.symbols
-            and self.declarations == other.declarations
-        )
+        return isinstance(other, Vocabulary) and (
+            (self.sorts, self.symbols, self.declarations)
+            == (other.sorts, other.symbols, other.declarations))
 
     def __repr__(self):  # each declaration holds a named sort or symbol
         return f"Vocabulary({', '.join(d[1].name for d in self.declarations)})"
@@ -485,17 +491,9 @@ class Renaming(dict):
     """An enum-member renaming as its member table: a dict from each moved
     member to its image. Only members are keys, so `get(v, v)` moves any
     value in C: integers, booleans, geometry values, `undef` and refused
-    answers pass through. Called, it moves a value or a location pair, whose
-    arguments it moves."""
+    answers pass through."""
 
     __slots__ = ()
-
-    def __call__(self, value):
-        kind = type(value)
-        if kind is tuple or kind is Location:  # a location pair; a geometry value is a tuple too
-            get, args = self.get, value[1]
-            return value[0], tuple(map(get, args, args))
-        return self.get(value, value)
 
     def bindings(self, bindings: Mapping) -> dict:
         """A store or an update set with every location and value moved, as

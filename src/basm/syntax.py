@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -433,11 +434,8 @@ class _Parser:
         if self.at("("):
             args = self.parse_term_args(sym, tok)
             target: Term = self.bounded(App(sym, args), tok)
-            for a in args:
-                if contains_oracle(a):
-                    self.fail(
-                        f"assignment target arguments may not query an oracle", tok, kind="sort"
-                    )
+            if any(map(contains_oracle, args)):
+                self.fail("assignment target arguments may not query an oracle", tok, kind="sort")
         else:
             if sym.arity != 0:
                 self.fail(f"{sym.name} expects {sym.arity} argument(s)", tok, kind="sort")
@@ -538,19 +536,13 @@ class _Parser:
 
     def parse_term_args(self, sym: Symbol, name_tok: Token) -> tuple[Term, ...]:
         self.expect("(")
-        args: list[Term] = []
-        if not self.at(")"):
-            args.append(self._parse_arg(sym, len(args), name_tok))
-            while self.at(","):
-                self.next()
-                args.append(self._parse_arg(sym, len(args), name_tok))
+        index = itertools.count()
+        args = [] if self.at(")") else self.comma_list(
+            lambda: self._parse_arg(sym, next(index), name_tok))
         self.expect(")")
         if len(args) != sym.arity:
-            self.fail(
-                f"{sym.name} expects {sym.arity} argument(s), got {len(args)}",
-                name_tok,
-                kind="sort",
-            )
+            self.fail(f"{sym.name} expects {sym.arity} argument(s), got {len(args)}",
+                      name_tok, kind="sort")
         return tuple(args)
 
     def _parse_arg(self, sym: Symbol, index: int, name_tok: Token) -> Term:

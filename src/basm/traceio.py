@@ -9,7 +9,9 @@ A trace is JSON-lines with a fixed field order so equal runs give equal bytes:
 
 A step's updates are sorted by rendered location when the trace is written
 (an update set itself keeps no order); state maps are sorted by key; all
-values use the shared literal syntax. An error outcome carries the error kind:
+values use the shared literal syntax. A step row's "halted" mark is written
+from the outcome, true on the last step of a halted run and false on every
+other step; a trace read back with any other marks is refused. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}. Rows are written
 directly in `json.dumps`'s default spelling, with no dict built per row:
 ", " and ": " separators, each string through `json`'s own ASCII escaper.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from .errors import KINDS, BasmError, ParseError
 from .literals import Locations, _call, state_from_bindings
@@ -82,6 +84,8 @@ def trace_lines(trace: Trace) -> list[str]:
 
     lines = [f'{{"programId": {_quote(trace.program_id)}, '
              f'"initialState": {map_text(trace.initial_state.store)}}}']
+    # The last step of a halted run is marked halted, and no other.
+    halted = len(trace.steps) - 1 if trace.outcome.kind == "halted" else -1
     for index, record in enumerate(trace.steps):
         updates = [(loc, f'{{"loc": {q}, "value": "{v}"}}' if type(v) is int
                     else f'{{"loc": {q}, "value": {_quote(render_value(v))}}}')
@@ -90,7 +94,7 @@ def trace_lines(trace: Trace) -> list[str]:
         asked = record.interactions
         lines.append(f'{{"index": {index}, "updates": [{", ".join([u for _, u in updates])}], '
                      f'"interactions": [{", ".join(map(_interaction_text, asked)) if asked else ""}], '
-                     f'"halted": {"true" if record.halted_after else "false"}}}')
+                     f'"halted": {"true" if index == halted else "false"}}}')
     error = "" if trace.outcome.error is None else f'"error": {_quote(trace.outcome.error)}, '
     lines.append(f'{{"outcome": {_quote(trace.outcome.kind)}, {error}"finalState": '
                  f'{map_text(trace.final_state.store)}}}')
@@ -126,14 +130,6 @@ def _interaction_reader(locations: Locations, by_symbol: bool = False) -> Callab
                                  tuple(map(locations.reader, found.read_args)))
         return entry
 
-    def arguments(sym, read_args, texts) -> tuple:
-        if isinstance(texts, (str, dict)):  # other non-lists fail as they are iterated
-            raise ValueError("an interaction's args must be a list")
-        args = tuple(map(_call, read_args, texts))
-        if len(texts) != sym.arity:
-            raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
-        return args
-
     def read(obj) -> Interaction:
         name = obj["oracle"]
         sym, read_answer, read_args = oracles.get(name) or oracle(name)
@@ -148,14 +144,16 @@ def _interaction_reader(locations: Locations, by_symbol: bool = False) -> Callab
         texts = obj["args"]
         if by_symbol and texts is None:
             return Interaction(sym.name, None, answer)
-        if type(texts) is list:
-            key = (name, *texts)
-            try:
-                args = known[key]
-            except (KeyError, TypeError):  # not read yet, or a text that is no string
-                args = known[key] = arguments(sym, read_args, texts)
-        else:  # fails: a string or an object would unpack into a key
-            args = arguments(sym, read_args, texts)
+        if type(texts) is not list:  # a string or an object would unpack into a key
+            raise ValueError("an interaction's args must be a list")
+        key = (name, *texts)
+        try:
+            args = known[key]
+        except (KeyError, TypeError):  # not read yet, or a text that is no string
+            args = tuple(map(_call, read_args, texts))
+            if len(texts) != sym.arity:
+                raise ParseError(f"arity mismatch in trace interaction for {sym.name}", kind="sort")
+            known[key] = args
         return Interaction(sym.name, None if by_symbol else args, answer)
 
     return read
@@ -177,16 +175,50 @@ def _json(line: str):
     return value if end == len(line) else json.loads(line)
 
 
+# The JSON type of each field a trace or script row may hold, and of the
+# items of an array or the values of a state map.
+_FIELDS = {"programId": (str, None), "initialState": (dict, str), "index": (int, None),
+           "updates": (list, dict), "loc": (str, None), "value": (str, None),
+           "interactions": (list, dict), "halted": (bool, None), "oracle": (str, None),
+           "args": (list, str), "answer": (str, None), "refused": (str, None),
+           "outcome": (str, None), "error": (str, None), "finalState": (dict, str)}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _misfit(row) -> Optional[str]:
+    """Why a decoded row that failed with a Python type error is malformed:
+    it is no object, or the first field in it, depth first, holds a JSON type
+    other than its own (`_FIELDS`); None if neither. A null "args", as a
+    by-symbol script holds, fits; the reader refuses it elsewhere."""
+    if type(row) is not dict:
+        return "expected a JSON object"
+    for name, value in row.items():
+        own, inner = _FIELDS.get(name, (None, None))
+        if own is None or value is None and name == "args":
+            continue
+        if type(value) is not own:
+            return f'"{name}" is {_JSON_TYPES[type(value)]}, not {_JSON_TYPES[own]}'
+        for item in value.values() if own is dict else value if own is list else ():
+            if type(item) is not inner:
+                return f'"{name}" holds {_JSON_TYPES[type(item)]}, not {_JSON_TYPES[inner]}'
+            if inner is dict and (found := _misfit(item)):
+                return found
+    return None
+
+
 class _RowGuard:
-    """Inside the block, a malformed row (bad JSON, JSON nested too deep to
-    decode, a missing or ill-typed field, such as a number where a literal
-    string or an object is expected) raises ParseError at line `lineno`,
-    which the parser keeps current; a bad literal or location text in the
-    row is reported at that line too, with its own kind."""
+    """Inside the block, a malformed row raises ParseError at line `lineno`,
+    which the parser keeps current, as it keeps `row`, the row as decoded:
+    bad JSON or JSON nested too deep to decode as the decoder says, a
+    missing field by its name, an ill-typed one by `_misfit`, and what the
+    reader itself refuses by its own message. A bad literal or location text
+    in the row is reported at that line too, with its own kind."""
 
     def __init__(self, what: str):
         self.what = what
         self.lineno = 0
+        self.row = None
 
     def __enter__(self):
         return self
@@ -194,9 +226,13 @@ class _RowGuard:
     def __exit__(self, kind, e, tb):
         if isinstance(e, ParseError) and e.line is None:
             raise ParseError(e.message, line=self.lineno, column=1, kind=e.kind) from None
-        if isinstance(e, (KeyError, TypeError, ValueError, AttributeError, RecursionError)):
-            raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
-        return False
+        if isinstance(e, KeyError):
+            e = f'missing field "{e.args[0]}"'
+        elif isinstance(e, (TypeError, AttributeError)):
+            e = _misfit(self.row) or e
+        elif not isinstance(e, (ValueError, RecursionError)):
+            return False
+        raise ParseError(f"bad {self.what} line: {e}", line=self.lineno, column=1) from None
 
 
 def read_trace(lines: Iterable[str], program: Program) -> Trace:
@@ -212,13 +248,14 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
     steps = []
     with _RowGuard("trace") as guard:
         guard.lineno, line = rows[0]
-        header = _json(line)
+        header = guard.row = _json(line)
         program_id = header["programId"]
         if program_id != program.program_id:
             raise BasmError("program-id", "trace was not produced by this program")
         initial = state_from_bindings(header["initialState"].items(), vocab, locations)
+        last = rows[-2][0]  # the line of the last step row, if there is one
         for guard.lineno, line in rows[1:-1]:
-            row = _json(line)
+            row = guard.row = _json(line)
             updates = UpdateSet()
             for u in row["updates"]:
                 text, lit = u["loc"], u["value"]
@@ -232,9 +269,11 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:
                 raise ValueError(f"expected index {len(steps)} and a true or false halted")
-            steps.append(StepRecord(updates, interactions, halted))
+            if halted and guard.lineno != last:
+                raise ValueError("a step before the last is marked halted")
+            steps.append(StepRecord(updates, interactions))
         guard.lineno, line = rows[-1]
-        final = _json(line)
+        final = guard.row = _json(line)
         outcome = Outcome(final["outcome"], final.get("error"))
         if outcome.kind not in ("halted", "step-limit", "error"):
             raise ValueError(f"unknown outcome {outcome.kind!r}")
@@ -243,6 +282,10 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
             raise ValueError("expected an error kind string exactly when the outcome is error")
         if kind_given and outcome.error not in KINDS:
             raise ValueError(f"unknown error kind {outcome.error!r}")
+        if steps and halted != (outcome.kind == "halted"):
+            guard.lineno = last
+            raise ValueError(f"the last step is {'' if halted else 'not '}marked halted, "
+                             f"but the outcome is {outcome.kind}")
         final_state = state_from_bindings(final["finalState"].items(), vocab, locations)
     return Trace(program_id, initial, steps, final_state, outcome)
 
@@ -263,7 +306,7 @@ def load_script(lines: Iterable[str], vocabulary: Vocabulary, mode: str = "stric
         for guard.lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            row = _json(line)
+            row = guard.row = _json(line)
             if type(row) is not dict:
                 raise ValueError("expected a JSON object")
             if "programId" in row or "outcome" in row:

@@ -7,8 +7,6 @@ spelled out rather than imported from anywhere.
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +31,7 @@ from basm.oracles import UniformRandomPolicy
 from basm.semantics import replay, run
 from basm.state import Location, UpdateSet, apply_updates
 from basm.traceio import read_trace
+from test_cli import spawn
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -229,13 +228,9 @@ def test_criterion_6_artifact_determinism(tmp_path):
     out = []
     for fname in ("first.jsonl", "second.jsonl"):
         path = tmp_path / fname
-        r = subprocess.run(
-            [sys.executable, "-m", "basm", "run",
-             "--program", "corpus/primality/program.basm",
-             "--init", "corpus/primality/init/n15k2.state",
-             "--seed", "123", "--trace", str(path)],
-            capture_output=True, text=True, cwd=REPO,
-        )
+        r = spawn("run", "--program", "corpus/primality/program.basm",
+                  "--init", "corpus/primality/init/n15k2.state",
+                  "--seed", "123", "--trace", str(path))
         assert r.returncode == 0
         out.append(path.read_bytes())
     identical = out[0] == out[1]

@@ -81,7 +81,7 @@ def emit_par_reading_sequentially(out, rule):
 def moved_ignoring_arguments(state, move):
     """`transport`'s move of a state that renames values but leaves location
     arguments as they are."""
-    return State(state.vocabulary, {key: move(v) for key, v in state.store.items()})
+    return State(state.vocabulary, {key: move.get(v, v) for key, v in state.store.items()})
 
 
 def emit_short_circuit_and(out, term):
@@ -101,12 +101,9 @@ def emit_short_circuit_and(out, term):
 
 def rename_skipping_interaction_args(record, move):
     """iso's renaming of a step record that leaves interaction arguments as they are."""
-    updates = UpdateSet()
-    for key, v in record.updates.items():
-        updates.add(move(key), move(v))
-    interactions = tuple(Interaction(i.oracle, i.args, move(i.answer))
+    interactions = tuple(Interaction(i.oracle, i.args, move.get(i.answer, i.answer))
                          for i in record.interactions)
-    return StepRecord(updates, interactions)
+    return StepRecord(UpdateSet(move.bindings(record.updates)), interactions)
 
 
 def sampler_with_y_equal_to_x(program, base_state):

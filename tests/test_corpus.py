@@ -77,7 +77,7 @@ def test_euclid_variants_step_counts():
     assert len(corpus_run("euclid_while").steps) == 2
     implicit = corpus_run("euclid_implicit")
     assert len(implicit.steps) == 4  # the repeated fixpoint step is recorded
-    assert implicit.steps[-1].halted_after
+    assert render_trace(implicit).splitlines()[-2].endswith('"halted": true}')
 
 
 def test_enumgraph_walks_three_hops():

@@ -41,13 +41,27 @@ def test_every_raised_kind_is_documented():
     assert kinds - documented == set(), "kinds missing under 'Error kinds' in docs/formats.md"
 
 
+def _kind_table() -> list[tuple[str, str, str]]:
+    """The rows of the table under "Error kinds" in docs/formats.md:
+    (kind, where it arises, exit code)."""
+    formats = (REPO / "docs" / "formats.md").read_text()
+    section = formats.split("## Error kinds", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([a-z-]+)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+
+
 def test_the_kinds_table_and_both_lists_name_the_same_kinds():
     errors_doc = (SRC / "errors.py").read_text().split('"""')[1]
     assert set(re.findall(r"^  ([a-z-]+)\s", errors_doc, re.M)) == KINDS
-    formats = (REPO / "docs" / "formats.md").read_text()
-    listing = formats.split("## Error kinds", 1)[1].split(".", 1)[0]  # the prose after it quotes more
-    assert set(re.findall(r"`([a-z-]+)`", listing)) == KINDS
+    assert {kind for kind, _, _ in _kind_table()} == KINDS
     assert _raised_kinds() <= KINDS
+
+
+def test_the_error_kind_table_has_one_row_per_kind_with_where_and_exit_code():
+    rows = _kind_table()
+    assert sorted(kind for kind, _, _ in rows) == sorted(KINDS)
+    for kind, where, code in rows:
+        assert re.search(r"\b(load|read|run|check)\b", where), kind
+        assert set(re.findall(r"\d+", code)) <= {"1", "2"} and code[0] in "12", kind
 
 
 def test_every_refusal_is_an_error_kind():

@@ -33,7 +33,7 @@ from basm.geometry import Circle, Line
 from basm.oracles import ScriptedPolicy
 from basm.semantics import run
 from basm.state import (ANY, BOOLEAN, CIRCLE, DYNAMIC, INTEGER, LINE, MAX_INT_DIGITS, POINT,
-                        UNDEF, State, Vocabulary, render_key)
+                        UNDEF, Sort, State, Vocabulary, render_key)
 from basm.syntax import parse_program
 from basm.traceio import _interaction_text, load_script, read_trace, render_trace
 
@@ -278,6 +278,26 @@ def test_a_state_file_loads_as_the_reference_loads_it(bindings):
 def test_the_any_sort_reads_true_and_false_as_booleans():
     assert parse_value("false", ANY) is False
     assert parse_value("true", ANY) is True
+
+
+@pytest.mark.parametrize("sort, text", [(INTEGER, " -12"), (BOOLEAN, "true"),
+                                        (POINT, "point(1.0,2.5)"), (LINE, " undef ")],
+                         ids=["Integer", "Boolean", "Point", "Line"])
+def test_a_sort_equal_to_a_builtin_reads_as_that_builtin(sort, text):
+    equal = Sort(sort.name)
+    assert equal == sort and equal is not sort
+    assert parse_value(text, equal) == parse_value(text, sort)
+    with pytest.raises(ParseError) as e:
+        parse_value("red", equal)
+    with pytest.raises(ParseError) as builtin:
+        parse_value("red", sort)
+    assert (e.value.kind, e.value.message) == (builtin.value.kind, builtin.value.message)
+
+
+def test_a_sort_neither_builtin_nor_enum_has_no_literals():
+    with pytest.raises(BasmError) as e:
+        parse_value("1", Sort("Real"))
+    assert (e.value.kind, e.value.message) == ("sort", "cannot parse a literal of sort Real")
 
 
 def test_values_that_are_not_text_fail_as_they_always_did():

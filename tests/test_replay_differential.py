@@ -65,14 +65,8 @@ def edited_copies(trace):
     steps, outcome = trace.steps, trace.outcome
     yield "unedited", trace
     if steps:
-        last, middle = len(steps) - 1, len(steps) // 2
-        yield "last halted flipped", _with_step(
-            trace, last, halted_after=not steps[last].halted_after)
-        yield "middle halted flipped", _with_step(
-            trace, middle, halted_after=not steps[middle].halted_after)
         yield "last row dropped", replace(trace, steps=steps[:-1])
-        repeated = StepRecord(steps[-1].updates, steps[-1].interactions,
-                              steps[-1].halted_after)
+        repeated = StepRecord(steps[-1].updates, steps[-1].interactions)
         yield "last row repeated", replace(trace, steps=[*steps, repeated])
     for n, record in enumerate(steps):
         if record.updates:

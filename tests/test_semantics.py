@@ -1,4 +1,5 @@
 """Step semantics: pre-state reads, update atomicity, halting, and replay."""
+import dataclasses
 import io
 import json
 import math
@@ -180,7 +181,20 @@ def test_iterate_stops_at_fixpoint_and_records_it():
     trace = run(prog, _state(prog, "a := 4"), ScriptedPolicy())
     assert trace.outcome.kind == "halted"
     assert len(trace.steps) == 1
-    assert trace.steps[0].halted_after
+    assert render_trace(trace).splitlines()[1].endswith('"halted": true}')
+
+
+def test_compiling_a_node_that_is_no_term_or_rule_is_a_type_error():
+    """`_compiled` takes any node that is no term for a rule; a node that is
+    neither fails as it is generated, and nothing is kept on it."""
+    class Stray:
+        def __repr__(self):
+            return "Stray()"
+
+    stray = Stray()
+    with pytest.raises(TypeError, match=r"^not a rule: Stray\(\)$"):
+        semantics._compiled(stray)
+    assert vars(stray) == {}
 
 
 def test_step_limit_outcome():
@@ -379,7 +393,7 @@ ENDINGS = {
 @pytest.mark.parametrize("ending", ENDINGS)
 def test_every_ending_replays_within_the_length_of_its_trace(ending):
     """Replay gives the rerun the trace's own length as its budget, whatever
-    the outcome: each ending replays, and fails once its last step row is
+    the outcome: each ending replays, and fails once its last step is
     dropped."""
     decls, body, init, max_steps, outcome = ENDINGS[ending]
     prog = _program(decls, body)
@@ -388,7 +402,7 @@ def test_every_ending_replays_within_the_length_of_its_trace(ending):
     assert len(trace.steps) >= 2
     lines = render_trace(trace).splitlines()
     assert replay(read_trace(lines, prog), prog)
-    assert not replay(read_trace(lines[:-2] + lines[-1:], prog), prog)
+    assert not replay(dataclasses.replace(trace, steps=trace.steps[:-1]), prog)
 
 
 def test_a_refused_query_is_kept_in_the_trace_and_replays():

@@ -130,6 +130,33 @@ def test_value_conforms():
     assert not any(value_conforms(x, real) for x in (0, 1.5, "u", True, Point(0.0, 0.0)))
 
 
+# A value of each builtin sort; each conforms to its own sort and no other.
+BUILTIN_VALUES = {INTEGER: 3, BOOLEAN: True, POINT: Point(0.0, 1.0),
+                  CIRCLE: Circle(Point(0.0, 0.0), Point(1.0, 0.0)),
+                  LINE: Line(Point(0.0, 0.0), Point(1.0, 0.0))}
+
+
+@pytest.mark.parametrize("builtin", BUILTIN_VALUES, ids=lambda sort: sort.name)
+def test_a_sort_equal_to_a_builtin_conforms_as_that_builtin(builtin):
+    equal = Sort(builtin.name)
+    assert equal == builtin and equal is not builtin
+    for sort, value in BUILTIN_VALUES.items():
+        assert value_conforms(value, equal) is (sort is builtin)
+    assert value_conforms(UNDEF, equal)
+
+
+def test_a_vocabulary_declares_a_sort_equal_to_a_builtin_as_that_builtin():
+    v = Vocabulary()
+    f = v.declare("f", (Sort("Integer"),), Sort("Boolean"), "dynamic")
+    assert f.arg_sorts[0] is INTEGER and f.result_sort is BOOLEAN
+    assert load_state("f(3) := true", v).store == {("f", (3,)): True}
+    plus = v.redeclare_static("+", (Sort("Integer"), Sort("Integer")), Sort("Integer"))
+    assert plus is v.symbol("+")
+    with pytest.raises(BasmError) as e:
+        v.redeclare_static("+", (INTEGER, INTEGER), Sort("Boolean"))
+    assert e.value.message == "static + redeclared with a different signature"
+
+
 def _vocab():
     v = Vocabulary()
     v.declare("x", (), INTEGER, "dynamic")
@@ -285,10 +312,10 @@ def test_transport_moves_args_and_values():
 def test_renaming_moves_a_location_by_its_arguments():
     v, s, u, w = _enum_state()
     move = renaming(v, {"Node": {"u": "w", "w": "u"}})
-    succ = v.symbol("succ")
-    assert move(Location(succ, (u,))) == Location(succ, (w,))
-    assert move(Location(v.symbol("cur"), ())) == Location(v.symbol("cur"), ())
-    assert move(3) == 3 and move(u) == w
+    succ, cur = v.symbol("succ"), v.symbol("cur")
+    assert move.bindings({Location(succ, (u,)): 3, Location(cur, ()): u}) == \
+        {Location(succ, (w,)): 3, Location(cur, ()): w}
+    assert move.get(3, 3) == 3 and move.get(u, u) == w
 
 
 def test_transport_rejects_partial_maps_and_builtin_sorts():
@@ -480,9 +507,8 @@ def test_the_member_table_moves_as_the_recursive_move(inputs):
         Interaction(i.oracle, tuple(map(reference, i.args)), reference(i.answer))
         for i in record.interactions))
     for i in record.interactions:
-        assert [move(a) for a in (i.answer, *i.args)] == \
+        assert [move.get(a, a) for a in (i.answer, *i.args)] == \
             [reference(a) for a in (i.answer, *i.args)]
-        assert move.get(i.answer, i.answer) == reference(i.answer)
 
 
 # One symbol of each value kind, and an integer-keyed binary symbol.

@@ -352,6 +352,12 @@ def test_pretty_round_trip_euclid():
     assert pretty(again) == pretty(prog)
 
 
+def test_pretty_refuses_a_step_that_is_no_rule():
+    stray = Program(parse_program(EUCLID).vocabulary, None, Var(None))
+    with pytest.raises(TypeError, match=r"^not a rule: Var\(symbol=None\)$"):
+        pretty(stray)
+
+
 # A malformed program, as the declarations and the loop that `_program` joins,
 # with the exact kind and message, position included, that it fails with.
 LOOP_DECLS = "var x: Integer\n  var p: Boolean\n  oracle R(Integer): Integer"
@@ -694,8 +700,6 @@ def _fold_of_steps(prog, init, seed, max_steps):
             except BasmError as e:
                 return records, state, ("error", e.kind)
             if halt is True:
-                if records:
-                    records[-1].halted_after = True
                 return records, state, ("halted", None)
         if len(records) >= max_steps:
             return records, state, ("step-limit", None)
@@ -709,7 +713,6 @@ def _fold_of_steps(prog, init, seed, max_steps):
         unchanged = prog.halt is None and changes_nothing(state, updates)
         state = apply_updates(state, updates)
         if unchanged:
-            records[-1].halted_after = True
             return records, state, ("halted", None)
 
 

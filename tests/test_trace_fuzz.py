@@ -157,10 +157,10 @@ TANGENT = REPO / "corpus" / "tangent" / "golden" / "choice0.jsonl"
 # short list holding a bad literal fails on the literal.
 INTERACTION_FAULTS = [
     ("args", ["circle(point(0.0,0.0),point(nan,0.0))"], "parse", "bad number: 'nan'"),
-    ("args", 5, "parse", "bad {what} line: 'int' object is not iterable"),
+    ("args", 5, "parse", "bad {what} line: an interaction's args must be a list"),
     ("args", "05", "parse", "bad {what} line: an interaction's args must be a list"),
     ("args", {"0": "1"}, "parse", "bad {what} line: an interaction's args must be a list"),
-    ("answer", 2.5, "parse", "bad {what} line: 'float' object has no attribute 'strip'"),
+    ("answer", 2.5, "parse", 'bad {what} line: "answer" is a number, not a string'),
     ("answer", "point(2.5,1e999)", "parse", "coordinate out of the float range: '1e999'"),
 ]
 
@@ -202,10 +202,10 @@ def test_a_refusal_reads_back_in_a_trace_and_a_script(kind):
 REFUSAL_FAULTS = [
     ({"refused": "clash"}, "bad {what} line: unknown refusal kind 'clash'"),
     ({"refused": None}, "bad {what} line: unknown refusal kind None"),
-    ({"refused": ["script"]}, "bad {what} line: unhashable type: 'list'"),
+    ({"refused": ["script"]}, 'bad {what} line: "refused" is an array, not a string'),
     ({"answer": "point(2.5,4.330127018922194)", "refused": "script"},
      "bad {what} line: an interaction holds both an answer and a refusal"),
-    ({}, "bad {what} line: 'answer'"),
+    ({}, 'bad {what} line: missing field "answer"'),
 ]
 
 
@@ -237,6 +237,19 @@ def test_a_by_symbol_script_refuses_args_that_are_no_list_or_null(args):
         ("parse", "bad script line: an interaction's args must be a list (line 4, column 1)")
 
 
+def test_a_by_symbol_script_names_the_ill_typed_field_past_a_null_args():
+    """A null "args" fits a by-symbol script, so the message names the field
+    that does not fit, though it comes later in the row."""
+    program, lines = _golden(TANGENT)
+    row = json.loads(lines[3])
+    row["interactions"][0].update(args=None, answer=2.5)
+    lines[3] = json.dumps(row)
+    with pytest.raises(ParseError) as e:
+        load_script(lines, program.vocabulary, mode="by-symbol")
+    assert (e.value.kind, e.value.message) == \
+        ("parse", 'bad script line: "answer" is a number, not a string (line 4, column 1)')
+
+
 # Outcome rows whose "error" field is missing, not a string, or present
 # on an outcome other than "error".
 OUTCOME_FAULTS = [
@@ -265,6 +278,7 @@ def test_an_outcome_row_with_a_malformed_error_field_is_a_bad_line(head):
 def test_an_outcome_row_with_an_unknown_error_kind_is_a_bad_line():
     program, lines = _golden(TANGENT)
     final = json.loads(lines[-1])["finalState"]
+    lines[-2] = lines[-2].replace('"halted": true', '"halted": false')  # an error run marks none
     lines[-1] = json.dumps({"outcome": "error", "error": "clash", "finalState": final})
     assert read_trace(lines, program).outcome.error == "clash"
     lines[-1] = json.dumps({"outcome": "error", "error": "no-such-kind", "finalState": final})

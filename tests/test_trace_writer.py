@@ -50,7 +50,7 @@ def reference_trace_lines(trace: Trace) -> list[str]:
             "index": index,
             "updates": [{"loc": loc, "value": value} for loc, value in _bindings(record.updates)],
             "interactions": [_reference_interaction(i) for i in record.interactions],
-            "halted": record.halted_after,
+            "halted": index == len(trace.steps) - 1 and trace.outcome.kind == "halted",
         }))
     final: dict = {"outcome": trace.outcome.kind}
     if trace.outcome.error is not None:
@@ -98,8 +98,7 @@ def steps(draw) -> StepRecord:
     updates = _updates(draw(st.dictionaries(keys, st.one_of(st.just(UNDEF), values), max_size=4)))
     asked = draw(st.sampled_from([0, 1, 3]))
     return StepRecord(updates, tuple(draw(st.lists(interactions, min_size=asked,
-                                                   max_size=asked))),
-                      draw(st.booleans()))
+                                                   max_size=asked))))
 
 
 @st.composite
@@ -118,7 +117,7 @@ EVERY_SHAPE = Trace(
                               ("pair", (12, -7)): -LONGEST, ("cell", (-LONGEST,)): LONGEST}),
     [StepRecord(_updates({("flag", (False,)): False, ("cell", (10,)): True, ("cell", (9,)): 0,
                           ("pair", (-LONGEST, 0)): UNDEF, ("a", ()): "red"}),
-                (Interaction("Pick", (True, -3), False), Interaction("I", (LONGEST,), 2)), False)],
+                (Interaction("Pick", (True, -3), False), Interaction("I", (LONGEST,), 2)))],
     State(Vocabulary(), {("flag", (True,)): -1, ("cell", (2,)): False}), Outcome("halted"))
 
 
