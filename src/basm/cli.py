@@ -193,8 +193,13 @@ def _check_replay(args) -> int:
 
 
 def _check_equiv(args) -> int:
-    program, init = _program_and_init(args)
+    program = _load_program(args.program, args.oracle_static)
     other = _load_program(args.other, args.oracle_static)
+    # Compared first: `--init` is read under each program's vocabulary.
+    if program.vocabulary != other.vocabulary:
+        raise BasmError("vocab",
+                        f"{args.program} and {args.other} are over different vocabularies")
+    init = _load_init(args.init, program)
     trace_a = run(program, init, _build_policy(args, program), max_steps=args.max_steps)
     trace_b = run(other, _load_init(args.init, other),
                   _build_policy(args, other), max_steps=args.max_steps)

@@ -7,7 +7,9 @@ evaluation touches exactly the locations named by the program's subterms.
 All reads use the pre-step state; updates land atomically between steps.
 
 Each rule and term is compiled once, on its first step or evaluation, into
-one generated Python function that is kept on the syntax node. Its source is
+one generated Python function that is kept on the syntax node, and each
+program, on its first run or replay, into one generated run loop that is kept
+on the program (below). Their source is
 straight-line code: each query, n-ary read and static operator application is
 one statement into a local temporary, `if` is an `if ... is True:` block, and
 `par` is its members in order. Each subterm is evaluated once per block: a
@@ -24,7 +26,7 @@ step before any repeat. A step still reads only the locations its evaluated
 subterms name. A static operator evaluates all its
 arguments before it applies itself. `+`, `-`, `*`, `mod`, the comparisons,
 the three-valued connectives, and `=` and `!=` on values that `==` compares
-as the program does, are Python expressions over the temporaries, with the
+as the program does, are Python statements over the temporaries, with the
 integer bound and the zero divisor tested inline; `undef` absorbs the integer
 operators itself (see `state._Undef`), so they test no operand for it.
 `powmod`, the geometry constructors, and `=` and `!=` on points, circles and
@@ -42,18 +44,26 @@ arguments. So a read, an update and a commit hash and compare plain tuples,
 in C. A run owns one working store, a copy of the initial bindings, and
 commits each step's updates into it in place.
 
-One loop runs a program for `run` and for replay. It binds the seams `step`,
-`commit` and the session's `begin_step` and `ask` once per run, so a name
-patched before the run is called once per step, and counts its steps itself.
-While `step` is the module's own function, the loop takes each step itself:
-it calls the generated rule and turns a failure into the error outcome as
-`observe_step` does. A replaced `step` (the benchmark's tracer, a test) is
-called through `observe_step`, as bexp and iso call `step`. Either way a
-step is one slotted record, its updates and the session's step table in
-order, never changed once made; whether the run stopped after it belongs to
-the outcome. `run` keeps each record in the trace's list; replay keeps none,
-compares each with the trace's at its position as it is made, and stops the
-rerun at the first that differs.
+One loop runs a program for `run` and for replay: the program's generated
+`loop`, one function built from the same emitters as its rule. Each pass is
+one step: the halting test and the budget test, the rule body, then the
+record or, in replay, the comparison with the trace's record, and the commit.
+The halting term and the rule are written inline, and the rule reuses the
+halting term's temporaries, as both read the pre-step state. So a step calls
+no Python function but the policy's `ask`, `commit`, `changes_nothing` for
+`iterate`, the session's `begin_step` for a rule that asks, and in a run the
+record's constructor; an oracle-free rule's step table is always empty, so
+it neither clears nor copies it. The seams `commit`, `changes_nothing` and
+the session's `begin_step`, `ask` and table are bound once per run and passed
+in, so a name patched before the run is called at each step. A replaced
+`step` (the benchmark's tracer, a test) runs instead a Python loop that
+takes each step through `observe_step`, as bexp and iso call `step`, and
+returns what the generated loop returns. Either way a step is one slotted
+record, its updates and the session's step table in order, never changed
+once made; whether the run stopped after it belongs to the outcome. `run`
+keeps each record in the trace's list; replay builds none for a step that
+matches: it compares the step's updates and interactions with the trace's
+record at its position, and stops the rerun at the first that differs.
 
 Two halting conventions: `do until H` evaluates the oracle-free term H
 before each step and stops when it is true; `iterate` (no H) stops after the
@@ -67,6 +77,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional
 
 from .errors import BasmError
@@ -117,23 +128,23 @@ def _no_session(query: Location):
 _FIXED = {"U": UNDEF, "Location": Location, "B": _INT_BOUND, "big": _too_long,
           "modzero": _mod_by_zero, "clash": clash}
 
-# The inline expression of a static operator over its operands `a` and `b`
+# The inline statement of a static operator over its operands `a` and `b`
 # (for `not`, both its one operand), assigning `t`, its own temporary. `U`
 # absorbs `+`, `-`, `*`, `%`, `abs` and the orderings, and is truthy, so the
-# strict integer operators need no undef test: `abs(U) < B` is `U`, and
-# `undef mod 0` is `undef`. `=` and `!=` on points, circles or lines, which
-# compare within EPS, stay calls, as do `powmod` and the geometry
+# strict integer operators need no undef test: `not abs(U) < B` is False,
+# and `undef mod 0` is `undef`. `=` and `!=` on points, circles or lines,
+# which compare within EPS, stay calls, as do `powmod` and the geometry
 # constructors. The bound test is `abs(t) < B`, as `-B < t < B` would build
-# the 640-digit `-B` on every operation.
+# the 640-digit `-B` on every operation; it assigns `t` inside the test.
 _INLINE = {
-    **{op: f"{{t}} if abs({{t}} := {{a}} {op} {{b}}) < B else big()" for op in "+-*"},
-    "mod": "{a} % {b} if {b} or {a} is U else modzero()",
-    **{op: f"{{a}} {op} {{b}}" for op in ("<", "<=", ">", ">=")},
-    "=": "{a} == {b}",
-    "!=": "{a} != {b}",
-    "and": "False if {a} is False or {b} is False else U if {a} is U or {b} is U else True",
-    "or": "True if {a} is True or {b} is True else U if {a} is U or {b} is U else False",
-    "not": "U if {a} is U else not {a}",
+    **{op: f"if not abs({{t}} := {{a}} {op} {{b}}) < B: big()" for op in "+-*"},
+    "mod": "{t} = {a} % {b} if {b} or {a} is U else modzero()",
+    **{op: f"{{t}} = {{a}} {op} {{b}}" for op in ("<", "<=", ">", ">=")},
+    "=": "{t} = {a} == {b}",
+    "!=": "{t} = {a} != {b}",
+    "and": "{t} = False if {a} is False or {b} is False else U if {a} is U or {b} is U else True",
+    "or": "{t} = True if {a} is True or {b} is True else U if {a} is U or {b} is U else False",
+    "not": "{t} = U if {a} is U else not {a}",
 }
 _GEOMETRY_SORTS = (POINT, CIRCLE, LINE)
 
@@ -145,12 +156,12 @@ def _geometric(term: Term) -> bool:
 
 
 def _inline(name: str, operands: tuple[Term, ...]) -> Optional[str]:
-    """The inline expression of a static operator on these operands, or None
+    """The inline statement of a static operator on these operands, or None
     where it stays a call. A `mod` by a nonzero literal needs no zero test."""
     if name in ("=", "!=") and any(map(_geometric, operands)):
         return None
     if name == "mod" and isinstance(operands[1], Lit) and operands[1].value not in (0, UNDEF):
-        return "{a} % {b}"
+        return "{t} = {a} % {b}"
     return _INLINE.get(name)
 
 
@@ -163,7 +174,8 @@ class _Source:
     the name that holds its value: a variable by its name, an application by
     its symbol's name and its operands' names, a literal by its type and
     value. `block` works on a copy and restores it, so nothing evaluated
-    inside a block is used outside it."""
+    inside a block is used outside it. `asks` tells whether a query has
+    been emitted."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -171,6 +183,7 @@ class _Source:
         self.consts = 0
         self.pad = " "
         self.reads: dict[str, str] = {}
+        self.asks = False
 
     def const(self, value) -> str:
         name = f"c{self.consts}"
@@ -237,13 +250,16 @@ def _emit_application(out: _Source, term: Term, args: list[str]) -> str:
         fn, strict = STATIC_IMPL[sym.name]
         inline = _inline(sym.name, term.args)
         if inline is not None:
-            return out.temp(inline.format(t=out.next_temp(), a=args[0], b=args[-1]))
+            name = out.next_temp()
+            out.line(inline.format(t=name, a=args[0], b=args[-1]))
+            return name
         expr = f"{out.const(fn)}({', '.join(args)})"
         # A strict call tests the operands that may be undef, not a constant.
         undef = " or ".join(f"{a} is U" for a in args if not a.startswith("c")) if strict else ""
         return out.temp(f"U if {undef} else {expr}" if undef else expr)
     if sym.kind == DYNAMIC:
         return out.temp(f"get(({out.const(sym.name)}, {_tuple(args)}), U)")
+    out.asks = True
     return out.temp(f"ask(Location({out.const(sym)}, {_tuple(args)}))")
 
 
@@ -277,24 +293,31 @@ def _emit_rule(out: _Source, rule: Rule) -> None:
 
 
 def _generate(node) -> tuple[str, dict]:
-    """The source of a term's function `term(get, ask) -> value` or a rule's
-    `rule(get, ask, add)`, named apart for profiles, and its namespace."""
+    """The source of a term's function `term(get, ask) -> value`, a rule's
+    `rule(get, ask, add)` or a program's run loop `loop(...)` (`_emit_loop`),
+    named apart for profiles, and its namespace."""
     out = _Source()
     if isinstance(node, Term):
         out.line(f"return {_emit_term(out, node)}")
-        return "\n".join(["def term(get, ask):", *out.lines]), out.namespace
-    _emit_rule(out, node)
-    return "\n".join(["def rule(get, ask, add):", *out.lines]), out.namespace
+        head = "term(get, ask)"
+    elif isinstance(node, Program):
+        _emit_loop(out, node)
+        head = _LOOP_PARAMETERS
+    else:
+        _emit_rule(out, node)
+        head = "rule(get, ask, add)"
+    return "\n".join([f"def {head}:", *out.lines]), out.namespace
 
 
 def _compiled(node):
-    """The generated function of a term or rule, built on first use and kept
-    on the node."""
+    """The generated function of a term, rule or program, built on first use
+    and kept on the node."""
     fn = node.__dict__.get("_function")
     if fn is None:
         source, namespace = _generate(node)
         exec(compile(source, "<basm>", "exec"), namespace)
-        fn = node.__dict__["_function"] = namespace["term" if isinstance(node, Term) else "rule"]
+        # The function's name, from its first line `def <name>(`.
+        fn = node.__dict__["_function"] = namespace[source[4:source.index("(")]]
     return fn
 
 
@@ -341,7 +364,7 @@ def observe_step(state: State, rule: Rule, session: OracleSession,
     keeps, and the error outcome if it failed; a failed step keeps no updates
     and the step's table, a refused query included. bexp and iso observe
     their steps with it, and so does the run loop once `step` is replaced;
-    with its own `step` the loop does this work inline."""
+    with its own `step` the program's generated loop does this work inline."""
     session.begin_step()
     failed = None
     try:
@@ -386,16 +409,113 @@ def run(program: Program, init: State, policy, max_steps: Optional[int] = None) 
     return Trace(program.program_id, init, steps, final, outcome)
 
 
+# The generated loop's parameters: the seams and the run's own objects,
+# bound once per run by `_loop`.
+_LOOP_PARAMETERS = ("loop(get, ask, begin, values, commit, changes_nothing, state, store, "
+                    "max_steps, append, expected)")
+
+
+def _emit_loop(out: _Source, program: Program) -> None:
+    """Emit the body of the program's run loop. Each pass is one step
+    numbered `taken`: the halting test (for `iterate`, whether the last step
+    changed nothing), the budget test, `begin` when the rule asks, the rule
+    body into a fresh update set's `add`, the record or the comparison with
+    `expected[taken]`, `changes_nothing` for `iterate`, and `commit`. The
+    halting term's temporaries serve the rule, as both read the pre-step
+    state. The loop returns `(taken, outcome, record)`: `record` is None when
+    the run ended before step `taken`, and otherwise that step's record,
+    which the loop has neither kept nor compared, of a step that failed or
+    differs from `expected[taken]`."""
+    out.namespace.update(BasmError=BasmError, Outcome=Outcome, StepRecord=StepRecord,
+                         UpdateSet=UpdateSet, count=count, error="error", halted="halted",
+                         limit="step-limit")
+    iterate = program.halt is None
+    failed = "except BasmError as e: return taken, Outcome(error, e.kind, e.message),"
+    if iterate:
+        out.line("unchanged = False")
+    out.line("for taken in count():")
+    out.pad = "  "
+    if iterate:
+        out.line("if unchanged:")
+    else:  # a halting term that fails ends the run before the step
+        out.line("try:")
+        out.pad = "   "
+        out.line(f"if {_emit_term(out, program.halt)} is True:")
+    out.line(" return taken, Outcome(halted), None")
+    out.pad = "  "
+    if not iterate:
+        out.line(f"{failed} None")
+    out.line("if taken >= max_steps:")
+    out.line(" return taken, Outcome(limit), None")
+    at = len(out.lines)
+    out.line("updates = UpdateSet()")
+    out.line("add = updates.setdefault")
+    out.line("try:")
+    out.pad = "   "
+    _emit_rule(out, program.step_rule)
+    out.pad = "  "
+    table = "()"  # the step's table: an oracle-free rule's is always empty
+    if out.asks:
+        out.lines.insert(at, "  begin()")  # no temporary is named after the rule
+        table = "tuple(values())"
+    out.line(f"{failed} StepRecord(UpdateSet(), {table})")
+    if out.asks:
+        out.line(f"interactions = {table}")
+        table = "interactions"
+    out.line("if expected is None:")
+    out.line(f" append(StepRecord(updates, {table}))")
+    out.line(f"elif updates != (record := expected[taken]).updates "
+             f"or {table} != record.interactions:")
+    out.line(f" return taken, None, StepRecord(updates, {table})")
+    if iterate:
+        out.line("unchanged = changes_nothing(state, updates)")
+    out.line("commit(store, updates)")
+
+
+def _observing(program: Program, session: OracleSession, step_fn: Callable):
+    """The generated loop's work for a replaced `step`, in Python: each step
+    goes through `observe_step` with `step_fn`, and the halting term through
+    its own generated function. It takes the generated loop's parameters and
+    returns what it returns, but uses `begin`, `ask` and `values` only
+    through `observe_step` and the session."""
+    halt = None if program.halt is None else _compiled(program.halt)
+
+    def loop(get, ask, begin, values, commit, changes_nothing, state, store, max_steps,
+             append, expected):
+        stop = False
+        for taken in count():
+            if halt is not None:
+                try:
+                    stop = halt(get, _no_session) is True
+                except BasmError as e:
+                    return taken, Outcome("error", e.kind, e.message), None
+            if stop:
+                return taken, Outcome("halted"), None
+            if taken >= max_steps:
+                return taken, Outcome("step-limit"), None
+            record, failed = observe_step(state, program.step_rule, session, step_fn)
+            if failed is not None or expected is not None and not record == expected[taken]:
+                return taken, failed, record
+            if expected is None:
+                append(record)
+            # Compared before the commit, which overwrites the old values.
+            stop = halt is None and changes_nothing(state, record.updates)
+            commit(store, record.updates)
+    return loop
+
+
 def _loop(program: Program, init: State, policy, max_steps: int,
           expected: Optional[list[StepRecord]]):
     """The run loop of `run` and of replay: the step records, the final state
     and the outcome.
 
-    While `step` is the module's own function, each step calls the rule's
-    generated function with the store's `get`, the session's `ask` and a
-    fresh update set's `setdefault`, after `begin_step`; a `BasmError` is the
-    error outcome, with no updates. Either way the record's interactions are
-    the session's step table. A replaced `step` goes through `observe_step`.
+    While `step` is the module's own function, the loop is one call of the
+    program's generated loop (`_emit_loop`), built on the first run and kept
+    on the program; a replaced `step` runs `_observing`'s loop instead, which
+    calls it through `observe_step`. Either way the seams `commit`,
+    `changes_nothing` and the session's `begin_step`, `ask` and table are
+    bound once per run and passed in, so a name patched before the run is
+    called at each step.
 
     Without `expected`, the records are the run's own list. With `expected`,
     a trace's records, the loop keeps none: it compares each record with the
@@ -407,55 +527,19 @@ def _loop(program: Program, init: State, policy, max_steps: int,
     session = OracleSession(policy, program.vocabulary)
     store = dict(init.store)
     state = State(init.vocabulary, store)
-    halt = None if program.halt is None else _compiled(program.halt)
     steps: list[StepRecord] = []
-    # Each seam (`step`, `commit`, the session's `begin_step` and `ask`) is
-    # bound once per run, so a name patched before the run is seen.
-    step_fn, commit_fn, get, append = step, commit, store.get, steps.append
-    begin, ask, values = session.begin_step, session.ask, session.per_step_cache.values
-    rule, taken = program.step_rule, 0
-    own = getattr(step_fn, "__code__", None) is _STEP_CODE
-    function, outcome = _compiled(rule) if own else None, None
-    while True:
-        if halt is not None:
-            try:
-                halt_value = halt(get, _no_session)
-            except BasmError as e:
-                outcome = Outcome("error", e.kind, e.message)
-                break
-            if halt_value is True:
-                outcome = Outcome("halted")
-                break
-        if taken >= max_steps:
-            outcome = Outcome("step-limit")
-            break
-        if function is None:
-            record, outcome = observe_step(state, rule, session, step_fn)
-            updates = record.updates
-        else:
-            # `observe_step`'s work, with `step`'s written out.
-            begin()
-            updates = UpdateSet()
-            try:
-                function(get, ask, updates.setdefault)
-            except BasmError as e:
-                updates = UpdateSet()
-                outcome = Outcome("error", e.kind, e.message)
-            record = StepRecord(updates, tuple(values()))
+    own = getattr(step, "__code__", None) is _STEP_CODE
+    loop = _compiled(program) if own else _observing(program, session, step)
+    taken, outcome, last = loop(store.get, session.ask, session.begin_step,
+                                session.per_step_cache.values, commit, changes_nothing,
+                                state, store, max_steps, steps.append, expected)
+    if last is not None:  # the step that ended the run, neither kept nor compared
         if expected is None:
-            append(record)
+            steps.append(last)
         # `==`, as a dataclass's `!=` goes through `__ne__` to it.
-        elif not record == expected[taken]:
-            return expected[:taken] + [record], state, outcome
+        elif not last == expected[taken]:
+            return expected[:taken] + [last], state, outcome
         taken += 1
-        if outcome is not None:
-            break
-        # Compared before the commit, which overwrites the old values.
-        unchanged = halt is None and changes_nothing(state, updates)
-        commit_fn(store, updates)
-        if unchanged:
-            outcome = Outcome("halted")
-            break
     if expected is not None:
         steps = expected if taken == len(expected) else expected[:taken]
     return steps, state, outcome
@@ -486,10 +570,12 @@ def replay_divergence(trace: Trace, program: Program) -> Optional[str]:
     final states differ, `final-state: {...} vs {...}` with the bindings that
     differ, the trace's first (an absent binding reads `undef`).
 
-    The rerun compares each step with the trace's as it makes it, keeps no
-    record, and stops at the first that differs. When the rerun disagrees in
-    a step, in the number of steps or in the outcome, `divergence` names the
-    difference from the records the rerun compared."""
+    The rerun compares each step's updates and interactions with the trace's
+    record as it makes them, builds no record for a step that matches, and
+    stops at the first that differs. When the rerun disagrees in a step, in
+    the number of steps or in the outcome, `divergence` names the difference
+    from the trace's records and the rerun's record of the step that
+    differs."""
     if trace.program_id != program.program_id:
         raise BasmError("program-id", "trace was not produced by this program")
     script = [i for record in trace.steps for i in record.interactions]

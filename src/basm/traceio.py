@@ -11,7 +11,9 @@ A step's updates are sorted by rendered location when the trace is written
 (an update set itself keeps no order); state maps are sorted by key; all
 values use the shared literal syntax. A step row's "halted" mark is written
 from the outcome, true on the last step of a halted run and false on every
-other step; a trace read back with any other marks is refused. An error outcome carries the error kind:
+other step; a trace read back with any other marks is refused, and so is a
+step row that lists one location twice, under any spelling and whatever the
+two values. An error outcome carries the error kind:
 {"outcome": "error", "error": "clash", "finalState": ...}. Rows are written
 directly in `json.dumps`'s default spelling, with no dict built per row:
 ", " and ": " separators, each string through `json`'s own ASCII escaper.
@@ -264,7 +266,11 @@ def read_trace(lines: Iterable[str], program: Program) -> Trace:
                     key, read = location(text)
                     entry = locations[text] = key, reads.get(read, read)
                 key, read = entry
-                updates.add(key, read(lit))
+                updates[key] = read(lit)
+            if len(updates) != len(row["updates"]):
+                keys = [get(u["loc"])[0] for u in row["updates"]]
+                twice = next(key for n, key in enumerate(keys) if key in keys[:n])
+                raise ValueError(f"repeated update for {render_key(twice)}")
             interactions = tuple(map(interaction, row["interactions"]))
             index, halted = row["index"], row["halted"]
             if type(index) is not int or index != len(steps) or type(halted) is not bool:

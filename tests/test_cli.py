@@ -307,6 +307,20 @@ def test_a_location_bound_twice_in_a_trace_header_exits_2(tmp_path):
     assert "error[parse]" in r.stderr and "repeated binding for a" in r.stderr
 
 
+def test_a_location_updated_twice_in_a_trace_step_exits_2(tmp_path):
+    """Step 0 of the euclid trace lists its update of `a` twice."""
+    trace = tmp_path / "t.jsonl"
+    cli("run", "--program", EUCLID, "--init", EUCLID_INIT, "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["updates"].append(dict(row["updates"][0]))
+    lines[1] = json.dumps(row)
+    trace.write_text("\n".join(lines) + "\n")
+    r = cli("replay", "--program", EUCLID, "--trace", str(trace))
+    assert (r.returncode, r.stderr) == (
+        2, "error[parse]: bad trace line: repeated update for a (line 2, column 1)\n")
+
+
 @pytest.mark.parametrize("where", ["state file", "program"])
 def test_an_integer_literal_of_5000_digits_exits_2(tmp_path, where):
     digits = "9" * 5000
@@ -463,6 +477,15 @@ def test_check_equiv_flags_different_machines():
             "--other", "corpus/euclid_while/program.basm")
     assert r.returncode == 1
     assert json.loads(r.stdout)["failures"]
+
+
+def test_check_equiv_over_two_vocabularies_is_a_vocab_error():
+    """The vocabularies are compared before `--init` is read under `--other`,
+    whose vocabulary has no `a`."""
+    other = "corpus/enumgraph/program.basm"
+    r = cli("check", "equiv", "--program", EUCLID, "--init", EUCLID_INIT, "--other", other)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1, "", f"error[vocab]: {EUCLID} and {other} are over different vocabularies\n")
 
 
 @pytest.mark.parametrize("kind, unread", [

@@ -346,6 +346,25 @@ def test_replay_detects_tampering():
     assert not replay(trace, prog)
 
 
+@pytest.mark.parametrize("body, picks", [
+    ("do until n >= 2 { par { a := Pick(1, 6); n := n + 1 } }", [(), (0, 1)]),
+    ("do until n >= 2 { n := n + 1 }", [(0,), ()]),
+], ids=["moved-to-the-next-step", "added-to-an-oracle-free-step"])
+def test_replay_compares_the_interactions_of_each_step(body, picks):
+    """Replay answers from the trace's interactions in order, so one moved
+    to the next step's record, or added to a step of a rule that never
+    asks, changes no answer; the trace still differs from the rerun in that
+    step's interactions."""
+    prog = _program("var a, n : Integer\n  oracle Pick(Integer, Integer) : Integer", body)
+    asked = [Interaction("Pick", (1, 6), answer) for answer in (3, 4)]
+    trace = run(prog, _state(prog, "n := 0"), ScriptedPolicy(asked))
+    rerun = trace.steps[0].interactions
+    for record, recorded in zip(trace.steps, picks):
+        record.interactions = tuple(asked[i] for i in recorded)
+    assert semantics.replay_divergence(trace, prog) == \
+        f"step 0 interactions: {trace.steps[0].interactions!r} vs {rerun!r}"
+
+
 def test_a_negative_zero_coordinate_reads_as_zero():
     """A point has one zero (docs/formats.md): a tangent trace edited from
     `point(5.0,0.0)` to `point(5.0,-0.0)` reads as the unedited golden, on
@@ -557,29 +576,44 @@ def test_a_trace_parses_each_location_text_once(monkeypatch):
 
 # The names the generator writes itself: keywords, the function (`rule` or
 # `term`), its parameters, the fixed namespace entries `U` (undef),
-# `Location`, `B`, `big`, `modzero` and `clash`, and the builtin `abs`.
+# `Location`, `B`, `big`, `modzero` and `clash`, and the builtin `abs`; and
+# for a program's run loop, its own fixed names: the function `loop`, its
+# parameters and locals, the outcome kinds `error`, `halted` and `limit`, the
+# namespace entries `BasmError`, `Outcome`, `StepRecord`, `UpdateSet` and
+# `count`, the attributes it reads and the builtin `tuple`.
 GENERATED_NAMES = {"def", "return", "if", "else", "is", "not", "or", "True", "False", "pass",
                    "rule", "term", "get", "ask", "add", "U", "Location",
-                   "B", "big", "modzero", "clash", "abs"}
+                   "B", "big", "modzero", "clash", "abs",
+                   "for", "in", "try", "except", "as", "elif", "None",
+                   "loop", "begin", "values", "commit", "changes_nothing", "state", "store",
+                   "max_steps", "append", "expected", "taken", "updates", "record",
+                   "interactions", "unchanged", "e", "error", "halted", "limit",
+                   "BasmError", "Outcome", "StepRecord", "UpdateSet", "count",
+                   "setdefault", "kind", "message", "tuple"}
 
 
 def test_no_program_text_reaches_the_generated_source():
     """Every name, symbol and literal of a program reaches its generated
     functions only as a namespace constant `c<i>`: the source holds generated
-    names and fixed keywords, and no number or string."""
+    names and fixed keywords, and no number or string. So does the run loop
+    of the program, which asks, and of an `iterate` one."""
     widest = "9" * 640
     text = (entry_dir("tangent") / "program.basm").read_text()
     text = text.replace("var T : Line", "var T : Line\n  var n : Integer")
     text = text.replace("r := M(p, q);", f"r := M(p, q);\n    n := {widest};")
     prog = parse_program(text)
     program_names = {"p", "q", "C", "D", "r", "s", "T", "n", "I", "M", "Cl", "L"}
-    assert int(widest) in semantics._generate(prog.step_rule)[1].values()
-    for node in (prog.step_rule, prog.halt):
+    iterating = parse_program((entry_dir("euclid_implicit") / "program.basm").read_text()
+                              .replace("d := a", f"d := {widest}"))
+    for node in (prog, iterating):
+        assert int(widest) in semantics._generate(node)[1].values()
+    for node, names_of_program in [(prog.step_rule, program_names), (prog.halt, program_names),
+                                   (prog, program_names), (iterating, {"a", "b", "d"})]:
         source, _ = semantics._generate(node)
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         names = {t.string for t in tokens if t.type == tokenize.NAME}
         assert {n for n in names if not re.fullmatch(r"[ct]\d+", n)} <= GENERATED_NAMES
-        assert not names & program_names
+        assert not names & names_of_program
         assert not [t.string for t in tokens if t.type in (tokenize.NUMBER, tokenize.STRING)]
         assert widest not in source and "undef" not in source
 
@@ -617,3 +651,50 @@ def test_a_node_generates_its_function_once(monkeypatch):
     assert step(init, prog.step_rule)[0] == step(init, prog.step_rule)[0]
     assert eval_term(init, prog.halt) == eval_term(init, prog.halt) == (False, [])
     assert generated == [prog.step_rule, prog.halt]
+
+
+def test_a_program_generates_its_loop_once_across_run_and_replay(monkeypatch):
+    """A run and the replays of its trace, the trace as run and as read
+    back, share one generated loop, which holds the rule and the halting
+    term, so neither is generated on its own."""
+    generated = []
+
+    def counting(node):
+        generated.append(node)
+        return original(node)
+
+    original = semantics._generate
+    monkeypatch.setattr(semantics, "_generate", counting)
+    prog = _program(INT2, "do until a > 9 { a := a + 1 }")
+    trace = run(prog, _state(prog, "a := 1"), ScriptedPolicy())
+    assert replay(trace, prog) and replay(read_trace(render_trace(trace).splitlines(), prog), prog)
+    assert run(prog, _state(prog, "a := 5"), ScriptedPolicy()).outcome.kind == "halted"
+    assert generated == [prog]
+
+
+PICK = "var a, n : Integer\n  oracle Pick(Integer, Integer) : Integer"
+
+
+@pytest.mark.parametrize("decls, body, init, steps", [
+    (INT2, "do until a > 3 { a := a + 1 }", "a := 0", 4),
+    ("var a, b, d : Integer", "iterate { if b = 0 then d := a else par { a := b; b := a mod b } }",
+     "a := 12\nb := 8", 4),
+    (PICK, "do until n >= 3 { par { a := Pick(1, 6); n := n + 1 } }", "n := 0", 3),
+    (PICK, "do until false { par { a := Pick(0, 6); n := n mod Pick(0, 6) } }", "n := 1", 2),
+], ids=["do-until", "iterate", "asks", "asks-then-fails"])
+def test_only_a_rule_that_asks_begins_its_steps(monkeypatch, decls, body, init, steps):
+    """The generated loop clears the session's step table once per step,
+    the failing step included, in a run and in its replay, for a rule that
+    asks; an oracle-free rule's table stays empty, and its loop never calls
+    `begin_step`."""
+    calls = []
+    begin_step = OracleSession.begin_step
+    monkeypatch.setattr(OracleSession, "begin_step",
+                        lambda session: calls.append(session) or begin_step(session))
+    prog = _program(decls, body)
+    trace = run(prog, _state(prog, init), _answers(prog, [3, 0, 5]))
+    assert len(trace.steps) == steps and trace.outcome.error in (None, "arith")
+    asks = "Pick" in body
+    assert len(calls) == asks * steps
+    assert all(record.interactions == () for record in trace.steps) != asks
+    assert replay(trace, prog) and len(calls) == 2 * asks * steps

@@ -7,7 +7,8 @@ field's text. `read_trace` and `load_script` must then read the file or
 raise `BasmError`, never another exception. A bad location text spliced into
 a row after the text's first good use fails on that row's line, with the
 kind its text has on its own. A faulty interaction fails with a pinned
-kind, message and line, as does one that holds no one answer or refusal.
+kind, message and line, as does one that holds no one answer or refusal,
+and a step row that updates one location twice.
 """
 import json
 from pathlib import Path
@@ -286,6 +287,24 @@ def test_an_outcome_row_with_an_unknown_error_kind_is_a_bad_line():
         read_trace(lines, program)
     assert (e.value.kind, e.value.message) == \
         ("parse", f"bad trace line: unknown error kind 'no-such-kind' (line {len(lines)}, column 1)")
+
+
+EUCLID = REPO / "corpus" / "euclid" / "golden" / "a12b8.jsonl"
+
+
+@pytest.mark.parametrize("loc, value", [("a", "9"), ("a", "8"), (" a", "8")],
+                         ids=["another-value", "the-same-value", "another-spelling"])
+def test_a_step_row_that_updates_one_location_twice_is_a_bad_line(loc, value):
+    """Step 0 of the euclid golden writes `a := 8`; a second update of `a`,
+    whatever its value or spelling, is no update set, so no clash either."""
+    program, lines = _golden(EUCLID)
+    row = json.loads(lines[1])
+    row["updates"].append({"loc": loc, "value": value})
+    lines[1] = json.dumps(row)
+    with pytest.raises(ParseError) as e:
+        read_trace(lines, program)
+    assert (e.value.kind, e.value.message, e.value.line) == \
+        ("parse", "bad trace line: repeated update for a (line 2, column 1)", 2)
 
 
 # --- each text once per file, and no error hidden by it ----------------------
